@@ -33,10 +33,7 @@ void Report() {
             "chain (office)", "chain", OfficeFds()},
         {"marriage (A<->B->C)", "marriage", DeltaAKeyBToC()},
         {"marriage+chain (ssn)", "ssn", Example31Ssn()}}) {
-    // The marriage families pay the matching bound; cap their sweep.
-    const bool chain = slug == std::string("chain");
-    const int max_n = static_cast<int>(
-        benchreport::SmokeCap(chain ? 64000 : 16000, 4000));
+    const int max_n = static_cast<int>(benchreport::SmokeCap(64000, 4000));
     for (int n : {1000, 4000, 16000, 64000}) {
       if (n > max_n) continue;
       Table t = ScalingFamilyTable(parsed, n, 5 + n);

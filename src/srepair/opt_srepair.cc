@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 
 #include "engine/block_partitioner.h"
@@ -404,22 +403,11 @@ Status Recurse(const RecursionContext& ctx, int depth, RowSpan span,
         edges.push_back(
             BipartiteEdge{(*left)[b], (*right)[b], results[b].weight});
       }
+      // Edge b is block b, so the chosen edge indices are the kept blocks.
       MatchingResult matching =
           MaxWeightBipartiteMatching(num_left, num_right, edges);
-      // Blocks are keyed by their unique (left, right) pair.
-      std::unordered_map<uint64_t, int> block_of;
-      block_of.reserve(num_blocks);
-      for (int b = 0; b < num_blocks; ++b) {
-        const uint64_t key =
-            (static_cast<uint64_t>(static_cast<uint32_t>((*left)[b])) << 32) |
-            static_cast<uint32_t>((*right)[b]);
-        block_of[key] = b;
-      }
-      for (const auto& [l, r] : matching.pairs) {
-        const uint64_t key =
-            (static_cast<uint64_t>(static_cast<uint32_t>(l)) << 32) |
-            static_cast<uint32_t>(r);
-        const BlockResult& result = results[block_of.at(key)];
+      for (int b : matching.edge_indices) {
+        const BlockResult& result = results[b];
         kept->insert(kept->end(), result.rows.begin(), result.rows.end());
         *kept_weight += result.weight;
       }
@@ -607,20 +595,9 @@ StatusOr<std::vector<int>> DeltaRows(
       }
       MatchingResult matching =
           MaxWeightBipartiteMatching(num_left, num_right, edges);
-      std::unordered_map<uint64_t, int> block_of;
-      block_of.reserve(num_blocks);
-      for (int b = 0; b < num_blocks; ++b) {
-        const uint64_t key =
-            (static_cast<uint64_t>(static_cast<uint32_t>((*left)[b])) << 32) |
-            static_cast<uint32_t>((*right)[b]);
-        block_of[key] = b;
-      }
-      for (const auto& [l, r] : matching.pairs) {
-        const uint64_t key =
-            (static_cast<uint64_t>(static_cast<uint32_t>(l)) << 32) |
-            static_cast<uint32_t>(r);
-        const BlockResult& result = results[block_of.at(key)];
-        kept.insert(kept.end(), result.rows.begin(), result.rows.end());
+      for (int b : matching.edge_indices) {
+        kept.insert(kept.end(), results[b].rows.begin(),
+                    results[b].rows.end());
       }
       break;
     }

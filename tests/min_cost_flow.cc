@@ -1,8 +1,9 @@
-#include "graph/min_cost_flow.h"
+#include "min_cost_flow.h"
 
 #include <algorithm>
 #include <deque>
 #include <limits>
+#include <map>
 
 namespace fdrepair {
 namespace {
@@ -103,6 +104,39 @@ double MinCostFlow::Flow(int edge_index) const {
   int forward = public_edges_[edge_index];
   // Flow pushed = capacity accumulated on the twin (reverse) edge.
   return edges_[edges_[forward].twin].capacity;
+}
+
+MatchingResult MaxWeightMatchingMinCostFlow(
+    int num_left, int num_right, const std::vector<BipartiteEdge>& edges) {
+  std::map<std::pair<int, int>, double> best;
+  for (const BipartiteEdge& edge : edges) {
+    auto [it, inserted] = best.emplace(std::pair(edge.left, edge.right),
+                                       edge.weight);
+    if (!inserted) it->second = std::max(it->second, edge.weight);
+  }
+  // Network: source 0, left nodes 1..num_left, right nodes follow, sink last.
+  const int source = 0;
+  const int sink = num_left + num_right + 1;
+  MinCostFlow flow(sink + 1);
+  for (int u = 0; u < num_left; ++u) flow.AddEdge(source, 1 + u, 1.0, 0.0);
+  for (int v = 0; v < num_right; ++v) {
+    flow.AddEdge(1 + num_left + v, sink, 1.0, 0.0);
+  }
+  std::vector<int> flow_edges;
+  for (const auto& [pair, weight] : best) {
+    flow_edges.push_back(
+        flow.AddEdge(1 + pair.first, 1 + num_left + pair.second, 1.0, -weight));
+  }
+  flow.Solve(source, sink, /*stop_on_nonnegative_path=*/true);
+  MatchingResult result;
+  int e = 0;
+  for (const auto& [pair, weight] : best) {
+    if (flow.Flow(flow_edges[e++]) > 0.5) {
+      result.pairs.push_back(pair);
+      result.total_weight += weight;
+    }
+  }
+  return result;
 }
 
 }  // namespace fdrepair

@@ -1,16 +1,19 @@
-// Min-cost flow via successive shortest augmenting paths (Bellman-Ford /
-// SPFA on the residual network). This is the engine behind the maximum
-// weight bipartite matching that Subroutine 3 (MarriageRep) requires.
+// Test-only reference: min-cost flow via successive shortest augmenting
+// paths (Bellman-Ford / SPFA on the residual network), and the maximum
+// weight bipartite matching built on it. This was the production matching
+// of Subroutine 3 (MarriageRep) before the sparse assignment solver in
+// graph/bipartite_matching.h; it stays as a large-graph oracle.
 //
 // Costs are doubles (tuple weights are real-valued); an epsilon guards the
 // "is this path still profitable" test when augmentation may stop early.
 
-#ifndef FDREPAIR_GRAPH_MIN_COST_FLOW_H_
-#define FDREPAIR_GRAPH_MIN_COST_FLOW_H_
+#ifndef FDREPAIR_TESTS_MIN_COST_FLOW_H_
+#define FDREPAIR_TESTS_MIN_COST_FLOW_H_
 
 #include <vector>
 
 #include "common/status.h"
+#include "graph/bipartite_matching.h"
 
 namespace fdrepair {
 
@@ -59,6 +62,12 @@ class MinCostFlow {
   std::vector<int> public_edges_;          // AddEdge order -> edges_ index
 };
 
+/// Maximum-weight bipartite matching as min-cost flow: source → left →
+/// right → sink, unit capacities, costs −weight, stopping at the first
+/// non-negative augmenting path. Duplicate edges keep the heaviest copy.
+MatchingResult MaxWeightMatchingMinCostFlow(
+    int num_left, int num_right, const std::vector<BipartiteEdge>& edges);
+
 }  // namespace fdrepair
 
-#endif  // FDREPAIR_GRAPH_MIN_COST_FLOW_H_
+#endif  // FDREPAIR_TESTS_MIN_COST_FLOW_H_

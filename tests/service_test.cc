@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -326,14 +329,51 @@ TEST(RepairServiceTest, SingleFlightDeduplicatesConcurrentIdenticalRequests) {
   EXPECT_LE(stats.single_flight_waits, static_cast<uint64_t>(kClients - 1));
 }
 
+/// A solver backend that parks in SolveCover until the test opens its
+/// gate, then answers like local-ratio. A request routed to it holds its
+/// execution slot for exactly as long as the test needs, on any machine.
+class GateBackend : public SolverBackend {
+ public:
+  static constexpr char kName[] = "test-gate";
+
+  const char* name() const override { return kName; }
+  bool exact() const override { return false; }
+  StatusOr<SolverCover> SolveCover(const NodeWeightedGraph& graph,
+                                   const SolverExec& exec) const override {
+    std::unique_lock<std::mutex> lock(mutex_);
+    entered_ = true;
+    changed_.notify_all();
+    changed_.wait(lock, [this] { return open_; });
+    return FindSolverBackend(kSolverLocalRatio)->SolveCover(graph, exec);
+  }
+
+  void WaitEntered() const {
+    std::unique_lock<std::mutex> lock(mutex_);
+    changed_.wait(lock, [this] { return entered_; });
+  }
+  void Open() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    open_ = true;
+    changed_.notify_all();
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  mutable std::condition_variable changed_;
+  mutable bool entered_ = false;
+  mutable bool open_ = false;
+};
+
 TEST(RepairServiceTest, DeadlineAndCapacityRejectionUnderFullQueue) {
-  // The occupant must hold the single execution slot for much longer than
-  // the queued request's deadline on any machine. A chain family does not
-  // cut it anymore — the span recursion core repairs a 400k-tuple office
-  // chain in tens of milliseconds — so use the ssn lhs-marriage family,
-  // whose cost is dominated by the bipartite matching, not by grouping.
+  // The occupant holds the single execution slot until the test releases
+  // it: a small hard-∆ table routed to the gate backend, which blocks
+  // inside SolveCover.
+  auto owned_gate = std::make_unique<GateBackend>();
+  const GateBackend& gate = *owned_gate;
+  RegisterSolverBackend(std::move(owned_gate));
+  ParsedFdSet hard = DeltaAtoBtoC();
+  Table occupant_table = ScalingFamilyTable(hard, 64, 41);
   ParsedFdSet parsed = Example31Ssn();
-  Table big = ScalingFamilyTable(parsed, 32768, 41);
   Table small_a = ScalingFamilyTable(parsed, 50, 43);
   Table small_b = ScalingFamilyTable(parsed, 60, 47);
 
@@ -343,15 +383,15 @@ TEST(RepairServiceTest, DeadlineAndCapacityRejectionUnderFullQueue) {
   options.max_queue = 1;
   RepairService service(options);
 
-  // Occupy the single execution slot with a long request.
+  // Occupy the single execution slot until the gate opens.
   std::thread occupant([&] {
-    auto response =
-        service.Serve(Request(RepairMode::kSubset, parsed.fds, &big));
+    RepairRequest request =
+        Request(RepairMode::kSubset, hard.fds, &occupant_table);
+    request.options.backend = GateBackend::kName;
+    auto response = service.Serve(request);
     EXPECT_TRUE(response.ok()) << response.status();
   });
-  while (service.stats().inflight == 0) {
-    std::this_thread::sleep_for(milliseconds(1));
-  }
+  gate.WaitEntered();
 
   // Fill the one queue slot with a request that will time out waiting.
   std::thread queued([&] {
@@ -376,6 +416,7 @@ TEST(RepairServiceTest, DeadlineAndCapacityRejectionUnderFullQueue) {
   }
 
   queued.join();
+  gate.Open();
   occupant.join();
   EXPECT_GE(service.stats().rejected_deadline, 1u);
 
