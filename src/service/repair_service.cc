@@ -554,8 +554,6 @@ StatusOr<RepairResponse> RepairService::Serve(const RepairRequest& request) {
         lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
         it->second.lru_pos = lru_.begin();
       }
-      std::lock_guard<std::mutex> stats_lock(stats_mu_);
-      ++stats_.hits;
       break;
     }
     // Single-flight: another thread is computing this exact request; wait
@@ -577,11 +575,7 @@ StatusOr<RepairResponse> RepairService::Serve(const RepairRequest& request) {
         cache_cv_.wait(lock);
       }
     }
-    if (entry->status.ok()) {
-      std::lock_guard<std::mutex> stats_lock(stats_mu_);
-      ++stats_.hits;
-      break;
-    }
+    if (entry->status.ok()) break;
     // The leader failed. Deterministic failures (bad request, planner
     // precondition) propagate — re-running would reproduce them. But
     // kDeadlineExceeded/kUnavailable reflect the *leader's* deadline and
@@ -598,7 +592,19 @@ StatusOr<RepairResponse> RepairService::Serve(const RepairRequest& request) {
 
   if (!leader) {
     if (entry != nullptr) {
-      // Served from cache (ready at lookup, or single-flight follower).
+      // Served from cache (ready at lookup, or single-flight follower) —
+      // unless the deadline passed before the lookup completed: an expired
+      // request fails on every path, so whether it is answered never
+      // depends on another client's timing. Replay itself is not
+      // interrupted.
+      if (deadline && Clock::now() >= *deadline) {
+        return fail(Status::DeadlineExceeded(
+            "deadline expired before the cache lookup completed"));
+      }
+      {
+        std::lock_guard<std::mutex> stats_lock(stats_mu_);
+        ++stats_.hits;
+      }
       return Replay(entry->result, *request.table, /*cache_hit=*/true, key);
     }
     // bypass_cache: execute without touching the cache — a delta request

@@ -29,6 +29,13 @@
 // unboundedly. Cache hits and single-flight followers bypass admission
 // entirely (they do no planner work).
 //
+// Deadlines mean the same thing on every path: a request whose deadline
+// has passed by the time its cache lookup completes fails with
+// kDeadlineExceeded — leader, single-flight follower and cache hit alike —
+// so whether an expired request is answered never depends on another
+// client's timing. A lookup that completes in time is answered: replaying
+// a cached recipe is never interrupted by the deadline.
+//
 // Thread safety: Serve() may be called from any number of threads.
 
 #ifndef FDREPAIR_SERVICE_REPAIR_SERVICE_H_
@@ -86,8 +93,10 @@ struct RepairOptions {
   /// kSubset/kSoft: reject results whose certified ratio exceeds this
   /// (see SRepairOptions::max_ratio). 0 disables the gate. Also keyed.
   double max_ratio = 0;
-  /// Time budget from the moment Serve is called; covers queueing, waiting
-  /// on a single-flight leader, and execution. Unset: no limit.
+  /// Time budget from the moment Serve is called; covers the cache lookup,
+  /// queueing, waiting on a single-flight leader, and execution. Expired at
+  /// the end of the lookup ⇒ kDeadlineExceeded, even for a cache hit (see
+  /// the file comment). Unset: no limit.
   std::optional<std::chrono::milliseconds> deadline;
   /// Thread hint: 0 uses the service's engine as configured; 1 forces this
   /// request's execution onto the calling thread (no block fan-out — the

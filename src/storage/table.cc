@@ -55,6 +55,7 @@ Status Table::AddInternedTupleWithId(TupleId id, Tuple values, double weight) {
   }
   // All validation passed: update the row store and its column-major
   // mirror together, so no failure path can leave them disagreeing.
+  content_hash_.Clear();
   id_index_.emplace(id, num_tuples());
   ids_.push_back(id);
   weights_.push_back(weight);
@@ -146,18 +147,21 @@ Table Table::Clone() const {
   out.columns_ = columns_;
   out.id_index_ = id_index_;
   out.next_id_ = next_id_;
+  out.content_hash_ = content_hash_;  // same content, same hash
   return out;
 }
 
 void Table::SetValue(int row, AttrId attr, ValueId value) {
   FDR_CHECK_MSG(row >= 0 && row < num_tuples(), "row=" << row);
   FDR_CHECK_MSG(attr >= 0 && attr < schema_.arity(), "attr=" << attr);
+  content_hash_.Clear();
   tuples_[row][attr] = value;
   columns_[attr][row] = value;
 }
 
 void Table::EraseRow(int row) {
   FDR_CHECK_MSG(row >= 0 && row < num_tuples(), "row=" << row);
+  content_hash_.Clear();
   id_index_.erase(ids_[row]);
   ids_.erase(ids_.begin() + row);
   weights_.erase(weights_.begin() + row);

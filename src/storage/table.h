@@ -6,8 +6,10 @@
 #ifndef FDREPAIR_STORAGE_TABLE_H_
 #define FDREPAIR_STORAGE_TABLE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -46,6 +48,57 @@ class ColumnView {
 /// schema attribute, each indexed by dense row position.
 using ColumnSet = std::vector<std::vector<ValueId>>;
 
+/// A copyable memo of one 64-bit value derived from its owner's content
+/// (Table keeps its content hash in one). A reader that computes the value
+/// publishes it with release and later readers observe it with acquire;
+/// racing first readers compute and store the same value, so whichever
+/// store lands is correct. Copies carry the value; a moved-from memo is
+/// cleared along with its owner's content.
+class HashMemo {
+ public:
+  HashMemo() = default;
+  HashMemo(const HashMemo& other) { CopyFrom(other); }
+  HashMemo(HashMemo&& other) noexcept {
+    CopyFrom(other);
+    other.Clear();
+  }
+  HashMemo& operator=(const HashMemo& other) {
+    CopyFrom(other);
+    return *this;
+  }
+  HashMemo& operator=(HashMemo&& other) noexcept {
+    CopyFrom(other);
+    other.Clear();
+    return *this;
+  }
+
+  /// The published value, if any since the last Clear().
+  std::optional<uint64_t> Get() const {
+    if (!valid_.load(std::memory_order_acquire)) return std::nullopt;
+    return value_.load(std::memory_order_relaxed);
+  }
+  /// Publishes `value`. Const: filling the memo does not change content.
+  void Set(uint64_t value) const {
+    value_.store(value, std::memory_order_relaxed);
+    valid_.store(true, std::memory_order_release);
+  }
+  /// Forgets the value. Called by the owner's mutators, which never run
+  /// concurrently with its readers, so no ordering is needed.
+  void Clear() { valid_.store(false, std::memory_order_relaxed); }
+
+ private:
+  void CopyFrom(const HashMemo& other) {
+    if (std::optional<uint64_t> value = other.Get()) {
+      Set(*value);
+    } else {
+      Clear();
+    }
+  }
+
+  mutable std::atomic<uint64_t> value_{0};
+  mutable std::atomic<bool> valid_{false};
+};
+
 /// A weighted, identified relation instance over one Schema.
 ///
 /// Tuples are stored in a hybrid layout: row-major (`Tuple` rows, the
@@ -63,9 +116,11 @@ using ColumnSet = std::vector<std::vector<ValueId>>;
 /// Thread safety (audited for the parallel repair engine): every const
 /// member function is a pure read of immutable-after-append state, so any
 /// number of threads may read one Table concurrently — this is what lets
-/// OptSRepair's blocks share the parent table without copies. Mutators
-/// (AddTuple*, SetValue, Intern, FreshValue) are NOT synchronized and must
-/// not run concurrently with reads of the same Table. The shared ValuePool
+/// OptSRepair's blocks share the parent table without copies. The one
+/// exception is the content-hash memo, which is atomic (see HashMemo).
+/// Mutators (AddTuple*, SetValue, EraseRow, Intern, FreshValue) are NOT
+/// synchronized and must not run concurrently with reads of the same
+/// Table. The shared ValuePool
 /// *is* internally synchronized (see value_pool.h), so derived tables may
 /// intern on a pool that other threads are reading through.
 class Table {
@@ -121,6 +176,12 @@ class Table {
   /// Value text of a cell (through the pool).
   const std::string& ValueText(int row, AttrId attr) const;
 
+  /// The memo TableContentHash (storage/table_hash.h) fills on first use.
+  /// AddInternedTupleWithId, SetValue and EraseRow clear it; every other
+  /// content mutator goes through one of those three, and a pool never
+  /// changes the text behind an id, so a published value is never stale.
+  const HashMemo& content_hash_memo() const { return content_hash_; }
+
   /// Sum of all tuple weights (w_T(T)).
   double TotalWeight() const;
 
@@ -167,6 +228,7 @@ class Table {
   ColumnSet columns_;
   std::unordered_map<TupleId, int> id_index_;
   TupleId next_id_ = 1;
+  HashMemo content_hash_;
 };
 
 }  // namespace fdrepair

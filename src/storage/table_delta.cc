@@ -35,9 +35,11 @@ bool Disjoint(const std::vector<TupleId>& a, const std::vector<TupleId>& b) {
   return true;
 }
 
-/// Mixes one mutated row's full content — the same framed fields, in the
-/// same order, as TableContentHash mixes per row.
-Status MixRowContent(StableHasher* hasher, const Table& mutated, TupleId id,
+/// Mixes one mutated row's full content: identifier, weight, and each
+/// cell's value digest in schema order — the same per-cell primitive
+/// TableContentHash absorbs.
+Status MixRowContent(StableHasher* hasher, const Table& mutated,
+                     const ValuePool::DigestView& digests, TupleId id,
                      const char* role) {
   StatusOr<int> row = mutated.RowOf(id);
   if (!row.ok()) {
@@ -48,7 +50,7 @@ Status MixRowContent(StableHasher* hasher, const Table& mutated, TupleId id,
   hasher->MixInt64(id);
   hasher->MixDouble(mutated.weight(*row));
   for (AttrId a = 0; a < mutated.schema().arity(); ++a) {
-    hasher->MixString(mutated.ValueText(*row, a));
+    hasher->MixUint64(digests[mutated.value(*row, a)]);
   }
   return Status::OK();
 }
@@ -69,6 +71,7 @@ StatusOr<uint64_t> DeltaChainHash(const TableDelta& delta,
         "delta id lists must be sorted and duplicate-free (call "
         "TableDelta::Canonicalize)");
   }
+  const ValuePool::DigestView digests = mutated.pool()->digests();
   StableHasher hasher;
   hasher.MixUint64(delta.base_hash);
   // Section markers disambiguate the three framed lists (an id moving from
@@ -76,11 +79,13 @@ StatusOr<uint64_t> DeltaChainHash(const TableDelta& delta,
   // streams of the two rows are identical).
   hasher.MixUint64(delta.inserted.size());
   for (TupleId id : delta.inserted) {
-    FDR_RETURN_IF_ERROR(MixRowContent(&hasher, mutated, id, "inserted"));
+    FDR_RETURN_IF_ERROR(
+        MixRowContent(&hasher, mutated, digests, id, "inserted"));
   }
   hasher.MixUint64(delta.updated.size());
   for (TupleId id : delta.updated) {
-    FDR_RETURN_IF_ERROR(MixRowContent(&hasher, mutated, id, "updated"));
+    FDR_RETURN_IF_ERROR(
+        MixRowContent(&hasher, mutated, digests, id, "updated"));
   }
   hasher.MixUint64(delta.deleted.size());
   for (TupleId id : delta.deleted) hasher.MixInt64(id);

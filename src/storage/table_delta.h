@@ -12,17 +12,18 @@
 // so the mutated state has a stable 64-bit identity computed in O(|delta|),
 // deltas compose (delta2.base_hash == delta1.result_hash), and cache keys
 // stay sound: two different mutations of the same base can never alias,
-// because every inserted/updated row's content (id, weight, value texts) is
-// bound into the hash with the same framed mixing as TableContentHash.
+// because every inserted/updated row's content (id, weight, and each cell's
+// value digest — the per-cell primitive TableContentHash also absorbs) is
+// bound into the hash.
 // Deleted rows are bound by identifier only — their content is already
 // bound inside base_hash.
 //
 // Note the chain hash of a mutated state deliberately differs from
 // TableContentHash of the same state: a delta-served entry is keyed by its
 // chain, a cold request by its content. The two keys never alias each
-// other (both are FNV-1a over differently-framed streams), they just don't
-// share cache entries — the price of O(|delta|) instead of O(|table|)
-// identity. See docs/ARCHITECTURE.md, "Caching & invalidation semantics".
+// other (they hash differently-framed streams), they just don't share
+// cache entries — the price of O(|delta|) instead of O(|table|) identity.
+// See docs/ARCHITECTURE.md, "Caching & invalidation semantics".
 
 #ifndef FDREPAIR_STORAGE_TABLE_DELTA_H_
 #define FDREPAIR_STORAGE_TABLE_DELTA_H_

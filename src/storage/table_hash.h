@@ -7,10 +7,21 @@
 // standard libraries and runs, and cache keys must be reproducible enough to
 // log, compare and test against.
 //
-// The hasher is FNV-1a over a framed byte stream: every field is prefixed
-// with its length (strings) or fed as a fixed-width little-endian word
-// (integers, doubles via their IEEE-754 bit pattern), so concatenation
-// ambiguities ("ab"+"c" vs "a"+"bc") cannot collide by construction.
+// Two hashers live here. StableHasher is FNV-1a over a framed byte stream:
+// every field is prefixed with its length (strings) or fed as a fixed-width
+// little-endian word (integers, doubles via their IEEE-754 bit pattern), so
+// concatenation ambiguities ("ab"+"c" vs "a"+"bc") cannot collide by
+// construction. It frames small, structured inputs: request keys, a
+// table's header, delta chains.
+//
+// TableContentHash frames the header (arity, attribute names, row count)
+// through StableHasher, then absorbs the table's columns one 64-bit word at
+// a time: the identifier array, the weight array (IEEE-754 bits), and each
+// attribute column mapped through the pool's per-value digests
+// (ValueDigest, computed once at intern time). It never reads a value's
+// text and takes the pool's shared lock once per call, not once per cell.
+// The result is memoized on the Table and cleared by its mutators, so
+// re-hashing an unchanged Table object costs two atomic loads.
 
 #ifndef FDREPAIR_STORAGE_TABLE_HASH_H_
 #define FDREPAIR_STORAGE_TABLE_HASH_H_
@@ -44,10 +55,12 @@ class StableHasher {
 };
 
 /// Hashes the full content of `table`: relation-independent schema (the
-/// ordered attribute names), then per row the tuple identifier, weight and
-/// value texts in schema order. Equal content ⇒ equal hash across pools,
-/// processes and runs; the relation name is deliberately excluded so "T"
-/// vs "Office" copies of the same data share a cache entry.
+/// ordered attribute names), the tuple identifiers, the weights, and every
+/// cell's value digest, column by column. Equal content ⇒ equal hash across
+/// pools, processes and runs; the relation name is deliberately excluded so
+/// "T" vs "Office" copies of the same data share a cache entry. O(rows ×
+/// arity) on first use per Table object, O(1) after (Table::
+/// content_hash_memo); safe to call from many threads at once.
 uint64_t TableContentHash(const Table& table);
 
 }  // namespace fdrepair

@@ -1,8 +1,33 @@
 #include "storage/value_pool.h"
 
+#include <algorithm>
 #include <mutex>
 
 namespace fdrepair {
+namespace {
+
+constexpr uint64_t kDigestSeed = 0x9e3779b97f4a7c15ULL;
+
+/// `n` <= 8 bytes at `p` as a little-endian word, zero-padded — written
+/// byte by byte so the result is the same on every host.
+uint64_t LoadLittleEndian(const char* p, size_t n) {
+  uint64_t word = 0;
+  for (size_t i = 0; i < n; ++i) {
+    word |= static_cast<uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
+  }
+  return word;
+}
+
+}  // namespace
+
+uint64_t ValueDigest(std::string_view text) {
+  uint64_t state = Mix64(kDigestSeed ^ text.size());
+  for (size_t i = 0; i < text.size(); i += 8) {
+    const size_t n = std::min<size_t>(8, text.size() - i);
+    state = Mix64(state ^ LoadLittleEndian(text.data() + i, n));
+  }
+  return state;
+}
 
 ValueId ValuePool::InternLocked(const std::string& text) {
   auto it = index_.find(text);
@@ -10,6 +35,7 @@ ValueId ValuePool::InternLocked(const std::string& text) {
   ValueId id = static_cast<ValueId>(texts_.size());
   index_.emplace(text, id);
   texts_.push_back(text);
+  digests_.push_back(ValueDigest(text));
   fresh_.push_back(false);
   return id;
 }
@@ -68,6 +94,10 @@ const std::string& ValuePool::Text(ValueId value) const {
   FDR_CHECK_MSG(value >= 0 && value < static_cast<ValueId>(texts_.size()),
                 "value id " << value << " out of range");
   return texts_[value];
+}
+
+ValuePool::DigestView ValuePool::digests() const {
+  return DigestView(std::shared_lock<std::shared_mutex>(mu_), &digests_);
 }
 
 int64_t ValuePool::size() const {

@@ -7,13 +7,21 @@
 // which the U-repair constructions rely on (Proposition 4.4 updates lhs-cover
 // cells "to a fresh constant from our infinite domain Val").
 //
+// Each value also carries a 64-bit *digest* of its text (ValueDigest),
+// computed once when the value is interned. The digest depends on the text
+// alone, so equal texts digest equal across pools, processes and hosts:
+// table identity (storage/table_hash.h) hashes cells through these digests
+// instead of re-reading every text.
+//
 // Thread safety: the pool is internally synchronized with a shared_mutex —
-// any number of concurrent readers (Lookup/Text/IsFresh/size), and writers
-// (Intern/FreshValue) exclusive against both. This is what lets the repair
-// engine's blocks share one parent table, and derived repairs share one
-// dictionary, across worker threads without copies. References returned by
-// Text() stay valid for the pool's lifetime even across concurrent
-// interning (values live in a deque, which never relocates elements).
+// any number of concurrent readers (Lookup/Text/IsFresh/size/digests), and
+// writers (Intern/FreshValue) exclusive against both. This is what lets the
+// repair engine's blocks share one parent table, and derived repairs share
+// one dictionary, across worker threads without copies. References returned
+// by Text() stay valid for the pool's lifetime even across concurrent
+// interning (values live in a deque, which never relocates elements). A
+// DigestView holds the shared lock for its whole lifetime, so a caller maps
+// a whole table's cells to digests under one lock acquisition.
 
 #ifndef FDREPAIR_STORAGE_VALUE_POOL_H_
 #define FDREPAIR_STORAGE_VALUE_POOL_H_
@@ -22,7 +30,9 @@
 #include <deque>
 #include <shared_mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -31,6 +41,26 @@ namespace fdrepair {
 
 /// Dense id of an interned value. Ids are pool-local.
 using ValueId = int32_t;
+
+/// The stable 64-bit digest of a value's text. Specified exactly, so it
+/// never depends on the standard library, the platform or the run: the
+/// state starts at Mix64(0x9e3779b97f4a7c15 ^ length); each 8-byte word,
+/// loaded little-endian (a final partial word zero-padded), is absorbed as
+/// state = Mix64(state ^ word). Mix64 is the murmur3 64-bit finalizer, a
+/// bijection, so two texts of equal length that differ in one word never
+/// share a digest; the length seed keeps zero padding unambiguous.
+uint64_t ValueDigest(std::string_view text);
+
+/// The murmur3 64-bit finalizer (multiply/xor-shift): a bijective mixer
+/// with full avalanche. Shared by ValueDigest and the table hash.
+inline uint64_t Mix64(uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdULL;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ULL;
+  x ^= x >> 33;
+  return x;
+}
 
 /// A bidirectional string <-> ValueId dictionary plus a fresh-value factory.
 class ValuePool {
@@ -76,6 +106,29 @@ class ValuePool {
   /// Number of distinct values (interned + fresh).
   int64_t size() const;
 
+  /// Read access to the per-value digests under one shared lock, held for
+  /// the view's lifetime. The holder must not intern on the same pool while
+  /// the view is alive (that would self-deadlock).
+  class DigestView {
+   public:
+    /// ValueDigest(Text(value)); requires a valid id from this pool.
+    uint64_t operator[](ValueId value) const {
+      FDR_CHECK_MSG(static_cast<size_t>(value) < digests_->size(),
+                    "value id " << value << " out of range");
+      return (*digests_)[value];
+    }
+
+   private:
+    friend class ValuePool;
+    DigestView(std::shared_lock<std::shared_mutex> lock,
+               const std::vector<uint64_t>* digests)
+        : lock_(std::move(lock)), digests_(digests) {}
+
+    std::shared_lock<std::shared_mutex> lock_;
+    const std::vector<uint64_t>* digests_;
+  };
+  DigestView digests() const;
+
  private:
   /// Intern with mu_ already held exclusively.
   ValueId InternLocked(const std::string& text);
@@ -85,6 +138,8 @@ class ValuePool {
   /// deque, not vector: growth must not relocate strings that concurrent
   /// readers hold references into.
   std::deque<std::string> texts_;
+  /// digests_[id] == ValueDigest(texts_[id]), computed in InternLocked.
+  std::vector<uint64_t> digests_;
   std::vector<bool> fresh_;
   int64_t fresh_counter_ = 0;
 };

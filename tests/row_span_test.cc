@@ -188,7 +188,9 @@ TEST(GroupScratchTest, WindowIsPermutedInPlaceOnly) {
     std::sort(window.begin(), window.end());
     std::sort(expected_window.begin(), expected_window.end());
     EXPECT_EQ(window, expected_window) << "trial " << trial;
-    if (!group_ends.empty()) EXPECT_EQ(group_ends.back(), count);
+    if (!group_ends.empty()) {
+      EXPECT_EQ(group_ends.back(), count);
+    }
   }
 }
 

@@ -332,6 +332,8 @@ TEST(RepairServiceTest, SingleFlightDeduplicatesConcurrentIdenticalRequests) {
 /// A solver backend that parks in SolveCover until the test opens its
 /// gate, then answers like local-ratio. A request routed to it holds its
 /// execution slot for exactly as long as the test needs, on any machine.
+/// Fail() opens the gate with a verdict instead: the parked solve returns
+/// that status, once, the way a solver's cooperative deadline check would.
 class GateBackend : public SolverBackend {
  public:
   static constexpr char kName[] = "test-gate";
@@ -344,6 +346,11 @@ class GateBackend : public SolverBackend {
     entered_ = true;
     changed_.notify_all();
     changed_.wait(lock, [this] { return open_; });
+    if (!verdict_.ok()) {
+      Status verdict = verdict_;
+      verdict_ = Status::OK();
+      return verdict;
+    }
     return FindSolverBackend(kSolverLocalRatio)->SolveCover(graph, exec);
   }
 
@@ -351,8 +358,10 @@ class GateBackend : public SolverBackend {
     std::unique_lock<std::mutex> lock(mutex_);
     changed_.wait(lock, [this] { return entered_; });
   }
-  void Open() const {
+  void Open() const { Fail(Status::OK()); }
+  void Fail(Status verdict) const {
     std::lock_guard<std::mutex> lock(mutex_);
+    verdict_ = std::move(verdict);
     open_ = true;
     changed_.notify_all();
   }
@@ -362,15 +371,23 @@ class GateBackend : public SolverBackend {
   mutable std::condition_variable changed_;
   mutable bool entered_ = false;
   mutable bool open_ = false;
+  mutable Status verdict_;
 };
+
+/// Registers a fresh gate (later registrations shadow earlier ones, so
+/// every test — and every --gtest_repeat iteration — gets its own).
+const GateBackend& RegisterGate() {
+  auto owned = std::make_unique<GateBackend>();
+  const GateBackend& gate = *owned;
+  RegisterSolverBackend(std::move(owned));
+  return gate;
+}
 
 TEST(RepairServiceTest, DeadlineAndCapacityRejectionUnderFullQueue) {
   // The occupant holds the single execution slot until the test releases
   // it: a small hard-∆ table routed to the gate backend, which blocks
   // inside SolveCover.
-  auto owned_gate = std::make_unique<GateBackend>();
-  const GateBackend& gate = *owned_gate;
-  RegisterSolverBackend(std::move(owned_gate));
+  const GateBackend& gate = RegisterGate();
   ParsedFdSet hard = DeltaAtoBtoC();
   Table occupant_table = ScalingFamilyTable(hard, 64, 41);
   ParsedFdSet parsed = Example31Ssn();
@@ -443,37 +460,74 @@ TEST(RepairServiceTest, ExpiredDeadlineRejectsBeforeExecution) {
   EXPECT_FALSE(retry->cache_hit);
 }
 
+TEST(RepairServiceTest, ExpiredDeadlineFailsEvenOnACacheHit) {
+  // A request whose deadline has passed when its lookup completes fails on
+  // every path — a ready cache entry does not rescue it.
+  ParsedFdSet parsed = OfficeFds();
+  Table table = ScalingFamilyTable(parsed, 500, 59);
+  RepairService service;
+  RepairRequest request = Request(RepairMode::kSubset, parsed.fds, &table);
+  auto primed = service.Serve(request);
+  ASSERT_TRUE(primed.ok()) << primed.status();
+
+  request.deadline = milliseconds(0);
+  auto expired = service.Serve(request);
+  ASSERT_FALSE(expired.ok());
+  EXPECT_EQ(expired.status().code(), StatusCode::kDeadlineExceeded);
+  RepairServiceStats stats = service.stats();
+  EXPECT_EQ(stats.rejected_deadline, 1u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.entries, 1u);  // the entry itself is untouched
+
+  // Any deadline that has not passed is answered from the cache.
+  request.deadline = std::chrono::hours(1);
+  auto hit = service.Serve(request);
+  ASSERT_TRUE(hit.ok()) << hit.status();
+  EXPECT_TRUE(hit->cache_hit);
+  ExpectSameRepair(primed->repair, hit->repair);
+}
+
 TEST(RepairServiceTest, FollowerDoesNotInheritLeaderDeadlineFailure) {
   // A follower coalesced onto a leader whose own deadline kills the
   // computation must not be handed that kDeadlineExceeded: deadline and
   // capacity failures are the leader's circumstances, so the follower
-  // retries as the new leader. Whichever interleaving the scheduler
-  // picks, the deadline-free request must succeed and the expired one
-  // must fail.
-  ParsedFdSet parsed = OfficeFds();
-  Table table = ScalingFamilyTable(parsed, 30000, 61);
+  // retries as the new leader. The interleaving is forced, not raced: the
+  // leader parks in the gate backend until the follower is waiting on it,
+  // then the gate fails the leader's solve with kDeadlineExceeded.
+  const GateBackend& gate = RegisterGate();
+  ParsedFdSet hard = DeltaAtoBtoC();
+  Table table = ScalingFamilyTable(hard, 64, 61);
   RepairService service;
+  RepairRequest request = Request(RepairMode::kSubset, hard.fds, &table);
+  request.options.backend = GateBackend::kName;
 
-  StatusOr<RepairResponse> expired = Status::Internal("never ran");
-  StatusOr<RepairResponse> patient = Status::Internal("never ran");
-  std::thread expired_client([&] {
-    RepairRequest request = Request(RepairMode::kSubset, parsed.fds, &table);
-    request.deadline = milliseconds(0);
-    expired = service.Serve(request);
-  });
-  std::thread patient_client([&] {
-    patient =
-        service.Serve(Request(RepairMode::kSubset, parsed.fds, &table));
-  });
-  expired_client.join();
-  patient_client.join();
+  StatusOr<RepairResponse> leader = Status::Internal("never ran");
+  StatusOr<RepairResponse> follower = Status::Internal("never ran");
+  std::thread leader_client([&] { leader = service.Serve(request); });
+  gate.WaitEntered();
+  std::thread follower_client([&] { follower = service.Serve(request); });
+  while (service.stats().single_flight_waits == 0) {
+    std::this_thread::sleep_for(milliseconds(1));
+  }
+  gate.Fail(Status::DeadlineExceeded("leader deadline expired mid-solve"));
+  leader_client.join();
+  follower_client.join();
 
-  ASSERT_FALSE(expired.ok());
-  EXPECT_EQ(expired.status().code(), StatusCode::kDeadlineExceeded);
-  ASSERT_TRUE(patient.ok()) << patient.status();
-  auto direct = ComputeSRepair(parsed.fds, table);
+  ASSERT_FALSE(leader.ok());
+  EXPECT_EQ(leader.status().code(), StatusCode::kDeadlineExceeded);
+  ASSERT_TRUE(follower.ok()) << follower.status();
+  EXPECT_FALSE(follower->cache_hit);  // it re-ran as the new leader
+  RepairServiceStats stats = service.stats();
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.single_flight_waits, 1u);
+  EXPECT_EQ(stats.rejected_deadline, 1u);
+
+  // The gate is open now, so a direct run through it is the reference.
+  SRepairOptions direct_options;
+  direct_options.backend = GateBackend::kName;
+  auto direct = ComputeSRepair(hard.fds, table, direct_options);
   ASSERT_TRUE(direct.ok()) << direct.status();
-  ExpectSameRepair(direct->repair, patient->repair);
+  ExpectSameRepair(direct->repair, follower->repair);
 }
 
 TEST(RepairServiceTest, BackendSelectionRoundTripsAndKeysTheCache) {

@@ -118,17 +118,16 @@ TEST(TableIoQuotingTest, DataAfterClosingQuoteFails) {
 }
 
 TEST(TableIoWeightTest, RejectsNonPositiveAndNonFiniteWeights) {
-  for (const std::string& bad : {"-1", "0", "-0.5", "nan", "inf", "-inf",
-                                 "1e999"}) {
-    auto parsed = TableFromCsv("id,a,w\n1,x," + bad + "\n");
+  for (const char* bad : {"-1", "0", "-0.5", "nan", "inf", "-inf", "1e999"}) {
+    auto parsed = TableFromCsv(std::string("id,a,w\n1,x,") + bad + "\n");
     ASSERT_FALSE(parsed.ok()) << "weight " << bad << " was accepted";
     EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
   }
 }
 
 TEST(TableIoWeightTest, RejectsMalformedWeightText) {
-  for (const std::string& bad : {"abc", "2x", ""}) {
-    auto parsed = TableFromCsv("id,a,w\n1,x," + bad + "\n");
+  for (const char* bad : {"abc", "2x", ""}) {
+    auto parsed = TableFromCsv(std::string("id,a,w\n1,x,") + bad + "\n");
     ASSERT_FALSE(parsed.ok()) << "weight \"" << bad << "\" was accepted";
     EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
   }

@@ -1,12 +1,19 @@
 // Tests for the storage layer: ValuePool, Table, TableView, consistency
-// checks, distances and CSV I/O.
+// checks, distances, CSV I/O, and table identity (value digests and the
+// memoized TableContentHash).
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "catalog/fd_parser.h"
 #include "storage/consistency.h"
 #include "storage/distance.h"
 #include "storage/table.h"
+#include "storage/table_hash.h"
 #include "storage/table_io.h"
 #include "storage/table_view.h"
 
@@ -28,6 +35,29 @@ FdSet OfficeDelta(const Schema& schema) {
   return ParseFdSetOrDie(schema, "facility -> city; facility room -> floor");
 }
 
+/// A deep copy with its own Schema and ValuePool, built through the
+/// append path: its hash is computed from scratch, never memoized.
+Table CopyContent(const Table& src) {
+  std::vector<std::string> attrs;
+  for (int c = 0; c < src.schema().arity(); ++c) {
+    attrs.push_back(src.schema().AttributeName(c));
+  }
+  Table out(Schema::MakeOrDie("Copy", attrs));
+  for (int row = 0; row < src.num_tuples(); ++row) {
+    std::vector<std::string> values;
+    for (int c = 0; c < src.schema().arity(); ++c) {
+      values.push_back(src.ValueText(row, c));
+    }
+    EXPECT_TRUE(out.AddTupleWithId(src.id(row), values, src.weight(row)).ok());
+  }
+  return out;
+}
+
+/// The memo (if filled) must agree with a from-scratch hash of the content.
+void ExpectHashIsFresh(const Table& table) {
+  EXPECT_EQ(TableContentHash(table), TableContentHash(CopyContent(table)));
+}
+
 TEST(ValuePoolTest, InternIsIdempotent) {
   ValuePool pool;
   ValueId a = pool.Intern("Paris");
@@ -47,6 +77,136 @@ TEST(ValuePoolTest, FreshValuesAreDistinct) {
   EXPECT_TRUE(pool.IsFresh(f1));
   EXPECT_FALSE(pool.IsFresh(pool.Intern("Paris")));
   EXPECT_NE(pool.Text(f1), "⊥0");  // skipped the collision
+}
+
+TEST(ValuePoolTest, DigestDependsOnlyOnText) {
+  ValuePool a;
+  ValuePool b;
+  b.Intern("padding");
+  const ValueId in_a = a.Intern("Paris");
+  const ValueId in_b = b.Intern("Paris");
+  ASSERT_NE(in_a, in_b);
+  EXPECT_EQ(a.digests()[in_a], b.digests()[in_b]);
+  EXPECT_EQ(a.digests()[in_a], ValueDigest("Paris"));
+  EXPECT_NE(ValueDigest("Paris"), ValueDigest("Madrid"));
+  // Length-seeded: zero padding of the last word is unambiguous.
+  EXPECT_NE(ValueDigest(""), ValueDigest(std::string(1, '\0')));
+  EXPECT_NE(ValueDigest("abcdefgh"),
+            ValueDigest("abcdefgh" + std::string(1, '\0')));
+  // Pinned values: the digest is specified byte for byte (little-endian
+  // words, murmur3 finalizer), so it is the same on every host.
+  EXPECT_EQ(ValueDigest(""), 0x9ca066f1a4ab2eeaULL);
+  EXPECT_EQ(ValueDigest("Paris"), 0xc73e633368fea138ULL);
+  EXPECT_EQ(ValueDigest("facility room"), 0xb133d066e90d20f0ULL);
+}
+
+TEST(TableHashTest, MemoMatchesAFreshCopyAfterEveryMutator) {
+  Table table = MakeOfficeT();  // AddTupleWithId
+  uint64_t previous = TableContentHash(table);
+  ExpectHashIsFresh(table);
+  auto expect_changed = [&](const char* mutator) {
+    const uint64_t now = TableContentHash(table);
+    EXPECT_NE(now, previous) << mutator;
+    ExpectHashIsFresh(table);
+    previous = now;
+  };
+
+  table.AddTuple({"Lab2", "C1", "2", "Rome"});
+  expect_changed("AddTuple");
+  table.AddTuple({"Lab2", "C2", "2", "Rome"}, 3.0);
+  expect_changed("AddTuple(weight)");
+  ASSERT_TRUE(table.AddTupleWithId(40, {"Lab3", "D1", "1", "Oslo"}, 1).ok());
+  expect_changed("AddTupleWithId");
+  Tuple interned = table.tuple(0);
+  ASSERT_TRUE(table.AddInternedTupleWithId(41, interned, 0.5).ok());
+  expect_changed("AddInternedTupleWithId");
+  table.SetValue(1, 2, table.Intern("31"));
+  expect_changed("SetValue");
+  table.EraseRow(0);
+  expect_changed("EraseRow");
+  ASSERT_TRUE(table.EraseTuple(40).ok());
+  expect_changed("EraseTuple");
+
+  // Failed mutators change nothing, including the hash.
+  EXPECT_FALSE(table.AddTupleWithId(41, {"a", "b", "c", "d"}, 1).ok());
+  EXPECT_FALSE(table.EraseTuple(999).ok());
+  EXPECT_EQ(TableContentHash(table), previous);
+  ExpectHashIsFresh(table);
+}
+
+TEST(TableHashTest, CloneCopyMoveAndSubsetHashCorrectly) {
+  Table table = MakeOfficeT();
+  const uint64_t hash = TableContentHash(table);  // memo filled
+
+  Table clone = table.Clone();
+  EXPECT_EQ(TableContentHash(clone), hash);
+  clone.SetValue(0, 3, clone.Intern("Rome"));
+  EXPECT_NE(TableContentHash(clone), hash);
+  ExpectHashIsFresh(clone);
+  EXPECT_EQ(TableContentHash(table), hash);  // the source keeps its memo
+
+  Table copy(table);
+  EXPECT_EQ(TableContentHash(copy), hash);
+  copy = clone;
+  EXPECT_EQ(TableContentHash(copy), TableContentHash(clone));
+  Table moved(std::move(copy));
+  EXPECT_EQ(TableContentHash(moved), TableContentHash(clone));
+  Table assigned = MakeOfficeT();
+  assigned = std::move(moved);
+  EXPECT_EQ(TableContentHash(assigned), TableContentHash(clone));
+
+  std::vector<Table> tables;
+  for (int i = 0; i < 8; ++i) tables.push_back(table);  // reallocations move
+  for (const Table& t : tables) EXPECT_EQ(TableContentHash(t), hash);
+
+  Table subset = table.SubsetByRows({3, 1});
+  EXPECT_NE(TableContentHash(subset), hash);
+  ExpectHashIsFresh(subset);
+  EXPECT_EQ(TableContentHash(table.SubsetByRows({0, 1, 2, 3})), hash);
+}
+
+TEST(TableHashTest, PoolsInterningInDifferentOrdersAgree) {
+  const Schema schema = Schema::MakeOrDie("T", {"a", "b"});
+  Table forward(schema);
+  Table backward(schema);
+  // The second pool sees every text first, in reverse, plus others: its
+  // ids differ from the first pool's for every cell.
+  for (const char* text : {"zeta", "y", "x", "w", "unused"}) {
+    backward.Intern(text);
+  }
+  for (Table* t : {&forward, &backward}) {
+    t->AddTuple({"w", "x"}, 1.0);
+    t->AddTuple({"y", "zeta"}, 2.0);
+  }
+  EXPECT_NE(forward.value(0, 0), backward.value(0, 0));
+  EXPECT_EQ(TableContentHash(forward), TableContentHash(backward));
+}
+
+TEST(TableHashTest, ConcurrentFirstHashAgreesInEveryThread) {
+  Table table(Schema::MakeOrDie("T", {"a", "b", "c"}));
+  for (int row = 0; row < 4096; ++row) {
+    const std::string a = "a" + std::to_string(row % 97);
+    const std::string b = "b" + std::to_string(row);
+    const std::string c = "c" + std::to_string(row % 5);
+    table.AddTuple({a, b, c}, 1.0 + row % 3);
+  }
+  const uint64_t expected = TableContentHash(CopyContent(table));
+
+  constexpr int kThreads = 8;
+  std::vector<uint64_t> seen(kThreads, 0);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Start together, so several threads find the memo empty.
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      seen[t] = TableContentHash(table);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(seen[t], expected) << t;
+  EXPECT_EQ(TableContentHash(table), expected);
 }
 
 TEST(TableTest, BasicAccessors) {
