@@ -208,21 +208,19 @@ void Report() {
   std::cout << "span rows bit-identical to the legacy recursion on every "
                "workload (FDR_CHECKed)\n";
 
-  // --- Columnar + SIMD grouping vs the PR 4 row-major scalar path.
+  // --- Grouping-bound span recursion under automatic SIMD dispatch.
   //
-  // Same span recursion both times; only the grouping core differs:
-  // row-major scalar (the pre-columnar tuple[attr] loops, SIMD pinned off)
-  // vs the columnar layout with automatic SIMD dispatch. Grouping-bound
-  // workloads only — a marriage instance adds a matching step the grouping
-  // layout does not touch. Acceptance bar: >= 1.3x on the deep
-  // chain / office family, outputs FDR_CHECKed bit-identical.
+  // Instances where grouping dominates the recursion: the column sweeps
+  // and SIMD gathers of storage/row_span.h are most of the time here.
+  // Marriage instances are left out — their matching step does no
+  // grouping. Outputs are FDR_CHECKed bit-identical to the legacy
+  // recursion.
   Banner("hotpath.columnar",
-         "Columnar+SIMD grouping vs row-major scalar (span recursion)");
+         "Grouping-bound span recursion (columnar + SIMD dispatch)");
   std::cout << "active SIMD dispatch: "
             << simd::SimdModeName(simd::ActiveSimdMode()) << "\n";
-  ReportTable columnar_table({"workload", "n", "row-major (ms)",
-                              "columnar+simd (ms)", "speedup"});
-  struct LayoutWorkload {
+  ReportTable columnar_table({"workload", "n", "span (ms)", "us/tuple"});
+  struct GroupingWorkload {
     std::string label;
     std::string metric;
     ParsedFdSet parsed;
@@ -233,51 +231,38 @@ void Report() {
   // domain_divisor 512 keeps σ-blocks ~hundreds of rows at every level
   // (domain n/512 instead of the default n/16, whose blocks collapse to
   // singletons after one level and leave per-block recursion overhead —
-  // not grouping — as the bottleneck). These are the instances where
-  // grouping dominates, which is exactly what the columnar layout targets.
-  std::vector<LayoutWorkload> layout_workloads;
-  layout_workloads.push_back({"deep chain (grouping-bound)", "deep",
-                              DeepChainFds(9), 131072, 16384, 512});
-  layout_workloads.push_back(
+  // not grouping — as the bottleneck).
+  std::vector<GroupingWorkload> grouping_workloads;
+  grouping_workloads.push_back({"deep chain (grouping-bound)", "deep",
+                                DeepChainFds(9), 131072, 16384, 512});
+  grouping_workloads.push_back(
       {"office chain (grouping-bound)", "office", OfficeFds(), 262144, 32768,
        512});
-  for (const LayoutWorkload& workload : layout_workloads) {
+  for (const GroupingWorkload& workload : grouping_workloads) {
     const int n = static_cast<int>(
         benchreport::SmokeCap(workload.full_n, workload.smoke_n));
     Table t = ScalingFamilyTable(workload.parsed, n, 5 + n,
                                  workload.domain_divisor);
     TableView view(t);
 
-    SetGroupingLayout(GroupingLayout::kRowMajor);
-    simd::ForceSimdMode(simd::SimdMode::kScalar);
-    std::vector<int> row_major_rows;
-    double row_major_ms = TimeRowsMs(
-        [&] { return OptSRepairRows(workload.parsed.fds, view); },
-        &row_major_rows);
+    std::vector<int> span_rows;
+    double span_ms = TimeRowsMs(
+        [&] { return OptSRepairRows(workload.parsed.fds, view); }, &span_rows);
+    auto legacy_rows = LegacyOptSRepairRows(workload.parsed.fds, view);
+    FDR_CHECK_MSG(legacy_rows.ok(), legacy_rows.status().ToString());
+    FDR_CHECK(span_rows == *legacy_rows);
+    FDR_CHECK(Satisfies(t.SubsetByRows(span_rows), workload.parsed.fds));
 
-    SetGroupingLayout(GroupingLayout::kColumnar);
-    simd::ClearForcedSimdMode();
-    std::vector<int> columnar_rows;
-    double columnar_ms = TimeRowsMs(
-        [&] { return OptSRepairRows(workload.parsed.fds, view); },
-        &columnar_rows);
-
-    FDR_CHECK(columnar_rows == row_major_rows);
-    FDR_CHECK(Satisfies(t.SubsetByRows(columnar_rows), workload.parsed.fds));
-
-    const double speedup = columnar_ms > 0 ? row_major_ms / columnar_ms : 0;
-    columnar_table.AddRow({workload.label, Num(n), Num(row_major_ms),
-                           Num(columnar_ms), Num(speedup)});
+    const double us_per_tuple = 1000.0 * span_ms / n;
+    columnar_table.AddRow(
+        {workload.label, Num(n), Num(span_ms), Num(us_per_tuple)});
     JsonReport::Get().Add(
-        "hotpath." + workload.metric + "_columnar_us_per_tuple",
-        1000.0 * columnar_ms / n, "us");
-    JsonReport::Get().Add(
-        "hotpath." + workload.metric + "_columnar_speedup_vs_rowmajor",
-        speedup, "x");
+        "hotpath." + workload.metric + "_columnar_us_per_tuple", us_per_tuple,
+        "us");
   }
   columnar_table.Print();
-  std::cout << "columnar+SIMD rows bit-identical to the row-major scalar "
-               "path on every workload (FDR_CHECKed)\n";
+  std::cout << "span rows bit-identical to the legacy recursion on every "
+               "grouping-bound workload (FDR_CHECKed)\n";
 }
 
 void BM_SpanRecursionDeepChain(benchmark::State& state) {

@@ -65,7 +65,7 @@ double ServeAll(RepairService* service, const Population& population,
     request.mode = RepairMode::kSubset;
     request.fds = population.parsed.fds;
     request.table = &population.tables[index];
-    request.bypass_cache = bypass_cache;
+    request.options.bypass_cache = bypass_cache;
     auto response = service->Serve(request);
     if (!response.ok()) {
       std::cerr << "serve failed: " << response.status() << "\n";
@@ -287,7 +287,7 @@ void ReportDeltaSpeedup() {
 
     RepairRequest cold = prime;
     cold.table = &builder.table();
-    cold.bypass_cache = true;
+    cold.options.bypass_cache = true;
     start = Clock::now();
     auto replanned = service.Serve(cold);
     elapsed = Clock::now() - start;
@@ -382,7 +382,7 @@ void ReportUDeltaSpeedup() {
 
     RepairRequest cold = prime;
     cold.table = &builder.table();
-    cold.bypass_cache = true;
+    cold.options.bypass_cache = true;
     start = Clock::now();
     auto replanned = service.Serve(cold);
     elapsed = Clock::now() - start;
@@ -444,7 +444,7 @@ void BM_ServeCold(benchmark::State& state) {
   request.mode = RepairMode::kSubset;
   request.fds = population.parsed.fds;
   request.table = &population.tables[0];
-  request.bypass_cache = true;
+  request.options.bypass_cache = true;
   for (auto _ : state) {
     auto response = service.Serve(request);
     benchmark::DoNotOptimize(response);

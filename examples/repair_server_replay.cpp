@@ -263,12 +263,11 @@ int main(int argc, char** argv) {
         request.mode = mode_of(log[r]);
         request.fds = parsed.fds;
         request.table = &tables[log[r]];
-        if (request.mode == RepairMode::kSubset) {
-          request.backend = args.backend;
-          request.max_ratio = args.max_ratio;
-        } else if (request.mode == RepairMode::kSoft) {
+        if (request.mode != RepairMode::kUpdate) {
           request.options.backend = args.backend;
           request.options.max_ratio = args.max_ratio;
+        }
+        if (request.mode == RepairMode::kSoft) {
           request.options.soft_weights = soft_weights;
         }
         std::unique_lock<std::mutex> instance_lock;
@@ -323,7 +322,7 @@ int main(int argc, char** argv) {
           // Shadow re-plan: the same mutated state, cache bypassed.
           RepairRequest cold = request;
           cold.delta = nullptr;
-          cold.bypass_cache = true;
+          cold.options.bypass_cache = true;
           auto cold_start = std::chrono::steady_clock::now();
           auto replanned = service.Serve(cold);
           auto cold_end = std::chrono::steady_clock::now();

@@ -27,11 +27,13 @@ BlockPartition PartitionForMarriage(const TableView& view, AttrSet x1,
   std::unordered_map<ProjectionKey, int, ProjectionKeyHash> left_index;
   std::unordered_map<ProjectionKey, int, ProjectionKeyHash> right_index;
   for (RepairBlock& block : out.blocks) {
-    const Tuple& witness = block.view.tuple(0);
-    auto [it1, inserted1] = left_index.emplace(
-        ProjectTuple(witness, x1), static_cast<int>(left_index.size()));
-    auto [it2, inserted2] = right_index.emplace(
-        ProjectTuple(witness, x2), static_cast<int>(right_index.size()));
+    const int witness = block.view.row(0);
+    auto [it1, inserted1] =
+        left_index.emplace(ProjectRow(view.table(), witness, x1),
+                           static_cast<int>(left_index.size()));
+    auto [it2, inserted2] =
+        right_index.emplace(ProjectRow(view.table(), witness, x2),
+                            static_cast<int>(right_index.size()));
     block.left = it1->second;
     block.right = it2->second;
   }

@@ -24,69 +24,25 @@ const char* RepairModeName(RepairMode mode) {
   return "unknown";
 }
 
-/// The fully resolved request: the merged option set and the effective FD
-/// cover (soft-weight profile applied, then canonicalized — the
-/// weight-preserving cover of catalog/fdset.h).
-struct ResolvedRequest {
-  RepairOptions options;
-  FdSet cover;
-};
-
 /// THE validator: every mode/option compatibility rule lives here, and
 /// nowhere else — Serve runs it before keying, admission or execution, so
 /// a bad combination always fails the same way, with kInvalidArgument.
-/// Also merges the deprecated flat RepairRequest fields into `options`
-/// (conflicting values are an error, not a silent preference).
-StatusOr<ResolvedRequest> ResolveRequest(const RepairRequest& request) {
+/// Returns the request's effective FD cover: the soft-weight profile
+/// applied, then canonicalized (the weight-preserving cover of
+/// catalog/fdset.h).
+StatusOr<FdSet> ResolveRequest(const RepairRequest& request) {
   if (request.table == nullptr) {
     return Status::InvalidArgument("RepairRequest.table is null");
   }
-  ResolvedRequest resolved;
-  RepairOptions& options = resolved.options;
-  options = request.options;
-  if (!request.backend.empty()) {
-    if (!options.backend.empty() && options.backend != request.backend) {
-      return Status::InvalidArgument(
-          "RepairRequest.backend (deprecated) and options.backend disagree: '" +
-          request.backend + "' vs '" + options.backend + "'");
-    }
-    options.backend = request.backend;
-  }
-  if (request.max_ratio != 0) {
-    if (options.max_ratio != 0 && options.max_ratio != request.max_ratio) {
-      return Status::InvalidArgument(
-          "RepairRequest.max_ratio (deprecated) and options.max_ratio "
-          "disagree: " +
-          std::to_string(request.max_ratio) + " vs " +
-          std::to_string(options.max_ratio));
-    }
-    options.max_ratio = request.max_ratio;
-  }
+  const RepairOptions& options = request.options;
   if (options.max_ratio < 0) {
     return Status::InvalidArgument("options.max_ratio must be >= 0, got " +
                                    std::to_string(options.max_ratio));
-  }
-  if (request.deadline) {
-    if (options.deadline && *options.deadline != *request.deadline) {
-      return Status::InvalidArgument(
-          "RepairRequest.deadline (deprecated) and options.deadline disagree");
-    }
-    options.deadline = request.deadline;
-  }
-  if (request.threads != 0) {
-    if (options.threads != 0 && options.threads != request.threads) {
-      return Status::InvalidArgument(
-          "RepairRequest.threads (deprecated) and options.threads disagree: " +
-          std::to_string(request.threads) + " vs " +
-          std::to_string(options.threads));
-    }
-    options.threads = request.threads;
   }
   if (options.threads < 0) {
     return Status::InvalidArgument("options.threads must be >= 0, got " +
                                    std::to_string(options.threads));
   }
-  options.bypass_cache = options.bypass_cache || request.bypass_cache;
 
   const std::string mode = RepairModeName(request.mode);
   const bool solver_mode =
@@ -123,14 +79,14 @@ StatusOr<ResolvedRequest> ResolveRequest(const RepairRequest& request) {
         " treats every FD as hard; use RepairMode::kSoft (or strip the "
         "weights)");
   }
-  resolved.cover = effective.CanonicalCover();
+  FdSet cover = effective.CanonicalCover();
   if (!options.backend.empty()) {
     const SolverBackend* backend = FindSolverBackend(options.backend);
     if (backend == nullptr) {
       return Status::InvalidArgument("unknown solver backend '" +
                                      options.backend + "'");
     }
-    if (resolved.cover.HasSoftFds() && !backend->soft_capable()) {
+    if (cover.HasSoftFds() && !backend->soft_capable()) {
       return Status::InvalidArgument(
           "solver backend '" + options.backend +
           "' cannot solve soft-cover instances (finite-weight violations "
@@ -138,7 +94,7 @@ StatusOr<ResolvedRequest> ResolveRequest(const RepairRequest& request) {
           "(local-ratio, bnb, ilp)");
     }
   }
-  return resolved;
+  return cover;
 }
 
 /// The canonical request key: mode, canonical cover (as lhs-bitmask/rhs
@@ -253,11 +209,12 @@ void RepairService::ReleaseExecSlot() {
 }
 
 StatusOr<RepairService::CachedRepair> RepairService::Execute(
-    const RepairRequest& request, const RepairOptions& effective,
-    const FdSet& cover, const std::optional<Clock::time_point>& deadline,
+    const RepairRequest& request, const FdSet& cover,
+    const std::optional<Clock::time_point>& deadline,
     const SRepairPlanCache* delta_base, const URepairPlanCache* udelta_base,
     SRepairSpliceStats* splice, std::optional<Table>* materialized) {
   const Table& table = *request.table;
+  const RepairOptions& request_options = request.options;
   CachedRepair cached;
   cached.mode = request.mode;
   if (deadline && Clock::now() >= *deadline) {
@@ -273,8 +230,12 @@ StatusOr<RepairService::CachedRepair> RepairService::Execute(
       (request.mode == RepairMode::kSoft && !soft_core)) {
     // Per-request solver knobs override the service-wide configuration.
     SRepairOptions srepair = options_.srepair;
-    if (!effective.backend.empty()) srepair.backend = effective.backend;
-    if (effective.max_ratio > 0) srepair.max_ratio = effective.max_ratio;
+    if (!request_options.backend.empty()) {
+      srepair.backend = request_options.backend;
+    }
+    if (request_options.max_ratio > 0) {
+      srepair.max_ratio = request_options.max_ratio;
+    }
     // Capture the run's top-level plan so later deltas of this state can
     // splice; when this run IS a delta with a live base plan, splice it.
     // The planner only honors these on the polynomial route — explicit
@@ -287,7 +248,7 @@ StatusOr<RepairService::CachedRepair> RepairService::Execute(
       srepair.splice_stats = splice;
     }
     StatusOr<SRepairResult> result = Status::Internal("never ran");
-    if (effective.threads == 1) {
+    if (request_options.threads == 1) {
       // Sequential hint: run on the calling thread, no block fan-out. The
       // engine guarantees bit-identical results either way.
       SRepairOptions options = srepair;
@@ -330,11 +291,12 @@ StatusOr<RepairService::CachedRepair> RepairService::Execute(
     // soft-capable solver backends). Its recursion is sequential, so the
     // threads hint is moot — responses are identical at every setting.
     SoftRepairOptions soptions;
-    soptions.backend = effective.backend;
+    soptions.backend = request_options.backend;
     soptions.exact_guard = options_.srepair.exact_guard;
     soptions.node_budget = options_.srepair.node_budget;
-    soptions.max_ratio = effective.max_ratio > 0 ? effective.max_ratio
-                                                 : options_.srepair.max_ratio;
+    soptions.max_ratio = request_options.max_ratio > 0
+                             ? request_options.max_ratio
+                             : options_.srepair.max_ratio;
     if (deadline) soptions.exec.deadline = *deadline;
     FDR_ASSIGN_OR_RETURN(SoftRepairResult result,
                          ComputeSoftRepair(cover, table, soptions));
@@ -361,7 +323,7 @@ StatusOr<RepairService::CachedRepair> RepairService::Execute(
   // remain admission-only.
   OptURepairOptions uoptions;
   uoptions.planner = options_.urepair;
-  if (request.threads != 1) {
+  if (request_options.threads != 1) {
     // The engine's pool fans the inner S-repairs' blocks out; threads == 1
     // pins the bit-identical sequential baseline, exactly as subset mode.
     uoptions.exec.pool = engine_.pool();
@@ -489,17 +451,17 @@ void RepairService::Publish(uint64_t key, const std::shared_ptr<Entry>& entry,
 
 StatusOr<RepairResponse> RepairService::Serve(const RepairRequest& request) {
   const Clock::time_point admitted = Clock::now();
-  // All request validation — legacy-field merging, mode/option mismatches,
-  // weight application and cover canonicalization — lives in ResolveRequest.
-  FDR_ASSIGN_OR_RETURN(ResolvedRequest resolved, ResolveRequest(request));
+  // All request validation — mode/option mismatches, weight application
+  // and cover canonicalization — lives in ResolveRequest.
+  FDR_ASSIGN_OR_RETURN(const FdSet cover, ResolveRequest(request));
+  const RepairOptions& options = request.options;
   const std::optional<Clock::time_point> deadline =
-      AbsoluteDeadline(resolved.options, admitted);
+      AbsoluteDeadline(options, admitted);
   if (request.delta != nullptr) {
     // A stale or corrupted delta would poison the chain-keyed cache with a
     // result attributed to the wrong state — reject it before keying.
     FDR_RETURN_IF_ERROR(ValidateDelta(*request.delta, *request.table));
   }
-  const FdSet& cover = resolved.cover;
   // Delta requests are identified by their O(|delta|) chain hash; everyone
   // else pays the O(n) content hash. The two identities never alias (see
   // storage/table_delta.h).
@@ -507,7 +469,7 @@ StatusOr<RepairResponse> RepairService::Serve(const RepairRequest& request) {
                                   ? request.delta->result_hash
                                   : TableContentHash(*request.table);
   const uint64_t key =
-      RequestKey(request.mode, resolved.options, cover, table_hash);
+      RequestKey(request.mode, options, cover, table_hash);
 
   {
     std::lock_guard<std::mutex> stats_lock(stats_mu_);
@@ -535,7 +497,7 @@ StatusOr<RepairResponse> RepairService::Serve(const RepairRequest& request) {
 
   std::shared_ptr<Entry> entry;
   bool leader = false;
-  while (!resolved.options.bypass_cache) {
+  while (!options.bypass_cache) {
     std::unique_lock<std::mutex> lock(cache_mu_);
     auto it = entries_.find(key);
     if (it == entries_.end()) {
@@ -614,8 +576,8 @@ StatusOr<RepairResponse> RepairService::Serve(const RepairRequest& request) {
     std::optional<Table> materialized;
     SRepairSpliceStats splice;
     StatusOr<CachedRepair> computed =
-        Execute(request, resolved.options, cover, deadline, nullptr, nullptr,
-                &splice, &materialized);
+        Execute(request, cover, deadline, nullptr, nullptr, &splice,
+                &materialized);
     ReleaseExecSlot();
     if (!computed.ok()) return fail(computed.status());
     return RepairResponse{std::move(*materialized),
@@ -638,7 +600,7 @@ StatusOr<RepairResponse> RepairService::Serve(const RepairRequest& request) {
   const SRepairPlanCache* base_plan = nullptr;
   const URepairPlanCache* base_uplan = nullptr;
   if (request.delta != nullptr) {
-    const uint64_t base_key = RequestKey(request.mode, resolved.options, cover,
+    const uint64_t base_key = RequestKey(request.mode, options, cover,
                                          request.delta->base_hash);
     std::lock_guard<std::mutex> lock(cache_mu_);
     auto it = entries_.find(base_key);
@@ -666,8 +628,8 @@ StatusOr<RepairResponse> RepairService::Serve(const RepairRequest& request) {
   std::optional<Table> materialized;
   SRepairSpliceStats splice;
   StatusOr<CachedRepair> computed =
-      Execute(request, resolved.options, cover, deadline, base_plan,
-              base_uplan, &splice, &materialized);
+      Execute(request, cover, deadline, base_plan, base_uplan, &splice,
+              &materialized);
   ReleaseExecSlot();
   if (request.delta != nullptr && computed.ok()) {
     std::lock_guard<std::mutex> stats_lock(stats_mu_);

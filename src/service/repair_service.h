@@ -79,10 +79,8 @@ enum class RepairMode {
 const char* RepairModeToString(RepairMode mode);
 
 /// Every per-request knob in one place, embedded in RepairRequest as
-/// `options`. The historical flat RepairRequest fields forward here (see
-/// RepairRequest) — new code sets this struct only. Mode/option
-/// compatibility is validated centrally in Serve; mismatches fail with
-/// kInvalidArgument before keying or admission.
+/// `options`. Mode/option compatibility is validated centrally in Serve;
+/// mismatches fail with kInvalidArgument before keying or admission.
 struct RepairOptions {
   /// kSubset/kSoft: hard-side solver backend by registry name
   /// ("local-ratio", "bnb", "ilp", "lp-rounding", ...). Empty defers to
@@ -118,28 +116,12 @@ struct RepairOptions {
 
 /// One typed serving request. The table is borrowed and must stay alive
 /// (and unmodified) until Serve returns.
-///
-/// The flat `deadline`/`threads`/`bypass_cache`/`backend`/`max_ratio`
-/// fields are DEPRECATED forwarders kept for source compatibility: they
-/// merge into `options` at the top of Serve, and setting a knob both ways
-/// to conflicting values fails with kInvalidArgument. New code sets
-/// `options` only.
 struct RepairRequest {
   RepairMode mode = RepairMode::kSubset;
   FdSet fds;
   const Table* table = nullptr;
-  /// The unified per-request options (see RepairOptions).
+  /// The per-request options (see RepairOptions).
   RepairOptions options;
-  /// DEPRECATED — use options.deadline.
-  std::optional<std::chrono::milliseconds> deadline;
-  /// DEPRECATED — use options.threads.
-  int threads = 0;
-  /// DEPRECATED — use options.bypass_cache.
-  bool bypass_cache = false;
-  /// DEPRECATED — use options.backend.
-  std::string backend;
-  /// DEPRECATED — use options.max_ratio.
-  double max_ratio = 0;
   /// The mutation taking a previously served table state to *table
   /// (borrowed, like the table; must validate against it — see
   /// storage/table_delta.h). When set, the request is keyed by the delta's
@@ -330,8 +312,7 @@ class RepairService {
   /// against the table — pure overhead when the planner's own output is
   /// still in hand). Only cache hits and single-flight followers replay.
   StatusOr<CachedRepair> Execute(
-      const RepairRequest& request, const RepairOptions& effective,
-      const FdSet& cover,
+      const RepairRequest& request, const FdSet& cover,
       const std::optional<std::chrono::steady_clock::time_point>& deadline,
       const SRepairPlanCache* delta_base, const URepairPlanCache* udelta_base,
       SRepairSpliceStats* splice, std::optional<Table>* materialized);

@@ -17,37 +17,24 @@ constexpr double kEps = 1e-12;
 /// per-row ProjectionKey allocation. Entries are only ever added (the
 /// restore loop admits tuples one at a time).
 class FdRhsIndex {
- private:
-  /// Resolves an entry to the tuple witnessing its lhs projection.
-  auto WitnessTuple(const TableView& view) const {
-    return [this, &view](int g) -> const Tuple& {
-      return view.tuple(witness_[g]);
-    };
-  }
-
  public:
-  /// The rhs value recorded for tuple's lhs projection, or kNoValue.
+  /// The rhs value recorded for row `row`'s lhs projection, or kNoValue.
   static constexpr ValueId kNoValue = -1;
-  ValueId Find(const TableView& view, const Tuple& tuple, AttrSet lhs) const {
-    const int g = index_.Find(tuple, lhs, WitnessTuple(view));
+  ValueId Find(const Table& table, int row, AttrSet lhs) const {
+    const int g = index_.Find(table, row, lhs);
     return g == -1 ? kNoValue : rhs_[g];
   }
 
-  /// Records `rhs` for tuple's lhs projection (first writer wins, matching
-  /// the emplace semantics of the map-based implementation).
-  void Insert(const TableView& view, int view_index, const Tuple& tuple,
-              AttrSet lhs, ValueId rhs) {
+  /// Records `rhs` for row `row`'s lhs projection (first writer wins,
+  /// matching the emplace semantics of the map-based implementation).
+  void Insert(const Table& table, int row, AttrSet lhs, ValueId rhs) {
     bool created = false;
-    index_.FindOrCreate(tuple, lhs, WitnessTuple(view), &created);
-    if (created) {
-      witness_.push_back(view_index);
-      rhs_.push_back(rhs);
-    }
+    index_.FindOrCreate(table, row, lhs, &created);
+    if (created) rhs_.push_back(rhs);
   }
 
  private:
   ProjectionIndex index_;
-  std::vector<int> witness_;  // entry -> view index keying the projection
   std::vector<ValueId> rhs_;
 };
 
@@ -56,31 +43,33 @@ class FdRhsIndex {
 std::vector<int> RestoreConsistentRows(const FdSet& fds, const TableView& view,
                                        std::vector<int> kept_rows) {
   // Per-FD index: lhs projection -> the unique rhs value of the kept set.
+  const Table& table = view.table();
   std::vector<FdRhsIndex> rhs_of(fds.size());
-  std::vector<char> kept(view.table().num_tuples(), 0);
+  std::vector<char> kept(table.num_tuples(), 0);
   for (int row : kept_rows) kept[row] = 1;
 
-  auto admits = [&](const Tuple& tuple) {
+  auto admits = [&](int row) {
     for (int f = 0; f < fds.size(); ++f) {
       const Fd& fd = fds.fds()[f];
       if (fd.IsTrivial()) continue;
-      ValueId recorded = rhs_of[f].Find(view, tuple, fd.lhs);
-      if (recorded != FdRhsIndex::kNoValue && recorded != tuple[fd.rhs]) {
+      ValueId recorded = rhs_of[f].Find(table, row, fd.lhs);
+      if (recorded != FdRhsIndex::kNoValue &&
+          recorded != table.value(row, fd.rhs)) {
         return false;
       }
     }
     return true;
   };
-  auto admit = [&](int i, const Tuple& tuple) {
+  auto admit = [&](int row) {
     for (int f = 0; f < fds.size(); ++f) {
       const Fd& fd = fds.fds()[f];
       if (fd.IsTrivial()) continue;
-      rhs_of[f].Insert(view, i, tuple, fd.lhs, tuple[fd.rhs]);
+      rhs_of[f].Insert(table, row, fd.lhs, table.value(row, fd.rhs));
     }
   };
 
   for (int i = 0; i < view.num_tuples(); ++i) {
-    if (kept[view.row(i)]) admit(i, view.tuple(i));
+    if (kept[view.row(i)]) admit(view.row(i));
   }
   // Candidates to restore, heaviest first (ties by view order for
   // determinism).
@@ -91,8 +80,8 @@ std::vector<int> RestoreConsistentRows(const FdSet& fds, const TableView& view,
   std::stable_sort(candidates.begin(), candidates.end(),
                    [&](int a, int b) { return view.weight(a) > view.weight(b); });
   for (int i : candidates) {
-    if (admits(view.tuple(i))) {
-      admit(i, view.tuple(i));
+    if (admits(view.row(i))) {
+      admit(view.row(i));
       kept[view.row(i)] = 1;
     }
   }
@@ -127,11 +116,7 @@ std::vector<int> SRepairVcApproxRows(const FdSet& fds, const TableView& view,
   /// Single-attribute lhs: columnar DenseValueIndex sweep (same dense
   /// first-appearance group ids, no projection hashing).
   DenseValueIndex lhs_values;
-  std::vector<int> witness;  // group -> view index of its first alive row
   std::vector<std::vector<int>> members;  // group -> member view indices
-  auto witness_tuple = [&](int g) -> const Tuple& {
-    return view.tuple(witness[g]);
-  };
   // Per-group rhs partition scratch (counting scatter into runs).
   std::unordered_map<ValueId, int> rhs_index;
   std::vector<int> sub_of;
@@ -147,7 +132,6 @@ std::vector<int> SRepairVcApproxRows(const FdSet& fds, const TableView& view,
         single_lhs ? view.table().ColumnData(fd.lhs.First()) : nullptr;
     lhs_values.Clear();
     lhs_index.Clear();
-    witness.clear();
     members.clear();
     for (int i = 0; i < view.num_tuples(); ++i) {
       if (!alive(i)) continue;
@@ -155,12 +139,9 @@ std::vector<int> SRepairVcApproxRows(const FdSet& fds, const TableView& view,
       const int g =
           single_lhs
               ? lhs_values.FindOrCreate(lhs_column[view.row(i)], &created)
-              : lhs_index.FindOrCreate(view.tuple(i), fd.lhs, witness_tuple,
+              : lhs_index.FindOrCreate(view.table(), view.row(i), fd.lhs,
                                        &created);
-      if (created) {
-        witness.push_back(i);
-        members.emplace_back();
-      }
+      if (created) members.emplace_back();
       members[g].push_back(i);
     }
     for (std::vector<int>& group_members : members) {

@@ -10,18 +10,14 @@ bool Satisfies(const TableView& view, const FdSet& fds) {
   // Hash-plus-witness lhs grouping (ProjectionIndex, storage/row_span.h):
   // no per-row ProjectionKey is ever materialized. Satisfies sits on the
   // verify and serving paths, where it runs once per candidate repair.
-  // Single-attribute lhs (the common FD shape) takes a columnar fast path:
-  // one SIMD gather per column and an epoch-stamped DenseValueIndex sweep
-  // instead of per-row tuple reads and projection hashing.
+  // Single-attribute lhs (the common FD shape) takes a fast path: one SIMD
+  // gather per column and an epoch-stamped DenseValueIndex sweep instead
+  // of projection hashing.
   const int n = view.num_tuples();
   DenseValueIndex lhs_values;
   std::vector<ValueId> lhs_staged;  // gathered lhs values, dense by view row
   ProjectionIndex lhs_index;
-  std::vector<int> witness;    // entry -> view index of the group's first row
-  std::vector<ValueId> rhs;    // entry -> the rhs value the group must share
-  auto witness_tuple = [&](int g) -> const Tuple& {
-    return view.tuple(witness[g]);
-  };
+  std::vector<ValueId> rhs;  // entry -> the rhs value the group must share
   for (const Fd& fd : fds.fds()) {
     if (fd.IsTrivial()) continue;
     if (fd.lhs.size() == 1) {
@@ -67,17 +63,16 @@ bool Satisfies(const TableView& view, const FdSet& fds) {
       continue;
     }
     lhs_index.Clear();
-    witness.clear();
     rhs.clear();
+    const ValueId* rhs_column = view.table().ColumnData(fd.rhs);
     for (int i = 0; i < n; ++i) {
-      const Tuple& tuple = view.tuple(i);
+      const int row = view.row(i);
       bool created = false;
       const int g =
-          lhs_index.FindOrCreate(tuple, fd.lhs, witness_tuple, &created);
+          lhs_index.FindOrCreate(view.table(), row, fd.lhs, &created);
       if (created) {
-        witness.push_back(i);
-        rhs.push_back(tuple[fd.rhs]);
-      } else if (rhs[g] != tuple[fd.rhs]) {
+        rhs.push_back(rhs_column[row]);
+      } else if (rhs[g] != rhs_column[row]) {
         return false;
       }
     }
@@ -98,7 +93,7 @@ std::vector<Violation> FindViolations(const TableView& view, const FdSet& fds) {
     std::unordered_map<ProjectionKey, std::vector<int>, ProjectionKeyHash>
         groups;
     for (int i = 0; i < view.num_tuples(); ++i) {
-      groups[ProjectTuple(view.tuple(i), fd.lhs)].push_back(i);
+      groups[ProjectRow(view.table(), view.row(i), fd.lhs)].push_back(i);
     }
     for (const auto& [key, members] : groups) {
       for (size_t a = 0; a < members.size(); ++a) {

@@ -18,7 +18,7 @@ StatusOr<double> DistSub(const Table& subset, const Table& table) {
           "subset tuple id " + std::to_string(subset.id(row)) +
           " not present in the original table");
     }
-    if (subset.tuple(row) != table.tuple(*parent_row)) {
+    if (RowHammingDistance(subset, row, table, *parent_row) != 0) {
       return Status::InvalidArgument(
           "subset changed the values of tuple id " +
           std::to_string(subset.id(row)));
@@ -31,15 +31,6 @@ StatusOr<double> DistSub(const Table& subset, const Table& table) {
     kept += table.weight(*parent_row);
   }
   return table.TotalWeight() - kept;
-}
-
-int HammingDistance(const Tuple& u, const Tuple& t) {
-  FDR_CHECK(u.size() == t.size());
-  int distance = 0;
-  for (size_t a = 0; a < u.size(); ++a) {
-    if (u[a] != t[a]) ++distance;
-  }
-  return distance;
 }
 
 StatusOr<double> DistUpd(const Table& update, const Table& table) {
@@ -61,7 +52,7 @@ StatusOr<double> DistUpd(const Table& update, const Table& table) {
       return Status::InvalidArgument("update changed a tuple weight");
     }
     distance += table.weight(*parent_row) *
-                HammingDistance(update.tuple(row), table.tuple(*parent_row));
+                RowHammingDistance(update, row, table, *parent_row);
   }
   return distance;
 }

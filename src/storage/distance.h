@@ -13,10 +13,8 @@ namespace fdrepair {
 /// subset of T: same schema, ids(S) ⊆ ids(T), identical tuples and weights.
 StatusOr<double> DistSub(const Table& subset, const Table& table);
 
-/// Hamming distance H(u, t): number of attributes where the tuples differ.
-int HammingDistance(const Tuple& u, const Tuple& t);
-
-/// dist_upd(U, T) = Σ_i w_T(i) · H(T[i], U[i]). Fails unless U is an update
+/// dist_upd(U, T) = Σ_i w_T(i) · H(T[i], U[i]), with H the Hamming distance
+/// RowHammingDistance (storage/table.h). Fails unless U is an update
 /// of T: same schema, same identifiers, same weights.
 StatusOr<double> DistUpd(const Table& update, const Table& table);
 

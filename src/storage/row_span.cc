@@ -1,24 +1,8 @@
 #include "storage/row_span.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdint>
-#include <limits>
 
 namespace fdrepair {
-
-namespace {
-std::atomic<int> active_layout{static_cast<int>(GroupingLayout::kColumnar)};
-}  // namespace
-
-void SetGroupingLayout(GroupingLayout layout) {
-  active_layout.store(static_cast<int>(layout), std::memory_order_relaxed);
-}
-
-GroupingLayout ActiveGroupingLayout() {
-  return static_cast<GroupingLayout>(
-      active_layout.load(std::memory_order_relaxed));
-}
 
 void GroupScratch::GroupInPlace(RowSpan span, AttrSet attrs,
                                 std::vector<int>* group_ends) {
@@ -31,16 +15,13 @@ void GroupScratch::GroupInPlace(RowSpan span, AttrSet attrs,
     return;
   }
   if (static_cast<int>(group_of_row_.size()) < n) group_of_row_.resize(n);
-  const bool columnar = ActiveGroupingLayout() == GroupingLayout::kColumnar;
   int num_groups;
   if (attrs.size() == 1) {
-    num_groups = columnar ? AssignGroupsSingleAttr(span, attrs.First())
-                          : AssignGroupsSingleAttrRowMajor(span, attrs.First());
+    num_groups = AssignGroupsSingleAttr(span, attrs.First());
   } else if (attrs.size() == 2) {
     const AttrId a1 = attrs.First();
     const AttrId a2 = attrs.Minus(AttrSet::Singleton(a1)).First();
-    num_groups = columnar ? AssignGroupsPackedPair(span, a1, a2)
-                          : AssignGroupsPackedPairRowMajor(span, a1, a2);
+    num_groups = AssignGroupsPackedPair(span, a1, a2);
   } else {
     num_groups = AssignGroupsGeneric(span, attrs);
   }
@@ -69,8 +50,8 @@ int GroupScratch::AssignGroupsSingleAttr(RowSpan span, AttrId attr) {
     // Large windows: one 8-lane gather+max pass stages the key values into
     // a dense buffer (sizing the slot table in the same pass); the dedup
     // loop then streams the staging buffer sequentially. Group ids come
-    // out in first-appearance order on every path, so all three variants
-    // (staged, fused, row-major) are bit-identical.
+    // out in first-appearance order on both paths, so the staged and fused
+    // variants are bit-identical.
     if (static_cast<int>(gathered_values_.size()) < n) {
       gathered_values_.resize(n);
     }
@@ -86,30 +67,8 @@ int GroupScratch::AssignGroupsSingleAttr(RowSpan span, AttrId attr) {
   // Small windows (or scalar dispatch): a fused single pass straight off
   // the contiguous column — no staging, no max prescan (the slot table
   // grows on demand and retains its high-water capacity across calls).
-  // This is where the columnar layout beats the row-major path even
-  // without SIMD: the pre-columnar loop made two strided passes through
-  // tuple[attr], chasing one Tuple pointer per row per pass.
   for (int i = 0; i < n; ++i) {
     group_of_row_[i] = value_index_.FindOrCreate(column[rows[i]], &created);
-  }
-  return value_index_.size();
-}
-
-int GroupScratch::AssignGroupsSingleAttrRowMajor(RowSpan span, AttrId attr) {
-  // The pre-columnar path: two strided passes through tuple[attr].
-  // Preserved verbatim as the bench/test oracle for the columnar path.
-  const int n = span.num_tuples();
-  value_index_.Clear();
-  ValueId max_value = 0;
-  for (int i = 0; i < n; ++i) {
-    const ValueId v = span.value(i, attr);
-    FDR_DCHECK_MSG(v >= 0, "value id " << v);
-    max_value = std::max(max_value, v);
-  }
-  value_index_.Reserve(max_value);
-  for (int i = 0; i < n; ++i) {
-    bool created = false;
-    group_of_row_[i] = value_index_.FindOrCreate(span.value(i, attr), &created);
   }
   return value_index_.size();
 }
@@ -150,33 +109,13 @@ int GroupScratch::AssignGroupsPackedPair(RowSpan span, AttrId a1, AttrId a2) {
   return num_groups;
 }
 
-int GroupScratch::AssignGroupsPackedPairRowMajor(RowSpan span, AttrId a1,
-                                                 AttrId a2) {
-  const int n = span.num_tuples();
-  packed_group_.clear();
-  int num_groups = 0;
-  for (int i = 0; i < n; ++i) {
-    auto [it, inserted] = packed_group_.emplace(
-        simd::PackPair(span.value(i, a1), span.value(i, a2)), num_groups);
-    if (inserted) ++num_groups;
-    group_of_row_[i] = it->second;
-  }
-  return num_groups;
-}
-
 int GroupScratch::AssignGroupsGeneric(RowSpan span, AttrSet attrs) {
   const int n = span.num_tuples();
   projection_index_.Clear();
-  witness_.clear();
-  auto witness_tuple = [&](int g) -> const Tuple& {
-    return span.table().tuple(witness_[g]);
-  };
   for (int i = 0; i < n; ++i) {
     bool created = false;
-    const int group = projection_index_.FindOrCreate(span.tuple(i), attrs,
-                                                     witness_tuple, &created);
-    if (created) witness_.push_back(span.row(i));
-    group_of_row_[i] = group;
+    group_of_row_[i] = projection_index_.FindOrCreate(span.table(), span.row(i),
+                                                      attrs, &created);
   }
   return projection_index_.size();
 }
@@ -209,8 +148,7 @@ int GroupScratch::AssignDistinctIndices(RowSpan span,
   index_of_group->clear();
   const int num_groups = static_cast<int>(group_ends.size());
   index_of_group->reserve(num_groups);
-  if (attrs.size() == 1 &&
-      ActiveGroupingLayout() == GroupingLayout::kColumnar) {
+  if (attrs.size() == 1) {
     // Single-attribute side (the common marriage shape): resolve each
     // group's witness value straight out of the column store.
     const ValueId* column = span.table().ColumnData(attrs.First());
@@ -225,18 +163,11 @@ int GroupScratch::AssignDistinctIndices(RowSpan span,
     return value_index_.size();
   }
   projection_index_.Clear();
-  witness_.clear();
-  auto witness_tuple = [&](int d) -> const Tuple& {
-    return span.table().tuple(witness_[d]);
-  };
   int begin = 0;
   for (int g = 0; g < num_groups; ++g) {
-    const int witness_row = span.row(begin);
     bool created = false;
-    const int index = projection_index_.FindOrCreate(
-        span.table().tuple(witness_row), attrs, witness_tuple, &created);
-    if (created) witness_.push_back(witness_row);
-    index_of_group->push_back(index);
+    index_of_group->push_back(projection_index_.FindOrCreate(
+        span.table(), span.row(begin), attrs, &created));
     begin = group_ends[g];
   }
   return projection_index_.size();

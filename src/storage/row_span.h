@@ -18,13 +18,11 @@
 //     consensus fast path), an exact packed 64-bit key for two attributes
 //     (the 2-set marriage case), and hash-plus-witness verification beyond
 //     that — never a heap-allocated projection key;
-//   - the 1- and 2-attribute paths read the Table's contiguous per-attribute
-//     column store (storage/table.h) instead of striding across Tuple rows:
+//   - every path reads the Table's contiguous per-attribute columns
+//     (storage/table.h); on large windows the 1- and 2-attribute paths
+//     first pull the window's key values into a dense scratch buffer with
 //     one SIMD gather (common/simd.h — AVX2 with a bit-identical scalar
-//     fallback) pulls the window's key values into a dense scratch buffer,
-//     and the dedup loop runs over that buffer. The pre-columnar row-major
-//     loops are preserved behind SetGroupingLayout(kRowMajor) so tests and
-//     bench_hotpath can pin the old path and verify/measure against it.
+//     fallback), and the dedup loop runs over that buffer.
 //
 // Distinct spans cover disjoint buffer ranges, so concurrent recursions may
 // permute their own spans without synchronization (each worker additionally
@@ -47,21 +45,6 @@
 #include "storage/table.h"
 
 namespace fdrepair {
-
-/// Which storage layout GroupScratch's 1-/2-attribute fast paths read.
-/// kColumnar (the default) sweeps the Table's column store through the SIMD
-/// gather kernels; kRowMajor is the pre-columnar tuple[attr] path, kept so
-/// benches and property tests can pin the old behavior as an oracle.
-enum class GroupingLayout {
-  kColumnar,
-  kRowMajor,
-};
-
-/// Process-wide layout switch (tests/benches only; production code leaves
-/// it at kColumnar). Not synchronized against in-flight grouping — flip it
-/// only from single-threaded setup code.
-void SetGroupingLayout(GroupingLayout layout);
-GroupingLayout ActiveGroupingLayout();
 
 /// Below this window size a SIMD staging pass costs more than it saves
 /// (kernel call + staging write/read per row vs a handful of scalar
@@ -90,7 +73,6 @@ class RowSpan {
   /// Mutable access to the window (GroupScratch permutes through this).
   int* data() const { return data_; }
 
-  const Tuple& tuple(int i) const { return table_->tuple(data_[i]); }
   TupleId id(int i) const { return table_->id(data_[i]); }
   double weight(int i) const { return table_->weight(data_[i]); }
   ValueId value(int i, AttrId attr) const {
@@ -111,70 +93,67 @@ class RowSpan {
   int size_ = 0;
 };
 
-/// FNV-1a over a tuple's projection onto `attrs`, without materializing it.
-/// Matches ProjectionKeyHash on the equivalent ProjectionKey.
-inline uint64_t ProjectionHash(const Tuple& tuple, AttrSet attrs) {
+/// FNV-1a over row `row`'s projection onto `attrs`, read through the
+/// table's columns without materializing it. Matches ProjectionKeyHash on
+/// the equivalent ProjectionKey.
+inline uint64_t ProjectionHash(const Table& table, int row, AttrSet attrs) {
   uint64_t h = 1469598103934665603ULL;
   ForEachAttr(attrs, [&](AttrId attr) {
-    h ^= static_cast<uint64_t>(static_cast<uint32_t>(tuple[attr]));
+    h ^= static_cast<uint64_t>(static_cast<uint32_t>(table.value(row, attr)));
     h *= 1099511628211ULL;
   });
   return h;
 }
 
-/// True iff two tuples agree on every attribute of `attrs`.
-inline bool ProjectionEquals(const Tuple& a, const Tuple& b, AttrSet attrs) {
+/// True iff rows `a` and `b` of `table` agree on every attribute of `attrs`.
+inline bool ProjectionEquals(const Table& table, int a, int b, AttrSet attrs) {
   uint64_t bits = attrs.bits();
   while (bits != 0) {
     AttrId attr = __builtin_ctzll(bits);
-    if (a[attr] != b[attr]) return false;
+    if (table.value(a, attr) != table.value(b, attr)) return false;
     bits &= bits - 1;
   }
   return true;
 }
 
-/// A dense first-appearance index over tuple projections: entry i is the
-/// i-th distinct π_attrs projection encountered. Keyed by ProjectionHash;
+/// A dense first-appearance index over row projections of one table:
+/// entry i is the i-th distinct π_attrs projection encountered, witnessed
+/// by the first table row that produced it. Keyed by ProjectionHash;
 /// same-hash entries form a chain resolved by comparing against each
-/// entry's *witness* tuple, which the caller resolves through a callback —
-/// so no projection is ever materialized, and callers keep their payloads
-/// (witness rows, rhs values, member lists) in plain parallel vectors.
-/// One shared implementation for every hash-plus-witness grouping in the
-/// tree (GroupScratch's generic paths, Satisfies, the vc-approx route).
+/// entry's witness row, so no projection is ever materialized, and callers
+/// keep their payloads (rhs values, member lists) in plain parallel
+/// vectors. One shared implementation for every hash-plus-witness grouping
+/// in the tree (GroupScratch's generic paths, Satisfies, the vc-approx
+/// route). Every call between two Clear()s must pass the same table and
+/// attrs.
 class ProjectionIndex {
  public:
   void Clear() {
     first_of_hash_.clear();  // keeps bucket capacity
     next_same_hash_.clear();
+    witness_.clear();
   }
 
-  int size() const { return static_cast<int>(next_same_hash_.size()); }
+  int size() const { return static_cast<int>(witness_.size()); }
 
-  /// The entry whose witness projection equals `tuple`'s, or -1.
-  /// `witness_tuple(e)` must return entry e's witness Tuple.
-  template <typename WitnessTupleFn>
-  int Find(const Tuple& tuple, AttrSet attrs,
-           const WitnessTupleFn& witness_tuple) const {
-    auto it = first_of_hash_.find(ProjectionHash(tuple, attrs));
+  /// The entry whose projection equals row `row`'s, or -1.
+  int Find(const Table& table, int row, AttrSet attrs) const {
+    auto it = first_of_hash_.find(ProjectionHash(table, row, attrs));
     if (it == first_of_hash_.end()) return -1;
     for (int e = it->second; e != -1; e = next_same_hash_[e]) {
-      if (ProjectionEquals(tuple, witness_tuple(e), attrs)) return e;
+      if (ProjectionEquals(table, row, witness_[e], attrs)) return e;
     }
     return -1;
   }
 
-  /// Find, creating a new entry (dense, in first-appearance order) when
-  /// absent; *created reports which. On creation the callback is never
-  /// invoked for the new entry, so the caller may append its payload (and
-  /// witness) right after the call returns.
-  template <typename WitnessTupleFn>
-  int FindOrCreate(const Tuple& tuple, AttrSet attrs,
-                   const WitnessTupleFn& witness_tuple, bool* created) {
-    const uint64_t h = ProjectionHash(tuple, attrs);
+  /// Find, creating a new entry witnessed by `row` (dense, in
+  /// first-appearance order) when absent; *created reports which.
+  int FindOrCreate(const Table& table, int row, AttrSet attrs, bool* created) {
+    const uint64_t h = ProjectionHash(table, row, attrs);
     auto it = first_of_hash_.find(h);
     if (it != first_of_hash_.end()) {
       for (int e = it->second; e != -1; e = next_same_hash_[e]) {
-        if (ProjectionEquals(tuple, witness_tuple(e), attrs)) {
+        if (ProjectionEquals(table, row, witness_[e], attrs)) {
           *created = false;
           return e;
         }
@@ -184,6 +163,7 @@ class ProjectionIndex {
     // New same-hash entries are prepended to the chain; entry ids (and so
     // first-appearance order) never depend on the chain order.
     next_same_hash_.push_back(it != first_of_hash_.end() ? it->second : -1);
+    witness_.push_back(row);
     if (it != first_of_hash_.end()) {
       it->second = e;
     } else {
@@ -196,6 +176,8 @@ class ProjectionIndex {
  private:
   std::unordered_map<uint64_t, int> first_of_hash_;
   std::vector<int> next_same_hash_;
+  /// Entry -> the table row witnessing its projection.
+  std::vector<int> witness_;
 };
 
 /// An epoch-stamped dense map from ValueId to a small dense id assigned in
@@ -301,14 +283,9 @@ class GroupScratch {
 
  private:
   /// Phase 1 helpers: fill group_of_row_[0..n) with dense group ids in
-  /// first-appearance order and return the group count. The columnar
-  /// variants (default layout) gather the key attribute's column(s) through
-  /// the SIMD kernels; the row-major variants are the preserved
-  /// pre-columnar loops, dispatched via ActiveGroupingLayout().
+  /// first-appearance order and return the group count.
   int AssignGroupsSingleAttr(RowSpan span, AttrId attr);
-  int AssignGroupsSingleAttrRowMajor(RowSpan span, AttrId attr);
   int AssignGroupsPackedPair(RowSpan span, AttrId a1, AttrId a2);
-  int AssignGroupsPackedPairRowMajor(RowSpan span, AttrId a1, AttrId a2);
   int AssignGroupsGeneric(RowSpan span, AttrSet attrs);
 
   /// Phase 2: stable counting scatter of span rows by group_of_row_.
@@ -327,10 +304,8 @@ class GroupScratch {
   std::vector<uint64_t> gathered_pairs_;
   /// Two-attribute fast path: exact packed (v1, v2) key.
   std::unordered_map<uint64_t, int> packed_group_;
-  /// Generic path: hash-plus-witness projection index; witness_[g] is the
-  /// dense table row witnessing group g.
+  /// Generic path: hash-plus-witness projection index.
   ProjectionIndex projection_index_;
-  std::vector<int> witness_;
   std::vector<std::vector<int>> free_buffers_;
 };
 

@@ -38,13 +38,25 @@ Status Table::AddTupleWithId(TupleId id, const std::vector<std::string>& values,
   Tuple tuple;
   tuple.reserve(values.size());
   for (const std::string& value : values) tuple.push_back(pool_->Intern(value));
-  return AddInternedTupleWithId(id, std::move(tuple), weight);
+  return AppendRow(id, tuple, weight);
 }
 
-Status Table::AddInternedTupleWithId(TupleId id, Tuple values, double weight) {
+Status Table::AddInternedTupleWithId(TupleId id, const Tuple& values,
+                                     double weight) {
   if (static_cast<int>(values.size()) != schema_.arity()) {
     return Status::InvalidArgument("tuple arity mismatch");
   }
+  const int64_t pool_size = pool_->size();
+  for (ValueId value : values) {
+    if (value < 0 || value >= pool_size) {
+      return Status::InvalidArgument("value id " + std::to_string(value) +
+                                     " was not issued by the table's pool");
+    }
+  }
+  return AppendRow(id, values, weight);
+}
+
+Status Table::AppendRow(TupleId id, const Tuple& values, double weight) {
   if (!(weight > 0)) {
     return Status::InvalidArgument("tuple weight must be positive, got " +
                                    FormatDouble(weight));
@@ -53,16 +65,23 @@ Status Table::AddInternedTupleWithId(TupleId id, Tuple values, double weight) {
     return Status::InvalidArgument("duplicate tuple identifier " +
                                    std::to_string(id));
   }
-  // All validation passed: update the row store and its column-major
-  // mirror together, so no failure path can leave them disagreeing.
+  // All validation passed: no failure path leaves a partial row behind.
   content_hash_.Clear();
   id_index_.emplace(id, num_tuples());
   ids_.push_back(id);
   weights_.push_back(weight);
   for (int a = 0; a < schema_.arity(); ++a) columns_[a].push_back(values[a]);
-  tuples_.push_back(std::move(values));
   next_id_ = std::max(next_id_, id + 1);
   return Status::OK();
+}
+
+Tuple Table::tuple(int row) const {
+  Tuple out;
+  out.reserve(columns_.size());
+  for (const std::vector<ValueId>& column : columns_) {
+    out.push_back(column[row]);
+  }
+  return out;
 }
 
 StatusOr<int> Table::RowOf(TupleId id) const {
@@ -95,12 +114,12 @@ bool Table::IsDuplicateFree() const {
   std::unordered_map<uint64_t, std::vector<int>> buckets;
   for (int i = 0; i < num_tuples(); ++i) {
     uint64_t h = 1469598103934665603ULL;  // FNV-1a over the value ids
-    for (ValueId v : tuples_[i]) {
-      h ^= static_cast<uint64_t>(static_cast<uint32_t>(v));
+    for (const std::vector<ValueId>& column : columns_) {
+      h ^= static_cast<uint64_t>(static_cast<uint32_t>(column[i]));
       h *= 1099511628211ULL;
     }
     for (int j : buckets[h]) {
-      if (tuples_[i] == tuples_[j]) return false;
+      if (RowHammingDistance(*this, i, *this, j) == 0) return false;
     }
     buckets[h].push_back(i);
   }
@@ -112,12 +131,11 @@ Table Table::SubsetByRows(const std::vector<int>& rows) const {
   // Reserve everything up front — in particular id_index_, whose
   // per-append rehash churn dominated large subsets — and append directly:
   // the source rows already satisfy the append invariants (positive
-  // weights, matching arity), leaving only the duplicate-row check.
+  // weights, matching arity, pool-issued values), leaving only the
+  // duplicate-row check.
   out.ids_.reserve(rows.size());
   out.weights_.reserve(rows.size());
-  out.tuples_.reserve(rows.size());
   out.id_index_.reserve(rows.size());
-  for (auto& column : out.columns_) column.reserve(rows.size());
   for (int row : rows) {
     FDR_CHECK_MSG(row >= 0 && row < num_tuples(), "row=" << row);
     auto [it, inserted] = out.id_index_.emplace(ids_[row], out.num_tuples());
@@ -125,14 +143,15 @@ Table Table::SubsetByRows(const std::vector<int>& rows) const {
                                              << ids_[row] << ")");
     out.ids_.push_back(ids_[row]);
     out.weights_.push_back(weights_[row]);
-    out.tuples_.push_back(tuples_[row]);
     out.next_id_ = std::max(out.next_id_, ids_[row] + 1);
   }
-  // Column mirror, filled per attribute (contiguous source sweeps) rather
-  // than per row: columns_[a] here is a gather of this->columns_[a].
+  // Columns are filled per attribute (contiguous source sweeps):
+  // out.columns_[a] is a gather of columns_[a].
   for (int a = 0; a < schema_.arity(); ++a) {
     const ValueId* source = columns_[a].data();
-    for (int row : rows) out.columns_[a].push_back(source[row]);
+    std::vector<ValueId>& column = out.columns_[a];
+    column.reserve(rows.size());
+    for (int row : rows) column.push_back(source[row]);
   }
   return out;
 }
@@ -143,7 +162,6 @@ Table Table::Clone() const {
   Table out(schema_, pool_);
   out.ids_ = ids_;
   out.weights_ = weights_;
-  out.tuples_ = tuples_;
   out.columns_ = columns_;
   out.id_index_ = id_index_;
   out.next_id_ = next_id_;
@@ -155,7 +173,6 @@ void Table::SetValue(int row, AttrId attr, ValueId value) {
   FDR_CHECK_MSG(row >= 0 && row < num_tuples(), "row=" << row);
   FDR_CHECK_MSG(attr >= 0 && attr < schema_.arity(), "attr=" << attr);
   content_hash_.Clear();
-  tuples_[row][attr] = value;
   columns_[attr][row] = value;
 }
 
@@ -165,7 +182,6 @@ void Table::EraseRow(int row) {
   id_index_.erase(ids_[row]);
   ids_.erase(ids_.begin() + row);
   weights_.erase(weights_.begin() + row);
-  tuples_.erase(tuples_.begin() + row);
   for (auto& column : columns_) column.erase(column.begin() + row);
   // Every surviving row after the gap moved down one position.
   for (int r = row; r < num_tuples(); ++r) id_index_[ids_[r]] = r;
@@ -175,17 +191,6 @@ Status Table::EraseTuple(TupleId id) {
   FDR_ASSIGN_OR_RETURN(int row, RowOf(id));
   EraseRow(row);
   return Status::OK();
-}
-
-bool Table::ColumnStoreConsistent() const {
-  if (static_cast<int>(columns_.size()) != schema_.arity()) return false;
-  for (int a = 0; a < schema_.arity(); ++a) {
-    if (static_cast<int>(columns_[a].size()) != num_tuples()) return false;
-    for (int row = 0; row < num_tuples(); ++row) {
-      if (columns_[a][row] != tuples_[row][a]) return false;
-    }
-  }
-  return true;
 }
 
 std::string Table::ToString() const {
@@ -221,6 +226,15 @@ std::string Table::ToString() const {
     os << "\n";
   }
   return os.str();
+}
+
+int RowHammingDistance(const Table& a, int row_a, const Table& b, int row_b) {
+  FDR_CHECK(a.schema().arity() == b.schema().arity());
+  int distance = 0;
+  for (AttrId attr = 0; attr < a.schema().arity(); ++attr) {
+    if (a.value(row_a, attr) != b.value(row_b, attr)) ++distance;
+  }
+  return distance;
 }
 
 }  // namespace fdrepair

@@ -44,8 +44,8 @@ class ColumnView {
   int size_ = 0;
 };
 
-/// The column-major half of the hybrid layout: one ValueId vector per
-/// schema attribute, each indexed by dense row position.
+/// A table's storage: one ValueId vector per schema attribute, each
+/// indexed by dense row position.
 using ColumnSet = std::vector<std::vector<ValueId>>;
 
 /// A copyable memo of one 64-bit value derived from its owner's content
@@ -101,17 +101,14 @@ class HashMemo {
 
 /// A weighted, identified relation instance over one Schema.
 ///
-/// Tuples are stored in a hybrid layout: row-major (`Tuple` rows, the
-/// witness-comparison and whole-tuple interface every consumer already
-/// uses) plus a column-major mirror (one contiguous ValueId vector per
-/// attribute) that turns single-attribute scans — the grouping hot path —
-/// into contiguous sweeps and feeds the SIMD gather kernels
-/// (common/simd.h). Both representations are updated together inside every
-/// mutator, after all argument validation, so no caller can ever observe a
-/// column that disagrees with its row (tests/table_test.cc audits this per
-/// mutator). The ValuePool is shared via shared_ptr so repairs (subsets,
-/// updates) of the same table can intern new values — in particular fresh
-/// constants — without copying the dictionary.
+/// Tuples are stored column-major: one contiguous ValueId vector per
+/// attribute, plus the parallel id and weight vectors, all indexed by dense
+/// row position. Single-attribute scans — the grouping hot path — are
+/// contiguous sweeps that feed the SIMD gather kernels (common/simd.h), and
+/// a row is read cell by cell through value(). The ValuePool is shared via
+/// shared_ptr so repairs (subsets, updates) of the same table can intern
+/// new values — in particular fresh constants — without copying the
+/// dictionary.
 ///
 /// Thread safety (audited for the parallel repair engine): every const
 /// member function is a pure read of immutable-after-append state, so any
@@ -133,8 +130,8 @@ class Table {
   const Schema& schema() const { return schema_; }
   const std::shared_ptr<ValuePool>& pool() const { return pool_; }
 
-  int num_tuples() const { return static_cast<int>(tuples_.size()); }
-  bool empty() const { return tuples_.empty(); }
+  int num_tuples() const { return static_cast<int>(ids_.size()); }
+  bool empty() const { return ids_.empty(); }
 
   /// Appends a tuple with an auto-assigned identifier (max id + 1) and
   /// weight 1. Returns its identifier.
@@ -145,30 +142,28 @@ class Table {
   /// arity mismatches, or if weight <= 0.
   Status AddTupleWithId(TupleId id, const std::vector<std::string>& values,
                         double weight);
-  /// Low-level append of pre-interned values.
-  Status AddInternedTupleWithId(TupleId id, Tuple values, double weight);
+  /// Low-level append of pre-interned values. Also fails, leaving the
+  /// table unchanged, if a value is not an id this table's pool issued.
+  Status AddInternedTupleWithId(TupleId id, const Tuple& values,
+                                double weight);
 
   /// Row access by dense position (0..num_tuples-1).
-  const Tuple& tuple(int row) const { return tuples_[row]; }
   TupleId id(int row) const { return ids_[row]; }
   double weight(int row) const { return weights_[row]; }
-  ValueId value(int row, AttrId attr) const { return tuples_[row][attr]; }
+  ValueId value(int row, AttrId attr) const { return columns_[attr][row]; }
+  /// Gathers row `row`'s values into a new Tuple (one allocation per call),
+  /// for callers off the hot paths; hot code reads value() or Column().
+  Tuple tuple(int row) const;
 
-  /// Column-major access: attribute `attr`'s values for all rows, as one
-  /// contiguous array indexed by dense row position. Invariant:
-  /// Column(a)[r] == value(r, a) for every valid (r, a); see the class
-  /// comment for how mutators maintain it. The view/pointer is invalidated
-  /// by any mutation of this table.
+  /// Attribute `attr`'s values for all rows, as one contiguous array
+  /// indexed by dense row position: Column(a)[r] == value(r, a). The
+  /// view/pointer is invalidated by any mutation of this table.
   ColumnView Column(AttrId attr) const {
     return ColumnView(columns_[attr].data(), num_tuples());
   }
   const ValueId* ColumnData(AttrId attr) const {
     return columns_[attr].data();
   }
-
-  /// Audit helper (tests, debug checks): true iff the column store mirrors
-  /// the row store exactly. O(rows × arity).
-  bool ColumnStoreConsistent() const;
 
   /// The row position of identifier `id`, or kNotFound.
   StatusOr<int> RowOf(TupleId id) const;
@@ -219,17 +214,27 @@ class Table {
   std::string ToString() const;
 
  private:
+  /// The append behind both public AddTupleWithId variants, for values of
+  /// the schema's arity: validates weight and identifier, but not the
+  /// ValueIds themselves (AddTupleWithId's come from Intern).
+  Status AppendRow(TupleId id, const Tuple& values, double weight);
+
   Schema schema_;
   std::shared_ptr<ValuePool> pool_;
   std::vector<TupleId> ids_;
   std::vector<double> weights_;
-  std::vector<Tuple> tuples_;
-  /// Column-major mirror of tuples_: columns_[a][r] == tuples_[r][a].
+  /// columns_[a][r] is row r's value of attribute a.
   ColumnSet columns_;
   std::unordered_map<TupleId, int> id_index_;
   TupleId next_id_ = 1;
   HashMemo content_hash_;
 };
+
+/// The number of attributes on which row `row_a` of `a` and row `row_b` of
+/// `b` hold different values: the Hamming distance H of §2.3, and 0 iff the
+/// rows are equal. The tables must have the same arity; ValueIds compare
+/// meaningfully only between tables sharing a pool.
+int RowHammingDistance(const Table& a, int row_a, const Table& b, int row_b);
 
 }  // namespace fdrepair
 

@@ -34,11 +34,20 @@ ProjectionKey ProjectTuple(const Tuple& tuple, AttrSet attrs) {
   return key;
 }
 
+ProjectionKey ProjectRow(const Table& table, int row, AttrSet attrs) {
+  ProjectionKey key;
+  key.values.reserve(attrs.size());
+  ForEachAttr(attrs, [&](AttrId attr) {
+    key.values.push_back(table.value(row, attr));
+  });
+  return key;
+}
+
 GroupedRows TableView::GroupRows(AttrSet attrs) const {
   GroupedRows out;
   std::unordered_map<ProjectionKey, int, ProjectionKeyHash> group_of;
   for (int i = 0; i < num_tuples(); ++i) {
-    ProjectionKey key = ProjectTuple(tuple(i), attrs);
+    ProjectionKey key = ProjectRow(*table_, rows_[i], attrs);
     auto [it, inserted] =
         group_of.emplace(std::move(key), static_cast<int>(out.rows.size()));
     if (inserted) {

@@ -9,10 +9,10 @@
 // the OptSRepair hot path no longer uses them — it permutes a shared
 // row-index buffer in place instead (storage/row_span.h) — but they remain
 // the convenient interface for everything off the hot path, and the oracle
-// the span core is tested against. GroupRows deliberately stays on the
-// row-major tuple representation: it is the layout-independent reference
-// that the columnar + SIMD grouping fast paths (and the preserved
-// row-major span path) are pinned against in tests/row_span_test.cc.
+// the span core is tested against: GroupRows keys a plain hash map by
+// materialized projections, with none of the grouping core's fast paths,
+// and tests/row_span_test.cc pins GroupScratch (scalar and SIMD dispatch)
+// to it.
 
 #ifndef FDREPAIR_STORAGE_TABLE_VIEW_H_
 #define FDREPAIR_STORAGE_TABLE_VIEW_H_
@@ -43,6 +43,8 @@ struct ProjectionKeyHash {
 
 /// Projects `tuple` onto `attrs` (in increasing attribute order).
 ProjectionKey ProjectTuple(const Tuple& tuple, AttrSet attrs);
+/// Projects row `row` of `table` onto `attrs`, read through its columns.
+ProjectionKey ProjectRow(const Table& table, int row, AttrSet attrs);
 
 /// A π_attrs grouping of view rows: keys[g] is group g's projection and
 /// rows[g] its dense row positions, in first-appearance order.
@@ -69,7 +71,8 @@ class TableView {
   int row(int i) const { return rows_[i]; }
   const std::vector<int>& rows() const { return rows_; }
 
-  const Tuple& tuple(int i) const { return table_->tuple(rows_[i]); }
+  /// Gathers the i-th view row into a new Tuple (see Table::tuple).
+  Tuple tuple(int i) const { return table_->tuple(rows_[i]); }
   TupleId id(int i) const { return table_->id(rows_[i]); }
   double weight(int i) const { return table_->weight(rows_[i]); }
   ValueId value(int i, AttrId attr) const {

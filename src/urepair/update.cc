@@ -28,7 +28,7 @@ StatusOr<std::vector<int>> UpdateToConsistentSubsetRows(const Table& table,
   std::vector<int> rows;
   for (int row = 0; row < update.num_tuples(); ++row) {
     FDR_ASSIGN_OR_RETURN(int parent_row, table.RowOf(update.id(row)));
-    if (update.tuple(row) == table.tuple(parent_row)) {
+    if (RowHammingDistance(update, row, table, parent_row) == 0) {
       rows.push_back(parent_row);
     }
   }

@@ -54,24 +54,25 @@ StatusOr<SubsetCheckResult> CheckSubsetRepair(const FdSet& fds,
     return result;
   }
   // ⊆-maximality (§2.3): no deleted tuple can be restored consistently.
+  // DistSub checked that every subset row equals its parent row, so the
+  // candidate S ∪ {t} is read as parent rows of `table`.
   result.repair_class = SubsetRepairClass::kSubsetRepair;
   std::vector<char> kept(table.num_tuples(), 0);
+  std::vector<int> candidate;
+  candidate.reserve(subset.num_tuples() + 1);
   for (int row = 0; row < subset.num_tuples(); ++row) {
     FDR_ASSIGN_OR_RETURN(int parent_row, table.RowOf(subset.id(row)));
     kept[parent_row] = 1;
+    candidate.push_back(parent_row);
   }
-  for (int row = 0; row < table.num_tuples() &&
-                    result.repair_class == SubsetRepairClass::kSubsetRepair;
-       ++row) {
+  for (int row = 0; row < table.num_tuples(); ++row) {
     if (kept[row]) continue;
-    bool restorable = true;
-    for (int other = 0; other < subset.num_tuples() && restorable; ++other) {
-      if (!PairConsistent(table.tuple(row), subset.tuple(other), fds)) {
-        restorable = false;
-      }
-    }
+    candidate.push_back(row);
+    const bool restorable = Satisfies(TableView(table, candidate), fds);
+    candidate.pop_back();
     if (restorable) {
       result.repair_class = SubsetRepairClass::kConsistentSubset;
+      break;
     }
   }
 

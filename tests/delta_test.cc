@@ -663,7 +663,7 @@ TEST(ServiceDeltaTest, PropertyHoldsForEveryRegisteredSolverBackend) {
   for (const SolverBackend* backend : AllSolverBackends()) {
     RepairService service;
     RepairRequest cold = Request(RepairMode::kSubset, parsed.fds, &base);
-    cold.backend = backend->name();
+    cold.options.backend = backend->name();
     ASSERT_TRUE(service.Serve(cold).ok()) << backend->name();
 
     Rng rng(7);
@@ -675,7 +675,7 @@ TEST(ServiceDeltaTest, PropertyHoldsForEveryRegisteredSolverBackend) {
     RepairRequest incremental =
         Request(RepairMode::kSubset, parsed.fds, &builder.table());
     incremental.delta = &delta;
-    incremental.backend = backend->name();
+    incremental.options.backend = backend->name();
     auto served = service.ApplyDelta(incremental);
     ASSERT_TRUE(served.ok()) << served.status() << " " << backend->name();
     EXPECT_EQ(served->backend, backend->name());
@@ -684,7 +684,7 @@ TEST(ServiceDeltaTest, PropertyHoldsForEveryRegisteredSolverBackend) {
     RepairService fresh;
     RepairRequest reference_request =
         Request(RepairMode::kSubset, parsed.fds, &copy);
-    reference_request.backend = backend->name();
+    reference_request.options.backend = backend->name();
     auto reference = fresh.Serve(reference_request);
     ASSERT_TRUE(reference.ok()) << reference.status();
     ExpectSameRepair(reference->repair, served->repair);

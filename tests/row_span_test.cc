@@ -194,34 +194,21 @@ TEST(GroupScratchTest, WindowIsPermutedInPlaceOnly) {
   }
 }
 
-/// Restores the default layout + dispatch on scope exit, so test order
-/// cannot leak a pinned configuration.
+/// Restores the default SIMD dispatch on scope exit, so test order cannot
+/// leak a pinned configuration.
 struct DispatchGuard {
-  ~DispatchGuard() {
-    SetGroupingLayout(GroupingLayout::kColumnar);
-    simd::ClearForcedSimdMode();
-  }
+  ~DispatchGuard() { simd::ClearForcedSimdMode(); }
 };
 
-// The columnar-vs-row-major grouping oracle: on random tables and 1/2/3+
-// attribute keys, the columnar fast paths (under both SIMD and forced
-// scalar dispatch) must produce exactly the grouping of the preserved
-// row-major path AND of TableView::GroupRows — same permutation, same
+// The grouping oracle: on random tables and 1/2/3+ attribute keys, the
+// grouping core (under both SIMD and forced scalar dispatch) must produce
+// exactly the grouping of TableView::GroupRows — same permutation, same
 // group boundaries. This is what keeps the fast paths from ever drifting
 // from GroupRows.
-TEST(GroupScratchTest, ColumnarMatchesRowMajorAndGroupRowsOnRandomTables) {
+TEST(GroupScratchTest, MatchesGroupRowsOnRandomTablesAcrossDispatch) {
   DispatchGuard guard;
   Rng rng(97);
   ParsedFdSet parsed = Example31Ssn();  // 7 attributes
-  struct Config {
-    GroupingLayout layout;
-    simd::SimdMode mode;
-  };
-  const Config configs[] = {
-      {GroupingLayout::kRowMajor, simd::SimdMode::kScalar},
-      {GroupingLayout::kColumnar, simd::SimdMode::kScalar},
-      {GroupingLayout::kColumnar, simd::SimdMode::kAvx2},
-  };
   GroupScratch scratch;
   for (int trial = 0; trial < 12; ++trial) {
     const int n = 40 + static_cast<int>(rng.UniformUint64(400));
@@ -235,46 +222,39 @@ TEST(GroupScratchTest, ColumnarMatchesRowMajorAndGroupRowsOnRandomTables) {
           rng.UniformUint64(table.schema().arity())));
     }
     GroupedRows expected = TableView(table).GroupRows(attrs);
-    for (const Config& config : configs) {
-      SetGroupingLayout(config.layout);
-      simd::ForceSimdMode(config.mode);
+    for (simd::SimdMode mode :
+         {simd::SimdMode::kScalar, simd::SimdMode::kAvx2}) {
+      simd::ForceSimdMode(mode);
       std::vector<int> buffer = AllRows(table);
       RowSpan span(table, buffer.data(), static_cast<int>(buffer.size()));
       std::vector<int> group_ends;
       scratch.GroupInPlace(span, attrs, &group_ends);
       std::vector<std::vector<int>> groups = GroupsOf(buffer, group_ends);
       ASSERT_EQ(groups.size(), expected.rows.size())
-          << "trial " << trial << " attrs " << attrs.ToString() << " layout "
-          << static_cast<int>(config.layout) << " mode "
-          << simd::SimdModeName(config.mode);
+          << "trial " << trial << " attrs " << attrs.ToString() << " mode "
+          << simd::SimdModeName(mode);
       for (size_t g = 0; g < groups.size(); ++g) {
         ASSERT_EQ(groups[g], expected.rows[g])
             << "trial " << trial << " attrs " << attrs.ToString() << " mode "
-            << simd::SimdModeName(config.mode) << " group " << g;
+            << simd::SimdModeName(mode) << " group " << g;
       }
     }
   }
 }
 
-// Marriage endpoint assignment must also agree across layouts and dispatch
-// modes (the single-attribute endpoint path reads the column store).
-TEST(GroupScratchTest, MarriageEndpointsAgreeAcrossLayoutsAndDispatch) {
+// Marriage endpoint assignment must also match the materializing
+// partition under both dispatch modes (the single-attribute endpoint path
+// reads the column directly).
+TEST(GroupScratchTest, MarriageEndpointsMatchPartitionAcrossDispatch) {
   DispatchGuard guard;
   ParsedFdSet parsed = DeltaAKeyBToC();
   Table table = ScalingFamilyTable(parsed, 500, 11);
   AttrSet x1 = AttrSet::Singleton(0);
   AttrSet x2 = AttrSet::Singleton(1);
   BlockPartition expected = PartitionForMarriage(TableView(table), x1, x2);
-  struct Config {
-    GroupingLayout layout;
-    simd::SimdMode mode;
-  };
-  for (const Config& config :
-       {Config{GroupingLayout::kRowMajor, simd::SimdMode::kScalar},
-        Config{GroupingLayout::kColumnar, simd::SimdMode::kScalar},
-        Config{GroupingLayout::kColumnar, simd::SimdMode::kAvx2}}) {
-    SetGroupingLayout(config.layout);
-    simd::ForceSimdMode(config.mode);
+  for (simd::SimdMode mode :
+       {simd::SimdMode::kScalar, simd::SimdMode::kAvx2}) {
+    simd::ForceSimdMode(mode);
     std::vector<int> buffer = AllRows(table);
     RowSpan span(table, buffer.data(), static_cast<int>(buffer.size()));
     GroupScratch scratch;

@@ -274,7 +274,7 @@ TEST(RepairServiceTest, BypassCacheNeitherReadsNorStores) {
   Table table = ScalingFamilyTable(parsed, 120, 29);
   RepairService service;
   RepairRequest request = Request(RepairMode::kSubset, parsed.fds, &table);
-  request.bypass_cache = true;
+  request.options.bypass_cache = true;
   auto first = service.Serve(request);
   ASSERT_TRUE(first.ok()) << first.status();
   EXPECT_FALSE(first->cache_hit);
@@ -294,7 +294,7 @@ TEST(RepairServiceTest, SequentialThreadHintMatchesParallelResult) {
 
   RepairService fresh;  // separate service: no cache reuse across the two
   RepairRequest sequential = Request(RepairMode::kSubset, parsed.fds, &table);
-  sequential.threads = 1;
+  sequential.options.threads = 1;
   auto inline_run = fresh.Serve(sequential);
   ASSERT_TRUE(inline_run.ok()) << inline_run.status();
   ExpectSameRepair(from_pool->repair, inline_run->repair);
@@ -413,7 +413,7 @@ TEST(RepairServiceTest, DeadlineAndCapacityRejectionUnderFullQueue) {
   // Fill the one queue slot with a request that will time out waiting.
   std::thread queued([&] {
     RepairRequest request = Request(RepairMode::kSubset, parsed.fds, &small_a);
-    request.deadline = milliseconds(300);
+    request.options.deadline = milliseconds(300);
     auto response = service.Serve(request);
     ASSERT_FALSE(response.ok());
     EXPECT_EQ(response.status().code(), StatusCode::kDeadlineExceeded);
@@ -448,13 +448,13 @@ TEST(RepairServiceTest, ExpiredDeadlineRejectsBeforeExecution) {
   Table table = ScalingFamilyTable(parsed, 5000, 53);
   RepairService service;
   RepairRequest request = Request(RepairMode::kSubset, parsed.fds, &table);
-  request.deadline = milliseconds(0);
+  request.options.deadline = milliseconds(0);
   auto response = service.Serve(request);
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(service.stats().rejected_deadline, 1u);
   // The failure was not cached: a follow-up without a deadline succeeds.
-  request.deadline.reset();
+  request.options.deadline.reset();
   auto retry = service.Serve(request);
   ASSERT_TRUE(retry.ok()) << retry.status();
   EXPECT_FALSE(retry->cache_hit);
@@ -470,7 +470,7 @@ TEST(RepairServiceTest, ExpiredDeadlineFailsEvenOnACacheHit) {
   auto primed = service.Serve(request);
   ASSERT_TRUE(primed.ok()) << primed.status();
 
-  request.deadline = milliseconds(0);
+  request.options.deadline = milliseconds(0);
   auto expired = service.Serve(request);
   ASSERT_FALSE(expired.ok());
   EXPECT_EQ(expired.status().code(), StatusCode::kDeadlineExceeded);
@@ -480,7 +480,7 @@ TEST(RepairServiceTest, ExpiredDeadlineFailsEvenOnACacheHit) {
   EXPECT_EQ(stats.entries, 1u);  // the entry itself is untouched
 
   // Any deadline that has not passed is answered from the cache.
-  request.deadline = std::chrono::hours(1);
+  request.options.deadline = std::chrono::hours(1);
   auto hit = service.Serve(request);
   ASSERT_TRUE(hit.ok()) << hit.status();
   EXPECT_TRUE(hit->cache_hit);
@@ -542,7 +542,7 @@ TEST(RepairServiceTest, BackendSelectionRoundTripsAndKeysTheCache) {
   RepairService service;
 
   RepairRequest exact = Request(RepairMode::kSubset, parsed.fds, &table);
-  exact.backend = kSolverIlp;
+  exact.options.backend = kSolverIlp;
   auto miss = service.Serve(exact);
   ASSERT_TRUE(miss.ok()) << miss.status();
   EXPECT_FALSE(miss->cache_hit);
@@ -565,7 +565,7 @@ TEST(RepairServiceTest, BackendSelectionRoundTripsAndKeysTheCache) {
 
   // Same table, different backend: a distinct key, never an aliased hit.
   RepairRequest approx = Request(RepairMode::kSubset, parsed.fds, &table);
-  approx.backend = kSolverLocalRatio;
+  approx.options.backend = kSolverLocalRatio;
   auto other = service.Serve(approx);
   ASSERT_TRUE(other.ok()) << other.status();
   EXPECT_FALSE(other->cache_hit);
@@ -589,8 +589,8 @@ TEST(RepairServiceTest, MaxRatioGateSurfacesAndIsKeyedSeparately) {
   // The fused approx route certifies only ratio 2 here, so a 1.5 gate
   // rejects with kResourceExhausted — surfaced verbatim by the service.
   RepairRequest gated = Request(RepairMode::kSubset, parsed.fds, &table);
-  gated.backend = kSolverLocalRatio;
-  gated.max_ratio = 1.5;
+  gated.options.backend = kSolverLocalRatio;
+  gated.options.max_ratio = 1.5;
   auto rejected = service.Serve(gated);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
@@ -598,15 +598,15 @@ TEST(RepairServiceTest, MaxRatioGateSurfacesAndIsKeyedSeparately) {
   // The failure was not cached, and the ungated request has its own key:
   // it executes and succeeds.
   RepairRequest ungated = Request(RepairMode::kSubset, parsed.fds, &table);
-  ungated.backend = kSolverLocalRatio;
+  ungated.options.backend = kSolverLocalRatio;
   auto accepted = service.Serve(ungated);
   ASSERT_TRUE(accepted.ok()) << accepted.status();
   EXPECT_FALSE(accepted->cache_hit);
 
   // An exact backend passes the same gate (certified ratio 1).
   RepairRequest exact_gated = Request(RepairMode::kSubset, parsed.fds, &table);
-  exact_gated.backend = kSolverBnb;
-  exact_gated.max_ratio = 1.5;
+  exact_gated.options.backend = kSolverBnb;
+  exact_gated.options.max_ratio = 1.5;
   auto proved = service.Serve(exact_gated);
   ASSERT_TRUE(proved.ok()) << proved.status();
   EXPECT_TRUE(proved->optimal);
@@ -619,12 +619,12 @@ TEST(RepairServiceTest, SolverKnobsRejectedForUpdateMode) {
   RepairService service;
 
   RepairRequest with_backend = Request(RepairMode::kUpdate, parsed.fds, &table);
-  with_backend.backend = kSolverIlp;
+  with_backend.options.backend = kSolverIlp;
   EXPECT_EQ(service.Serve(with_backend).status().code(),
             StatusCode::kInvalidArgument);
 
   RepairRequest with_ratio = Request(RepairMode::kUpdate, parsed.fds, &table);
-  with_ratio.max_ratio = 1.5;
+  with_ratio.options.max_ratio = 1.5;
   EXPECT_EQ(service.Serve(with_ratio).status().code(),
             StatusCode::kInvalidArgument);
 }

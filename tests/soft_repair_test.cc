@@ -464,28 +464,6 @@ TEST_F(SoftValidationTest, BackendAndMaxRatioRejectedInUpdateMode) {
             StatusCode::kInvalidArgument);
 }
 
-TEST_F(SoftValidationTest, LegacyAndOptionsConflictRejected) {
-  RepairRequest request = Request(RepairMode::kSubset, fds_, &table_);
-  request.backend = kSolverBnb;          // deprecated flat field
-  request.options.backend = kSolverIlp;  // disagreeing options field
-  EXPECT_EQ(service_.Serve(request).status().code(),
-            StatusCode::kInvalidArgument);
-
-  RepairRequest threads = Request(RepairMode::kSubset, fds_, &table_);
-  threads.threads = 1;
-  threads.options.threads = 2;
-  EXPECT_EQ(service_.Serve(threads).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST_F(SoftValidationTest, LegacyFieldsStillForward) {
-  RepairRequest request = Request(RepairMode::kSubset, fds_, &table_);
-  request.backend = kSolverBnb;  // deprecated flat field, no conflict
-  auto response = service_.Serve(request);
-  ASSERT_TRUE(response.ok()) << response.status();
-  EXPECT_EQ(response->backend, kSolverBnb);
-}
-
 TEST_F(SoftValidationTest, DeltaWithBypassCacheRejectedExplicitly) {
   // Incremental replay is defined by cached state; silently ignoring the
   // combination (the historical behavior) masked caller bugs.

@@ -250,53 +250,94 @@ TEST(TableTest, CloneAndSetValue) {
   EXPECT_EQ(table.ValueText(0, 3), "Paris");  // original untouched
 }
 
-// The column-store invariant: Column(a)[r] == value(r, a) after EVERY
-// mutator, including the failure paths. This is the audit for the hybrid
-// layout — a stale column view (columns disagreeing with rows) must be
-// impossible no matter which mutation path ran.
+/// `table` holds exactly `expected` (one row of value texts per row), read
+/// both through value() and through Column(), whose views must span every
+/// row.
+void ExpectCells(const Table& table,
+                 const std::vector<std::vector<std::string>>& expected) {
+  ASSERT_EQ(table.num_tuples(), static_cast<int>(expected.size()));
+  for (AttrId attr = 0; attr < table.schema().arity(); ++attr) {
+    const ColumnView column = table.Column(attr);
+    ASSERT_EQ(column.size(), table.num_tuples());
+    for (int row = 0; row < table.num_tuples(); ++row) {
+      EXPECT_EQ(table.pool()->Text(table.value(row, attr)),
+                expected[row][attr])
+          << "row " << row << " attr " << attr;
+      EXPECT_EQ(column[row], table.value(row, attr))
+          << "row " << row << " attr " << attr;
+    }
+  }
+}
+
+// Every mutator, including the failure paths, leaves exactly the expected
+// cells in the columns.
 TEST(TableTest, ColumnStoreStaysInSyncThroughEveryMutator) {
   Table table = MakeOfficeT();  // AddTupleWithId path
-  EXPECT_TRUE(table.ColumnStoreConsistent());
-  ASSERT_EQ(table.Column(3).size(), 4);
-  EXPECT_EQ(table.Column(3)[1], table.value(1, 3));
+  std::vector<std::vector<std::string>> cells = {
+      {"HQ", "322", "3", "Paris"},
+      {"HQ", "322", "30", "Madrid"},
+      {"HQ", "122", "1", "Madrid"},
+      {"Lab1", "B35", "3", "London"}};
+  ExpectCells(table, cells);
 
-  // Failed appends (duplicate id, bad weight, arity mismatch) must leave
-  // both representations untouched.
+  // Failed appends (duplicate id, bad weight, arity mismatch, a value id
+  // the pool never issued) leave the table untouched.
   EXPECT_FALSE(table.AddTupleWithId(1, {"a", "b", "c", "d"}, 1).ok());
   EXPECT_FALSE(table.AddTupleWithId(9, {"a", "b", "c", "d"}, -1).ok());
   EXPECT_FALSE(table.AddTupleWithId(9, {"a"}, 1).ok());
-  EXPECT_EQ(table.num_tuples(), 4);
-  EXPECT_EQ(table.Column(0).size(), 4);
-  EXPECT_TRUE(table.ColumnStoreConsistent());
+  EXPECT_FALSE(table.AddInternedTupleWithId(9, {0, 0, 0, -1}, 1).ok());
+  ExpectCells(table, cells);
 
-  // AddTuple (auto id) path.
+  // AddTuple (auto id) and AddInternedTupleWithId paths.
   table.AddTuple({"Lab2", "C1", "2", "Rome"}, 3.0);
-  EXPECT_TRUE(table.ColumnStoreConsistent());
-  EXPECT_EQ(table.Column(0).size(), 5);
+  cells.push_back({"Lab2", "C1", "2", "Rome"});
+  ASSERT_TRUE(table.AddInternedTupleWithId(20, table.tuple(1), 1).ok());
+  cells.push_back(cells[1]);
+  ExpectCells(table, cells);
 
-  // SetValue (the urepair cell-edit replay path).
+  // SetValue (the urepair cell-edit replay path) and EraseRow.
   table.SetValue(2, 3, table.Intern("Lisbon"));
-  EXPECT_EQ(table.Column(3)[2], *table.pool()->Lookup("Lisbon"));
-  EXPECT_TRUE(table.ColumnStoreConsistent());
+  cells[2][3] = "Lisbon";
+  ExpectCells(table, cells);
+  table.EraseRow(5);
+  cells.pop_back();
+  ExpectCells(table, cells);
 
-  // SubsetByRows and Clone build their mirrors from scratch.
+  // SubsetByRows and Clone build their columns from scratch.
   Table subset = table.SubsetByRows({4, 0, 2});
-  EXPECT_TRUE(subset.ColumnStoreConsistent());
-  EXPECT_EQ(subset.Column(3)[0], table.Column(3)[4]);
-  EXPECT_EQ(subset.Column(3)[2], table.Column(3)[2]);
+  ExpectCells(subset, {cells[4], cells[0], cells[2]});
   Table clone = table.Clone();
-  EXPECT_TRUE(clone.ColumnStoreConsistent());
+  ExpectCells(clone, cells);
   clone.SetValue(0, 0, clone.Intern("Annex"));
-  EXPECT_TRUE(clone.ColumnStoreConsistent());
-  EXPECT_TRUE(table.ColumnStoreConsistent());  // original untouched
-  EXPECT_NE(clone.Column(0)[0], table.Column(0)[0]);
+  std::vector<std::vector<std::string>> clone_cells = cells;
+  clone_cells[0][0] = "Annex";
+  ExpectCells(clone, clone_cells);
+  ExpectCells(table, cells);  // original untouched
 
   // CSV load (TableFromCsv goes through the append paths).
   std::string csv = TableToCsv(table);
   auto loaded = TableFromCsv(csv, table.schema().relation_name());
   ASSERT_TRUE(loaded.ok());
-  EXPECT_TRUE(loaded->ColumnStoreConsistent());
-  EXPECT_EQ(loaded->num_tuples(), table.num_tuples());
+  ExpectCells(*loaded, cells);
+}
+
+// A ValueId the pool never issued is rejected before it reaches the
+// columns: the next content hash would otherwise abort on the unknown id.
+TEST(TableTest, AddInternedTupleRejectsValueIdsThePoolNeverIssued) {
+  Table table = MakeOfficeT();
+  const uint64_t hash = TableContentHash(table);
+  const ValueId next = static_cast<ValueId>(table.pool()->size());
+  for (ValueId bad : {ValueId{-1}, next, ValueId{next + 1000}}) {
+    Status status = table.AddInternedTupleWithId(9, {0, 1, 2, bad}, 1);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_EQ(table.num_tuples(), 4) << bad;
+    EXPECT_FALSE(table.RowOf(9).ok()) << bad;
+  }
+  EXPECT_EQ(TableContentHash(table), hash);
+  ExpectHashIsFresh(table);
+  ASSERT_TRUE(table.AddInternedTupleWithId(9, {0, 1, 2, next - 1}, 1).ok());
+  EXPECT_EQ(table.value(4, 3), next - 1);
+  ExpectHashIsFresh(table);
 }
 
 TEST(TableViewTest, GroupByPartitions) {
@@ -358,7 +399,7 @@ TEST(DistanceTest, DistUpdWeightedHamming) {
   update.SetValue(0, 3, update.Intern("Madrid"));
   EXPECT_DOUBLE_EQ(DistUpdOrDie(update, table), 4);
   EXPECT_DOUBLE_EQ(DistUpdOrDie(table.Clone(), table), 0);
-  EXPECT_EQ(HammingDistance(table.tuple(0), table.tuple(1)), 2);
+  EXPECT_EQ(RowHammingDistance(table, 0, table, 1), 2);
 }
 
 TEST(DistanceTest, DistUpdRejectsDroppedTuples) {

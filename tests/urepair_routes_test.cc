@@ -357,14 +357,11 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(uint64_t{2027}, uint64_t{2029})));
 
 // The SIMD dispatch matrix on the full U-planner: bit-identical outputs
-// across {row-major scalar, columnar scalar, columnar AVX2} — the §4
-// companion of SpanRecursionTest.BitIdenticalAcrossLayoutAndSimdDispatch.
-TEST(URepairSpanDispatchTest, BitIdenticalAcrossLayoutAndSimd) {
+// under forced scalar and AVX2 dispatch — the §4 companion of
+// SpanRecursionTest.BitIdenticalAcrossSimdDispatch.
+TEST(URepairSpanDispatchTest, BitIdenticalAcrossSimd) {
   struct DispatchGuard {
-    ~DispatchGuard() {
-      SetGroupingLayout(GroupingLayout::kColumnar);
-      simd::ClearForcedSimdMode();
-    }
+    ~DispatchGuard() { simd::ClearForcedSimdMode(); }
   } guard;
   URepairOptions options;
   options.allow_exact_search = false;
@@ -377,25 +374,17 @@ TEST(URepairSpanDispatchTest, BitIdenticalAcrossLayoutAndSimd) {
     Rng table_rng = rng.Fork();
     Table table = RandomTable(named.parsed.schema, topt, &table_rng);
 
-    SetGroupingLayout(GroupingLayout::kRowMajor);
     simd::ForceSimdMode(simd::SimdMode::kScalar);
-    auto row_major = ComputeURepair(named.parsed.fds, table, options);
-    ASSERT_TRUE(row_major.ok()) << named.name << ": " << row_major.status();
-
-    SetGroupingLayout(GroupingLayout::kColumnar);
-    auto columnar_scalar = ComputeURepair(named.parsed.fds, table, options);
-    ASSERT_TRUE(columnar_scalar.ok()) << named.name;
-    ExpectSameUpdate(row_major->update, columnar_scalar->update,
-                     named.name + " columnar scalar");
-    EXPECT_EQ(row_major->distance, columnar_scalar->distance) << named.name;
+    auto scalar = ComputeURepair(named.parsed.fds, table, options);
+    ASSERT_TRUE(scalar.ok()) << named.name << ": " << scalar.status();
 
     simd::ForceSimdMode(simd::SimdMode::kAvx2);
-    auto columnar_simd = ComputeURepair(named.parsed.fds, table, options);
-    ASSERT_TRUE(columnar_simd.ok()) << named.name;
-    ExpectSameUpdate(row_major->update, columnar_simd->update,
-                     named.name + " columnar " +
+    auto simd_update = ComputeURepair(named.parsed.fds, table, options);
+    ASSERT_TRUE(simd_update.ok()) << named.name;
+    ExpectSameUpdate(scalar->update, simd_update->update,
+                     named.name + " " +
                          simd::SimdModeName(simd::ActiveSimdMode()));
-    EXPECT_EQ(row_major->distance, columnar_simd->distance) << named.name;
+    EXPECT_EQ(scalar->distance, simd_update->distance) << named.name;
   }
 }
 
