@@ -16,8 +16,8 @@
 #include "report_util.h"
 #include "catalog/fd_parser.h"
 #include "common/simd.h"
-#include "engine/block_partitioner.h"
 #include "graph/bipartite_matching.h"
+#include "oracles/block_partition.h"
 #include "srepair/opt_srepair.h"
 #include "srepair/osr_succeeds.h"
 #include "srepair/simplification.h"

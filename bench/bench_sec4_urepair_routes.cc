@@ -9,9 +9,9 @@
 
 #include "report_util.h"
 #include "common/random.h"
+#include "oracles/reference_routes.h"
 #include "srepair/planner.h"
 #include "urepair/planner.h"
-#include "urepair/reference_routes.h"
 #include "urepair/urepair_consensus.h"
 #include "urepair/urepair_key_cycle.h"
 #include "workloads/example_fdsets.h"

@@ -135,7 +135,7 @@ void Report() {
   FdSet core_fds = Weighted(core_parsed.fds, 1.5);
   double exact_cost = -1;
   for (const char* backend : {kSolverLocalRatio, kSolverBnb, kSolverIlp}) {
-    SoftRepairOptions options;
+    SRepairOptions options;
     options.backend = backend;
     auto result = ComputeSoftRepair(core_fds, core_table, options);
     FDR_CHECK(result.ok());
@@ -182,7 +182,7 @@ void BM_SoftCoreIlp(benchmark::State& state) {
   Rng rng(53 + n);
   Table table = RandomTable(parsed.schema, toptions, &rng);
   FdSet fds = Weighted(parsed.fds, 1.5);
-  SoftRepairOptions options;
+  SRepairOptions options;
   options.backend = kSolverIlp;
   for (auto _ : state) {
     auto result = ComputeSoftRepair(fds, table, options);

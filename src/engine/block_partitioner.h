@@ -2,14 +2,17 @@
 //
 // Every simplification step solves independent sub-instances: σ_{A=a}T
 // groups for common-lhs/consensus steps and σ_{X1=a1,X2=a2}T blocks for an
-// lhs marriage. This module computes that partition once — views into the
-// parent table, in first-appearance order, each tagged with its projection
-// key and (for marriages) its bipartite endpoints — so callers can hand the
-// blocks to a ThreadPool without re-deriving group membership. It absorbs
-// the grouping logic that used to live inline in srepair/opt_srepair.cc.
+// lhs marriage. This module partitions a step's rows in place — each block
+// a contiguous window of one shared row-index buffer, in first-appearance
+// order, tagged (for marriages) with its bipartite endpoints — so the
+// recursion can hand the blocks to a ThreadPool without re-deriving group
+// membership, and it matches a mutated table's top-level blocks against a
+// captured plan's (BaseBlockIndex, the delta path).
 //
 // Blocks only *read* the parent table (see storage/table.h for the
-// concurrent-reader contract), so no copies are made.
+// concurrent-reader contract), so no copies are made. The materializing
+// one-view-per-block partition these are pinned against lives with the
+// test oracles (tests/oracles/block_partition.h).
 
 #ifndef FDREPAIR_ENGINE_BLOCK_PARTITIONER_H_
 #define FDREPAIR_ENGINE_BLOCK_PARTITIONER_H_
@@ -19,47 +22,16 @@
 
 #include "catalog/attrset.h"
 #include "storage/row_span.h"
-#include "storage/table_view.h"
 
 namespace fdrepair {
 
-/// One independent sub-instance of a simplification step.
-struct RepairBlock {
-  /// The block's rows, as a view into the parent table.
-  TableView view;
-  /// The witness projection onto the partition attributes (the block's
-  /// "a" in σ_{A=a}T, resp. "(a1, a2)" in σ_{X1=a1,X2=a2}T).
-  ProjectionKey key;
-  /// Marriage only: dense index of the block's π_X1 (left) and π_X2
-  /// (right) value among the distinct projections; -1 otherwise.
-  int left = -1;
-  int right = -1;
-};
-
-struct BlockPartition {
-  /// Non-empty blocks in first-appearance order of their key.
-  std::vector<RepairBlock> blocks;
-  /// Marriage only: number of distinct π_X1 / π_X2 values (the two sides
-  /// of the matching); 0 otherwise.
-  int num_left = 0;
-  int num_right = 0;
-};
-
-/// Partitions `view` into the σ_{attrs=·} groups (Subroutines 1 and 2).
-BlockPartition PartitionByAttrs(const TableView& view, AttrSet attrs);
-
-/// Partitions `view` into the σ_{X1=a1,X2=a2} marriage blocks (Subroutine
-/// 3), assigning each block its left/right matching endpoints.
-BlockPartition PartitionForMarriage(const TableView& view, AttrSet x1,
-                                    AttrSet x2);
-
 // Span-based in-place partitioning — the OptSRepair hot path. Instead of
-// materializing per-block index vectors (as the BlockPartition APIs above
-// do), these permute the caller's shared row-index buffer so each block
-// becomes a contiguous sub-window, and only report block boundaries. Block
-// order (first-appearance of the projection) and within-block row order are
-// identical to the materializing APIs; `scratch` supplies the reusable
-// grouping buffers (one per concurrent caller — see storage/row_span.h).
+// materializing per-block index vectors, these permute the caller's shared
+// row-index buffer so each block becomes a contiguous sub-window, and only
+// report block boundaries. Block order (first-appearance of the
+// projection) and within-block row order are identical to
+// TableView::GroupRows; `scratch` supplies the reusable grouping buffers
+// (one per concurrent caller — see storage/row_span.h).
 
 /// Permutes `span` in place into the σ_{attrs=·} groups; clears and fills
 /// *group_ends with each group's end offset (group g occupies

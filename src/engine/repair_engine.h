@@ -40,8 +40,10 @@ struct RepairJob {
   FdSet fds;
   /// Borrowed; must outlive the RepairBatch call.
   const Table* table = nullptr;
-  /// Route selection and guards, as for ComputeSRepair. The exec field is
-  /// overwritten by the engine (pool + deadline).
+  /// Route selection, guards and delta inputs, as for ComputeSRepair. The
+  /// engine overwrites `options.exec.pool` (its own pool) and
+  /// `options.exec.deadline` (from `deadline`); `exec.parallel_cutoff` is
+  /// the job's own.
   SRepairOptions options;
   /// Time budget from the moment RepairBatch is called. Unset: no limit
   /// (beyond EngineOptions::default_deadline).
@@ -50,15 +52,12 @@ struct RepairJob {
 
 struct EngineOptions {
   /// Worker threads. 0 picks std::thread::hardware_concurrency(); 1 runs
-  /// everything on the calling thread (the bit-identical baseline).
+  /// everything on the calling thread (the bit-identical baseline). Jobs
+  /// run concurrently with each other, and each tractable job's recursion
+  /// fans its blocks out to the same pool.
   int threads = 0;
-  /// Also parallelize *within* a job (OptSRepair block fan-out). Disable
-  /// to parallelize across jobs only — useful when batches are wide.
-  bool parallel_blocks = true;
   /// Fallback budget for jobs that set no deadline of their own.
   std::optional<std::chrono::milliseconds> default_deadline;
-  /// Passed through to OptSRepairExec::parallel_cutoff.
-  int parallel_cutoff = 2048;
 };
 
 class RepairEngine {

@@ -197,7 +197,9 @@ StatusOr<MpdResult> MostProbableDatabaseSoft(const FdSet& fds,
         table.id(row), table.tuple(row), std::log(p / (1.0 - p))));
   }
 
-  SoftRepairOptions soft_options;
+  // The default strategy (kAuto), not options.strategy: soft MPD answers
+  // by the soft planner's own auto-routing, all-hard ∆ included.
+  SRepairOptions soft_options;
   soft_options.exact_guard = options.exact_guard;
   FDR_ASSIGN_OR_RETURN(SoftRepairResult repair,
                        ComputeSoftRepair(fds, reweighted, soft_options));

@@ -220,21 +220,56 @@ StatusOr<RepairService::CachedRepair> RepairService::Execute(
   if (deadline && Clock::now() >= *deadline) {
     return Status::DeadlineExceeded("deadline expired before execution");
   }
-  // A soft request whose canonical cover is all-hard IS a subset request
-  // (violations are priced out entirely): run it through the very same
-  // pipeline — engine fan-out, plan capture and all — so the ω ≡ ∞ pin is
-  // bit-identical by construction, not by reimplementation.
-  const bool soft_core =
-      request.mode == RepairMode::kSoft && cover.HasSoftFds();
-  if (request.mode == RepairMode::kSubset ||
-      (request.mode == RepairMode::kSoft && !soft_core)) {
-    // Per-request solver knobs override the service-wide configuration.
+  // Every planner below runs under one exec: the engine's pool unless the
+  // threads hint pins the calling thread (no block fan-out — results are
+  // bit-identical either way), and the request's absolute deadline.
+  OptSRepairExec exec = options_.srepair.exec;
+  exec.pool = request_options.threads == 1 ? nullptr : engine_.pool();
+  exec.deadline = deadline.value_or(Clock::time_point::max());
+  if (request.mode != RepairMode::kUpdate) {
+    // A soft request whose canonical cover is all-hard IS a subset request
+    // (violations are priced out entirely): run it through the very same
+    // pipeline — block fan-out, plan capture and all — so the ω ≡ ∞ pin is
+    // bit-identical by construction, not by reimplementation.
+    const bool soft_core =
+        request.mode == RepairMode::kSoft && cover.HasSoftFds();
+    // Per-request solver knobs override the service-wide configuration,
+    // except that soft cores take only the per-request backend: the
+    // service-wide one need not be soft-capable.
     SRepairOptions srepair = options_.srepair;
-    if (!request_options.backend.empty()) {
+    srepair.exec = exec;
+    if (soft_core || !request_options.backend.empty()) {
       srepair.backend = request_options.backend;
     }
     if (request_options.max_ratio > 0) {
       srepair.max_ratio = request_options.max_ratio;
+    }
+    // Condenses a subset or soft result into the cached recipe.
+    auto condense = [&](auto& result, double distance, std::string route) {
+      cached.kept_ids.reserve(result.repair.num_tuples());
+      for (int row = 0; row < result.repair.num_tuples(); ++row) {
+        cached.kept_ids.push_back(result.repair.id(row));
+      }
+      cached.distance = distance;
+      cached.optimal = result.optimal;
+      cached.ratio_bound = result.ratio_bound;
+      cached.route = std::move(route);
+      cached.backend = result.backend;
+      cached.lower_bound = result.lower_bound;
+      cached.achieved_ratio = result.achieved_ratio;
+      *materialized = std::move(result.repair);
+    };
+    if (soft_core) {
+      // Finite-weight violations survive canonicalization: the soft
+      // planner (weighted common-lhs peel + soft conflicted cores through
+      // the soft-capable solver backends). Its recursion is sequential, so
+      // the threads hint is moot — responses are identical at every
+      // setting. `distance` carries the full soft objective (deleted
+      // weight plus violation cost) — the quantity the planner minimized.
+      FDR_ASSIGN_OR_RETURN(SoftRepairResult result,
+                           ComputeSoftRepair(cover, table, srepair));
+      condense(result, result.cost, result.route);
+      return cached;
     }
     // Capture the run's top-level plan so later deltas of this state can
     // splice; when this run IS a delta with a live base plan, splice it.
@@ -247,73 +282,13 @@ StatusOr<RepairService::CachedRepair> RepairService::Execute(
       srepair.delta_updated_ids = &request.delta->updated;
       srepair.splice_stats = splice;
     }
-    StatusOr<SRepairResult> result = Status::Internal("never ran");
-    if (request_options.threads == 1) {
-      // Sequential hint: run on the calling thread, no block fan-out. The
-      // engine guarantees bit-identical results either way.
-      SRepairOptions options = srepair;
-      options.exec.pool = nullptr;
-      if (deadline) options.exec.deadline = *deadline;
-      result = ComputeSRepair(cover, table, options);
-    } else {
-      RepairJob job;
-      job.fds = cover;
-      job.table = &table;
-      job.options = srepair;
-      if (deadline) {
-        job.deadline = std::chrono::duration_cast<std::chrono::milliseconds>(
-            *deadline - Clock::now());
-      }
-      result = engine_.Repair(job);
-    }
-    if (!result.ok()) return result.status();
-    cached.kept_ids.reserve(result->repair.num_tuples());
-    for (int row = 0; row < result->repair.num_tuples(); ++row) {
-      cached.kept_ids.push_back(result->repair.id(row));
-    }
-    cached.distance = result->distance;
-    cached.optimal = result->optimal;
-    cached.ratio_bound = result->ratio_bound;
-    cached.route = SRepairAlgorithmToString(result->algorithm);
-    if (request.mode == RepairMode::kSoft) {
-      cached.route = "soft[" + cached.route + "]";
-    }
-    cached.backend = result->backend;
-    cached.lower_bound = result->lower_bound;
-    cached.achieved_ratio = result->achieved_ratio;
+    FDR_ASSIGN_OR_RETURN(SRepairResult result,
+                         ComputeSRepair(cover, table, srepair));
+    const std::string route = SRepairAlgorithmToString(result.algorithm);
+    condense(result, result.distance,
+             request.mode == RepairMode::kSoft ? "soft[" + route + "]"
+                                               : route);
     if (plan->spliceable) cached.plan = std::move(plan);
-    *materialized = std::move(result->repair);
-    return cached;
-  }
-  if (soft_core) {
-    // Finite-weight violations survive canonicalization: the soft planner
-    // (weighted common-lhs peel + soft conflicted cores through the
-    // soft-capable solver backends). Its recursion is sequential, so the
-    // threads hint is moot — responses are identical at every setting.
-    SoftRepairOptions soptions;
-    soptions.backend = request_options.backend;
-    soptions.exact_guard = options_.srepair.exact_guard;
-    soptions.node_budget = options_.srepair.node_budget;
-    soptions.max_ratio = request_options.max_ratio > 0
-                             ? request_options.max_ratio
-                             : options_.srepair.max_ratio;
-    if (deadline) soptions.exec.deadline = *deadline;
-    FDR_ASSIGN_OR_RETURN(SoftRepairResult result,
-                         ComputeSoftRepair(cover, table, soptions));
-    cached.kept_ids.reserve(result.repair.num_tuples());
-    for (int row = 0; row < result.repair.num_tuples(); ++row) {
-      cached.kept_ids.push_back(result.repair.id(row));
-    }
-    // `distance` carries the full soft objective (deleted weight plus
-    // violation cost) — the quantity the planner minimized.
-    cached.distance = result.cost;
-    cached.optimal = result.optimal;
-    cached.ratio_bound = result.ratio_bound;
-    cached.route = result.route;
-    cached.backend = result.backend;
-    cached.lower_bound = result.lower_bound;
-    cached.achieved_ratio = result.achieved_ratio;
-    *materialized = std::move(result.repair);
     return cached;
   }
   // Update repairs run the cell-edit pipeline (urepair/opt_urepair.h): the
@@ -323,28 +298,20 @@ StatusOr<RepairService::CachedRepair> RepairService::Execute(
   // remain admission-only.
   OptURepairOptions uoptions;
   uoptions.planner = options_.urepair;
-  if (request_options.threads != 1) {
-    // The engine's pool fans the inner S-repairs' blocks out; threads == 1
-    // pins the bit-identical sequential baseline, exactly as subset mode.
-    uoptions.exec.pool = engine_.pool();
-    uoptions.exec.parallel_cutoff = options_.engine.parallel_cutoff;
-  }
-  if (deadline) uoptions.exec.deadline = *deadline;
+  uoptions.exec = exec;
   auto uplan = std::make_shared<URepairPlanCache>();
-  StatusOr<OptURepairResult> result = Status::Internal("never ran");
   if (request.delta != nullptr && udelta_base != nullptr) {
-    OptURepairOptions delta_options = uoptions;
-    delta_options.delta_base = udelta_base;
-    delta_options.delta_updated_ids = &request.delta->updated;
-    delta_options.splice_stats = splice;
-    result = OptURepairCells(cover, table, delta_options, uplan.get());
-    if (!result.ok() &&
-        result.status().code() == StatusCode::kFailedPrecondition) {
-      // The base plan refused to splice (non-spliceable route, shape
-      // drift): degrade to a full re-plan — bit-identical, only slower.
-      result = OptURepairCells(cover, table, uoptions, uplan.get());
-    }
-  } else {
+    uoptions.delta_base = udelta_base;
+    uoptions.delta_updated_ids = &request.delta->updated;
+    uoptions.splice_stats = splice;
+  }
+  StatusOr<OptURepairResult> result =
+      OptURepairCells(cover, table, uoptions, uplan.get());
+  if (uoptions.delta_base != nullptr && !result.ok() &&
+      result.status().code() == StatusCode::kFailedPrecondition) {
+    // The base plan refused to splice (non-spliceable route, shape
+    // drift): degrade to a full re-plan — bit-identical, only slower.
+    uoptions.delta_base = nullptr;
     result = OptURepairCells(cover, table, uoptions, uplan.get());
   }
   if (!result.ok()) return result.status();

@@ -204,9 +204,15 @@ struct RepairServiceOptions {
   /// Cache-missing requests allowed to *wait* for an execution slot beyond
   /// `max_inflight`; anything past that is rejected with kUnavailable.
   int max_queue = 64;
-  /// The batch engine serving subset-repair execution.
+  /// The engine whose pool runs every request's block fan-out (its
+  /// `threads` also sizes `max_inflight` when that is 0). The engine's
+  /// `default_deadline` does not apply here: a request's only budget is
+  /// RepairOptions::deadline.
   EngineOptions engine;
-  /// Route options passed through to the planners (exec is overwritten).
+  /// Route options passed through to the subset and soft planners.
+  /// Per request, `exec.pool` becomes the engine's pool (or null under
+  /// threads == 1) and `exec.deadline` the request's absolute deadline;
+  /// `exec.parallel_cutoff` also governs update mode's inner S-repairs.
   SRepairOptions srepair;
   URepairOptions urepair;
 };

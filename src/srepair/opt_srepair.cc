@@ -665,44 +665,10 @@ StatusOr<std::vector<int>> OptSRepairRows(const FdSet& fds,
   return RunRows(fds, view, options.exec, capture);
 }
 
-StatusOr<std::vector<int>> OptSRepairRows(const FdSet& fds,
-                                          const TableView& view,
-                                          const OptSRepairExec& exec) {
-  OptSRepairRowsOptions options;
-  options.exec = exec;
-  return OptSRepairRows(fds, view, options);
-}
-
-StatusOr<std::vector<int>> OptSRepairRows(const FdSet& fds,
-                                          const TableView& view,
-                                          const OptSRepairExec& exec,
-                                          SRepairPlanCache* capture) {
-  OptSRepairRowsOptions options;
-  options.exec = exec;
-  return OptSRepairRows(fds, view, options, capture);
-}
-
-StatusOr<std::vector<int>> OptSRepairRowsDelta(
-    const FdSet& fds, const TableView& view, const OptSRepairExec& exec,
-    const SRepairPlanCache& base, const std::vector<TupleId>& updated_ids,
-    SRepairPlanCache* capture, SRepairSpliceStats* stats) {
-  OptSRepairRowsOptions options;
-  options.exec = exec;
-  options.delta_base = &base;
-  options.delta_updated_ids = &updated_ids;
-  options.splice_stats = stats;
-  return OptSRepairRows(fds, view, options, capture);
-}
-
-StatusOr<Table> OptSRepair(const FdSet& fds, const Table& table,
-                           const OptSRepairExec& exec) {
-  FDR_ASSIGN_OR_RETURN(std::vector<int> rows,
-                       OptSRepairRows(fds, TableView(table), exec));
-  return table.SubsetByRows(rows);
-}
-
 StatusOr<Table> OptSRepair(const FdSet& fds, const Table& table) {
-  return OptSRepair(fds, table, OptSRepairExec{});
+  FDR_ASSIGN_OR_RETURN(std::vector<int> rows,
+                       OptSRepairRows(fds, TableView(table)));
+  return table.SubsetByRows(rows);
 }
 
 }  // namespace fdrepair

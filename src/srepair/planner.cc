@@ -197,25 +197,15 @@ StatusOr<SRepairResult> ComputeSRepair(const FdSet& fds, const Table& table,
   }
 
   if (backend == nullptr && verdict.polynomial) {
-    StatusOr<std::vector<int>> rows = Status::Internal("unset");
-    OptSRepairRowsOptions row_options;
-    row_options.exec = options.exec;
-    if (options.delta_base != nullptr) {
-      FDR_CHECK_MSG(options.delta_updated_ids != nullptr,
-                    "delta_base set without delta_updated_ids");
-      OptSRepairRowsOptions delta_options = row_options;
-      delta_options.delta_base = options.delta_base;
-      delta_options.delta_updated_ids = options.delta_updated_ids;
-      delta_options.splice_stats = options.splice_stats;
-      rows = OptSRepairRows(fds, view, delta_options, options.capture);
-      if (!rows.ok() &&
-          rows.status().code() == StatusCode::kFailedPrecondition) {
-        // Non-spliceable base plan or instance: exactly the cases where a
-        // cold run is cheap. Re-plan in full (refreshing the capture).
-        rows = OptSRepairRows(fds, view, row_options, options.capture);
-      }
-    } else {
-      rows = OptSRepairRows(fds, view, row_options, options.capture);
+    StatusOr<std::vector<int>> rows =
+        OptSRepairRows(fds, view, options, options.capture);
+    if (options.delta_base != nullptr && !rows.ok() &&
+        rows.status().code() == StatusCode::kFailedPrecondition) {
+      // Non-spliceable base plan or instance: exactly the cases where a
+      // cold run is cheap. Re-plan in full (refreshing the capture).
+      OptSRepairRowsOptions cold = options;
+      cold.delta_base = nullptr;
+      rows = OptSRepairRows(fds, view, cold, options.capture);
     }
     FDR_RETURN_IF_ERROR(rows.status());
     return finish(table.SubsetByRows(*rows), true, 1.0,

@@ -61,7 +61,33 @@ enum class SRepairStrategy {
   kApproxOnly,
 };
 
-struct SRepairOptions {
+/// The one options struct of the subset layer: ComputeSRepair and
+/// ComputeSoftRepair (srepair/soft_repair.h) both take it. The inherited
+/// OptSRepairRowsOptions fields are the thread pool + deadline (`exec`,
+/// for all routes) and the delta-splice inputs; this struct adds the route
+/// knobs and the plan-capture sink.
+///
+/// `exec.deadline` is cooperative everywhere: OptSRepair checks it at
+/// every recursion node, and the search backends check it during node
+/// expansion, degrading to their incumbent (kAuto) or to kDeadlineExceeded
+/// (kExactOnly) instead of overshooting.
+///
+/// Plan capture and delta splicing apply to the polynomial route only (see
+/// opt_srepair.h). When `delta_base` is set and that route runs, the repair
+/// is computed by dirty-block splicing against the captured base plan
+/// (`delta_updated_ids` null means "no in-place edits"); non-spliceable
+/// instances silently fall back to the cold recursion (still filling
+/// `capture`). Results are bit-identical to a cold run either way. All
+/// pointers are borrowed for the duration of the call and must not be
+/// shared across concurrent calls. Solver backends and the approximate
+/// routes ignore them — hard-side results carry no plan, so mutations
+/// there always trigger a full re-solve.
+///
+/// ComputeSoftRepair's soft-core path (finite-weight violations present)
+/// reads only `backend`, `exact_guard`, `node_budget`, `max_ratio` and
+/// `exec.deadline`; its all-hard path passes the whole struct to
+/// ComputeSRepair unchanged.
+struct SRepairOptions : OptSRepairRowsOptions {
   SRepairStrategy strategy = SRepairStrategy::kAuto;
   /// kAuto upgrades from the plain exact branch and bound to the
   /// LP-guided ILP backend above this many conflicted tuples.
@@ -78,34 +104,9 @@ struct SRepairOptions {
   /// ratio_bound is at most this (e.g. 1.0 demands a certified optimum,
   /// 1.1 accepts a certified 10% gap). 0 disables the check.
   double max_ratio = 0;
-  /// Thread pool + deadline for all routes (see opt_srepair.h). The
-  /// deadline is cooperative everywhere: OptSRepair checks it at every
-  /// recursion node, and the search backends check it during node
-  /// expansion, degrading to their incumbent (kAuto) or to
-  /// kDeadlineExceeded (kExactOnly) instead of overshooting.
-  OptSRepairExec exec;
-
-  // Plan capture & delta splicing (polynomial route only; see
-  // opt_srepair.h). All pointers are borrowed for the duration of the call
-  // and must not be shared across concurrent ComputeSRepair calls. Solver
-  // backends and the approximate routes ignore them — hard-side results
-  // carry no plan, so mutations there always trigger a full re-solve.
-
   /// When set and the OptSRepair route runs, receives the run's top-level
   /// plan (capture->spliceable says whether it can seed a delta run).
   SRepairPlanCache* capture = nullptr;
-  /// When set (with `delta_updated_ids`) and the OptSRepair route runs, the
-  /// repair is computed by dirty-block splicing against this captured base
-  /// plan; non-spliceable instances silently fall back to the cold
-  /// recursion (still filling `capture`). Results are bit-identical to a
-  /// cold run either way.
-  const SRepairPlanCache* delta_base = nullptr;
-  /// Tuple ids whose content changed in place since `delta_base` was
-  /// captured (inserts/deletes are detected structurally). Required
-  /// non-null when delta_base is set.
-  const std::vector<TupleId>* delta_updated_ids = nullptr;
-  /// Optional clean/dirty block counts of the splice that ran.
-  SRepairSpliceStats* splice_stats = nullptr;
 };
 
 /// Which algorithm actually produced a repair.

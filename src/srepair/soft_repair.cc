@@ -86,13 +86,13 @@ struct BlockSolve {
 };
 
 Status SolveSoftView(const FdSet& fds, const TableView& view,
-                     const SoftRepairOptions& options, SoftAggregate* agg,
+                     const SRepairOptions& options, SoftAggregate* agg,
                      BlockSolve* out);
 
 /// The soft conflicted core: solve the pair instance with a registry
 /// backend and complement back to kept rows.
 Status SolveSoftCore(const FdSet& fds, const TableView& view,
-                     const SoftRepairOptions& options, SoftAggregate* agg,
+                     const SRepairOptions& options, SoftAggregate* agg,
                      BlockSolve* out) {
   std::map<std::pair<int, int>, PairInfo> pairs =
       CollectViolatingPairs(fds, view);
@@ -159,7 +159,7 @@ Status SolveSoftCore(const FdSet& fds, const TableView& view,
 }
 
 Status SolveSoftView(const FdSet& fds, const TableView& view,
-                     const SoftRepairOptions& options, SoftAggregate* agg,
+                     const SRepairOptions& options, SoftAggregate* agg,
                      BlockSolve* out) {
   if (options.exec.has_deadline() &&
       std::chrono::steady_clock::now() >= options.exec.deadline) {
@@ -214,20 +214,13 @@ double SoftViolationCost(const FdSet& fds, const TableView& view) {
 
 StatusOr<SoftRepairResult> ComputeSoftRepair(const FdSet& fds,
                                              const Table& table,
-                                             const SoftRepairOptions& options) {
+                                             const SRepairOptions& options) {
   if (!fds.HasSoftFds()) {
     // ω ≡ ∞: soft repairing IS subset repairing. Delegating wholesale —
     // same routing, same span recursion, same backends, same thread
     // fan-out — is what makes the pin bit-identical by construction.
-    SRepairOptions sub;
-    sub.strategy = SRepairStrategy::kAuto;
-    sub.backend = options.backend;
-    sub.exact_guard = options.exact_guard;
-    sub.node_budget = options.node_budget;
-    sub.max_ratio = options.max_ratio;
-    sub.exec = options.exec;
     FDR_ASSIGN_OR_RETURN(SRepairResult result,
-                         ComputeSRepair(fds, table, sub));
+                         ComputeSRepair(fds, table, options));
     SoftRepairResult out{std::move(result.repair)};
     out.cost = result.distance;
     out.deleted_weight = result.distance;

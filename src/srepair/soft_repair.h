@@ -49,27 +49,6 @@
 
 namespace fdrepair {
 
-struct SoftRepairOptions {
-  /// Solver backend by registry name; must be soft-capable when the
-  /// instance has finite-weight violations ("local-ratio", "bnb", "ilp",
-  /// or a soft-capable external registration). Empty: auto-route.
-  std::string backend;
-  /// Auto-routing upgrades from "bnb" to the LP-bounded "ilp" above this
-  /// many conflicted tuples per core (mirrors SRepairOptions).
-  int exact_guard = 40;
-  /// Branch-node budget per core; < 0 lets the planner choose (unlimited
-  /// for "bnb" cores, self-limited for auto-routed "ilp" cores exactly as
-  /// the hard planner's kAuto).
-  long node_budget = -1;
-  /// When > 0: fail with kResourceExhausted unless the certified ratio
-  /// (min of the a-priori bound and cost / proved lower bound) is at most
-  /// this. 0 disables the gate.
-  double max_ratio = 0;
-  /// Deadline (cooperative, all routes) and — on the all-hard delegation
-  /// path only — the thread pool for the span recursion's block fan-out.
-  OptSRepairExec exec;
-};
-
 struct SoftRepairResult {
   explicit SoftRepairResult(Table repair_in) : repair(std::move(repair_in)) {}
 
@@ -101,13 +80,20 @@ struct SoftRepairResult {
 };
 
 /// Plans and executes a soft repair of `table` under ∆. All-hard ∆
-/// delegates to ComputeSRepair (bit-identical results). Fails with
+/// passes `options` to ComputeSRepair unchanged (bit-identical results).
+/// Otherwise only `backend`, `exact_guard`, `node_budget`, `max_ratio` and
+/// `exec.deadline` are read (see SRepairOptions): `backend` must then be
+/// soft-capable when the instance has finite-weight violations
+/// ("local-ratio", "bnb", "ilp", or a soft-capable external registration;
+/// empty auto-routes "bnb" up to `exact_guard` conflicted tuples per core
+/// and the LP-bounded "ilp" beyond, self-limiting its node budget exactly
+/// as the hard planner's kAuto when `node_budget` < 0). Fails with
 /// kInvalidArgument for unknown or non-soft-capable backends (when finite
 /// violations exist), kDeadlineExceeded on expiry before a result, and
-/// kResourceExhausted when max_ratio rejects the certificate.
+/// kResourceExhausted when max_ratio rejects the certificate (min of the
+/// a-priori bound and cost / proved lower bound).
 StatusOr<SoftRepairResult> ComputeSoftRepair(
-    const FdSet& fds, const Table& table,
-    const SoftRepairOptions& options = {});
+    const FdSet& fds, const Table& table, const SRepairOptions& options = {});
 
 /// Σ ω(φ) · #violating pairs of φ within `view`, over the finite-weight
 /// FDs of ∆ (hard FDs contribute nothing — callers wanting hard

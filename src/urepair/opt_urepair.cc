@@ -409,15 +409,4 @@ StatusOr<OptURepairResult> DeltaCells(
 
 }  // namespace
 
-StatusOr<OptURepairResult> OptURepairCellsDelta(
-    const FdSet& fds, const Table& table, const OptURepairOptions& options,
-    const URepairPlanCache& base, const std::vector<TupleId>& updated_ids,
-    URepairPlanCache* capture, SRepairSpliceStats* stats) {
-  OptURepairOptions delta_options = options;
-  delta_options.delta_base = &base;
-  delta_options.delta_updated_ids = &updated_ids;
-  delta_options.splice_stats = stats;
-  return OptURepairCells(fds, table, delta_options, capture);
-}
-
 }  // namespace fdrepair

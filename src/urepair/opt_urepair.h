@@ -20,7 +20,8 @@
 //
 //   - consensus attributes: recomputed outright (one contiguous column
 //     sweep per attribute — already O(n), nothing worth caching);
-//   - common-lhs: OptSRepairRowsDelta re-runs dirty blocks only; a clean
+//   - common-lhs: the inner OptSRepairRows splice (its delta_base set to
+//     the component's captured S-plan) re-runs dirty blocks only; a clean
 //     block's *edit recipe* is reused by shared_ptr identity with the
 //     refreshed S-plan's recipe (recipes are immutable once published, so
 //     pointer equality proves the block — ids, kept set and hence its
@@ -156,13 +157,6 @@ StatusOr<OptURepairResult> OptURepairCells(const FdSet& fds,
                                            const Table& table,
                                            const OptURepairOptions& options = {},
                                            URepairPlanCache* capture = nullptr);
-
-/// DEPRECATED shim — calls the canonical OptURepairCells with the delta
-/// fields of OptURepairOptions populated.
-StatusOr<OptURepairResult> OptURepairCellsDelta(
-    const FdSet& fds, const Table& table, const OptURepairOptions& options,
-    const URepairPlanCache& base, const std::vector<TupleId>& updated_ids,
-    URepairPlanCache* capture, SRepairSpliceStats* stats);
 
 }  // namespace fdrepair
 

@@ -423,6 +423,40 @@ TEST(PlanCaptureTest, NonSpliceableBasesFailPrecondition) {
             StatusCode::kFailedPrecondition);
 }
 
+TEST(PlanCaptureTest, ComputeSRepairSplicesWithoutUpdatedIds) {
+  // An insert/erase-only delta has no in-place edits, so a null
+  // delta_updated_ids must mean exactly that — as it does one layer down in
+  // OptSRepairRows — and splice, not abort.
+  ParsedFdSet parsed = OfficeFds();
+  Table base = ScalingFamilyTable(parsed, 400, 9);
+  SRepairPlanCache plan;
+  SRepairOptions capture_options;
+  capture_options.capture = &plan;
+  ASSERT_TRUE(ComputeSRepair(parsed.fds, base, capture_options).ok());
+  ASSERT_TRUE(plan.spliceable);
+
+  Rng rng(91);
+  DeltaBuilder builder(base);
+  RandomBatch(&builder, /*updates=*/0, /*inserts=*/2, /*erases=*/2,
+              /*domain=*/25, &rng);
+  TableDelta delta = builder.Finish();
+  ASSERT_TRUE(delta.updated.empty());
+
+  SRepairSpliceStats stats;
+  SRepairOptions splice_options;
+  splice_options.delta_base = &plan;
+  splice_options.splice_stats = &stats;
+  auto spliced = ComputeSRepair(parsed.fds, builder.table(), splice_options);
+  ASSERT_TRUE(spliced.ok()) << spliced.status();
+  auto cold = ComputeSRepair(parsed.fds, builder.table());
+  ASSERT_TRUE(cold.ok()) << cold.status();
+  ExpectSameRepair(spliced->repair, cold->repair);
+  EXPECT_EQ(spliced->distance, cold->distance);
+  // It really spliced: the base plan's untouched blocks were replayed.
+  EXPECT_GT(stats.blocks_total, 0);
+  EXPECT_GT(stats.blocks_clean, 0);
+}
+
 // --------------------------------------------------------------------------
 // RepairService::ApplyDelta
 // --------------------------------------------------------------------------

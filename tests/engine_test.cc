@@ -11,9 +11,9 @@
 #include <vector>
 
 #include "common/random.h"
-#include "engine/block_partitioner.h"
 #include "engine/repair_engine.h"
 #include "engine/thread_pool.h"
+#include "oracles/block_partition.h"
 #include "srepair/opt_srepair.h"
 #include "srepair/planner.h"
 #include "storage/consistency.h"
@@ -214,12 +214,12 @@ TEST(RepairEngineTest, BatchOf100MixedJobsMatchesSequentialPlanner) {
               : (j % 4 == 1) ? marriage.fds
                              : hard.fds;
     job.table = &tables[j];
+    job.options.exec.parallel_cutoff = 64;
     jobs.push_back(std::move(job));
   }
 
   EngineOptions options;
   options.threads = 8;
-  options.parallel_cutoff = 64;
   RepairEngine engine(options);
   std::vector<StatusOr<SRepairResult>> batch = engine.RepairBatch(jobs);
   ASSERT_EQ(batch.size(), 100u);

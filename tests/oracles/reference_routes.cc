@@ -3,7 +3,7 @@
 // grouping: these bodies are the historical code the live routes were
 // ported from, and their hash containers are exactly what the port removed.
 
-#include "urepair/reference_routes.h"
+#include "oracles/reference_routes.h"
 
 #include <unordered_map>
 

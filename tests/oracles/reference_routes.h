@@ -4,20 +4,21 @@
 //
 // The pre-span §4 route implementations, preserved verbatim when the live
 // routes were ported onto the columnar grouping core (DenseValueIndex +
-// Table::Column scans) — exactly as PR 4 preserved the materializing
-// OptSRepair recursion when the span core replaced it. The only change
-// relative to the historical code is fresh-constant naming, which switched
-// to the deterministic (TupleId, attr)-derived scheme of urepair/fresh.h in
-// the same PR on both sides, so reference and live outputs stay comparable
-// cell for cell.
+// Table::Column scans) — exactly as the materializing OptSRepair recursion
+// was preserved when the span core replaced it. The only change relative
+// to the historical code is fresh-constant naming, which switched to the
+// deterministic (TupleId, attr)-derived scheme of urepair/fresh.h on both
+// sides at once, so reference and live outputs stay comparable cell for
+// cell. Compiled only into the fdrepair_test_oracles library, which tests
+// and benches link and the production libraries never do.
 //
 // tests/urepair_routes_test.cc pins the live routes bit-identical to these
 // across all named FD sets, thread counts and SIMD dispatch modes;
 // bench/bench_sec4_urepair_routes.cc measures the live routes against them
 // (the tracked `urepair.span_speedup` floor).
 
-#ifndef FDREPAIR_UREPAIR_REFERENCE_ROUTES_H_
-#define FDREPAIR_UREPAIR_REFERENCE_ROUTES_H_
+#ifndef FDREPAIR_TESTS_ORACLES_REFERENCE_ROUTES_H_
+#define FDREPAIR_TESTS_ORACLES_REFERENCE_ROUTES_H_
 
 #include <vector>
 
@@ -54,4 +55,4 @@ StatusOr<URepairResult> ReferenceComputeURepair(
 
 }  // namespace fdrepair
 
-#endif  // FDREPAIR_UREPAIR_REFERENCE_ROUTES_H_
+#endif  // FDREPAIR_TESTS_ORACLES_REFERENCE_ROUTES_H_

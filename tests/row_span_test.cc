@@ -11,6 +11,7 @@
 #include "common/random.h"
 #include "common/simd.h"
 #include "engine/block_partitioner.h"
+#include "oracles/block_partition.h"
 #include "storage/row_span.h"
 #include "storage/table_view.h"
 #include "workloads/example_fdsets.h"

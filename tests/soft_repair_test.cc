@@ -8,9 +8,13 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "catalog/fd_parser.h"
 #include "common/random.h"
+#include "engine/thread_pool.h"
 #include "service/repair_service.h"
 #include "srepair/planner.h"
 #include "srepair/soft_repair.h"
@@ -134,6 +138,21 @@ TEST(SoftCanonicalCoverTest, WithWeightsValidatesSizeAndPositivity) {
 class SoftPinTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SoftPinTest, AllHardComputeSoftRepairMatchesComputeSRepair) {
+  // One SRepairOptions object goes to both planners: the defaults, each
+  // soft-capable backend, and a 4-thread pool fanning out at every level.
+  ThreadPool pool(4);
+  std::vector<std::pair<std::string, SRepairOptions>> configs;
+  configs.emplace_back("default", SRepairOptions{});
+  for (const char* backend : {kSolverLocalRatio, kSolverBnb, kSolverIlp}) {
+    SRepairOptions with_backend;
+    with_backend.backend = backend;
+    configs.emplace_back(backend, with_backend);
+  }
+  SRepairOptions fan_out;
+  fan_out.exec.pool = &pool;
+  fan_out.exec.parallel_cutoff = 1;
+  configs.emplace_back("pool4-cutoff1", fan_out);
+
   Rng rng(GetParam());
   for (const NamedFdSet& named : AllNamedFdSets()) {
     RandomTableOptions options;
@@ -142,23 +161,31 @@ TEST_P(SoftPinTest, AllHardComputeSoftRepairMatchesComputeSRepair) {
     options.heavy_fraction = 0.4;
     Rng table_rng = rng.Fork();
     Table table = RandomTable(named.parsed.schema, options, &table_rng);
-
-    auto hard = ComputeSRepair(named.parsed.fds, table);
-    ASSERT_TRUE(hard.ok()) << named.name;
-    auto soft = ComputeSoftRepair(named.parsed.fds, table);
-    ASSERT_TRUE(soft.ok()) << named.name;
-    ExpectSameRepair(soft->repair, hard->repair, named.name);
-    EXPECT_NEAR(soft->cost, hard->distance, 1e-12) << named.name;
-    EXPECT_DOUBLE_EQ(soft->violation_cost, 0) << named.name;
-    EXPECT_EQ(soft->optimal, hard->optimal) << named.name;
-
-    // Re-weighting every FD to ∞ explicitly is the same thing.
     std::vector<double> all_inf(named.parsed.fds.size(), kHardFdWeight);
     auto pinned_fds = named.parsed.fds.WithWeights(all_inf);
     ASSERT_TRUE(pinned_fds.ok()) << named.name;
-    auto pinned = ComputeSoftRepair(*pinned_fds, table);
-    ASSERT_TRUE(pinned.ok()) << named.name;
-    ExpectSameRepair(pinned->repair, hard->repair, named.name);
+
+    for (const auto& [config, soptions] : configs) {
+      const std::string label = named.name + " " + config;
+      auto hard = ComputeSRepair(named.parsed.fds, table, soptions);
+      ASSERT_TRUE(hard.ok()) << label << ": " << hard.status();
+      auto soft = ComputeSoftRepair(named.parsed.fds, table, soptions);
+      ASSERT_TRUE(soft.ok()) << label << ": " << soft.status();
+      ExpectSameRepair(soft->repair, hard->repair, label);
+      EXPECT_NEAR(soft->cost, hard->distance, 1e-12) << label;
+      EXPECT_DOUBLE_EQ(soft->violation_cost, 0) << label;
+      EXPECT_EQ(soft->optimal, hard->optimal) << label;
+      EXPECT_EQ(soft->backend, hard->backend) << label;
+      EXPECT_EQ(soft->route, std::string("soft[") +
+                                 SRepairAlgorithmToString(hard->algorithm) +
+                                 "]")
+          << label;
+
+      // Re-weighting every FD to ∞ explicitly is the same thing.
+      auto pinned = ComputeSoftRepair(*pinned_fds, table, soptions);
+      ASSERT_TRUE(pinned.ok()) << label << ": " << pinned.status();
+      ExpectSameRepair(pinned->repair, hard->repair, label);
+    }
   }
 }
 
@@ -367,6 +394,40 @@ TEST(SoftServiceTest, FiniteWeightsServeAndReplayBitIdentically) {
   for (int row = 0; row < hit->repair.num_tuples(); ++row) {
     EXPECT_EQ(hit->repair.id(row), miss->repair.id(row));
   }
+}
+
+TEST(SoftServiceTest, SoftCoresTakeOnlyThePerRequestBackend) {
+  // The service-wide backend need not be soft-capable ("lp-rounding" is
+  // not): soft cores take only the request's backend, while the
+  // service-wide exact_guard still routes them (0 sends every core to the
+  // LP-bounded "ilp" instead of "bnb").
+  Schema schema = Schema::MakeOrDie("R", {"A", "B"});
+  FdSet fds = ParseFdSetOrDie(schema, "A -> B @0.25");
+  Table table(schema);
+  table.AddTuple({"a", "x"}, 1.0);
+  table.AddTuple({"a", "y"}, 1.0);
+  table.AddTuple({"b", "x"}, 1.0);
+  table.AddTuple({"b", "z"}, 1.0);
+  RepairServiceOptions options;
+  options.srepair.backend = kSolverLpRounding;
+  options.srepair.exact_guard = 0;
+  RepairService service(options);
+
+  auto response = service.Serve(Request(RepairMode::kSoft, fds, &table));
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(response->backend, kSolverIlp);
+  SRepairOptions direct_options;
+  direct_options.exact_guard = 0;
+  auto direct = ComputeSoftRepair(fds, table, direct_options);
+  ASSERT_TRUE(direct.ok()) << direct.status();
+  ExpectSameRepair(response->repair, direct->repair, "soft");
+  EXPECT_NEAR(response->distance, direct->cost, 1e-12);
+
+  // Subset requests on the same service still run the service-wide one.
+  FdSet hard = ParseFdSetOrDie(schema, "A -> B");
+  auto subset = service.Serve(Request(RepairMode::kSubset, hard, &table));
+  ASSERT_TRUE(subset.ok()) << subset.status();
+  EXPECT_EQ(subset->backend, kSolverLpRounding);
 }
 
 TEST(SoftServiceTest, WeightProfilesKeySeparately) {

@@ -21,9 +21,9 @@
 
 #include "common/random.h"
 #include "common/simd.h"
-#include "engine/block_partitioner.h"
 #include "engine/thread_pool.h"
 #include "graph/bipartite_matching.h"
+#include "oracles/block_partition.h"
 #include "srepair/opt_srepair.h"
 #include "srepair/osr_succeeds.h"
 #include "srepair/simplification.h"

@@ -4,7 +4,7 @@
 //
 // Since the routes were ported onto the span/columnar grouping core, this
 // file also pins them bit-identical to the preserved pre-port reference
-// implementations (urepair/reference_routes.h) across every named FD set,
+// implementations (oracles/reference_routes.h) across every named FD set,
 // thread counts 1/2/8, and the SIMD dispatch matrix — the §4 companion of
 // span_recursion_test.cc.
 
@@ -16,6 +16,7 @@
 #include "common/random.h"
 #include "common/simd.h"
 #include "engine/thread_pool.h"
+#include "oracles/reference_routes.h"
 #include "srepair/opt_srepair.h"
 #include "srepair/srepair_exact.h"
 #include "storage/consistency.h"
@@ -24,7 +25,6 @@
 #include "urepair/covers.h"
 #include "urepair/opt_urepair.h"
 #include "urepair/planner.h"
-#include "urepair/reference_routes.h"
 #include "urepair/update.h"
 #include "urepair/urepair_common_lhs.h"
 #include "urepair/urepair_consensus.h"
