@@ -7,7 +7,9 @@
 // metrics: cold/warm us-per-request and the warm-over-cold speedup at a
 // 90% repeat ratio; a warm hit against computing the repair directly
 // (`service.hit_over_direct`, must stay <= 1) and the cold content-hash
-// cost per row; plus the incremental delta path: warm dirty-block
+// cost per row; what plan capture adds to a cold plan
+// (`srepair.capture_over_plan_{marriage,office}`, must stay <= 1.10);
+// plus the incremental delta path: warm dirty-block
 // re-repair vs a full re-plan of the same mutated state at a <=1%
 // mutation rate, in both repair modes — kept-id recipe splicing for subset
 // repairs (`service.delta_us_per_request`, and `service.delta_speedup`,
@@ -221,6 +223,61 @@ void ReportHitVsDirect() {
                         "us");
 }
 
+/// What a plan capture costs a cold miss: a sequential ComputeSRepair that
+/// captures its plan (the service captures on every subset miss, so any
+/// later delta of that state can splice) against one that does not, on
+/// 2048-row tables of the lhs-marriage and common-lhs routes. The plan is
+/// destroyed inside the timed region: the service pays that when the entry
+/// is evicted. Runs alternate between the two settings so host drift hits
+/// both alike; each ratio is median over median. Fixed size (no smoke cap).
+void ReportCaptureCost() {
+  const int tuples = 2048;
+  const int reps = 101;
+  struct Case {
+    const char* label;
+    const char* metric;
+    ParsedFdSet parsed;
+  };
+  const Case cases[] = {
+      {"A<->B->C (marriage)", "srepair.capture_over_plan_marriage",
+       DeltaAKeyBToC()},
+      {"Office (common lhs)", "srepair.capture_over_plan_office",
+       OfficeFds()},
+  };
+  ReportTable report({"table", "rows", "plan us", "plan+capture us",
+                      "ratio"});
+  for (const Case& c : cases) {
+    const Table table = ScalingFamilyTable(c.parsed, tuples, 11);
+    std::vector<double> plain_us, capture_us;
+    for (int rep = 0; rep < reps; ++rep) {
+      for (const bool capture : {false, true}) {
+        Clock::time_point start = Clock::now();
+        {
+          SRepairPlanCache plan;
+          SRepairOptions options;
+          if (capture) options.capture = &plan;
+          auto result = ComputeSRepair(c.parsed.fds, table, options);
+          if (!result.ok() || (capture && !plan.spliceable)) {
+            std::cerr << "capture run failed on " << c.label << "\n";
+            std::exit(1);
+          }
+        }
+        std::chrono::duration<double, std::micro> elapsed =
+            Clock::now() - start;
+        (capture ? capture_us : plain_us).push_back(elapsed.count());
+      }
+    }
+    const double plain = MedianOf(plain_us);
+    const double captured = MedianOf(capture_us);
+    const double ratio = plain > 0 ? captured / plain : 0;
+    report.AddRow({c.label, std::to_string(tuples), Num(plain), Num(captured),
+                   Num(ratio)});
+    JsonReport::Get().Add(c.metric, ratio, "");
+  }
+  report.Print();
+  std::cout << "  (median of " << reps << " sequential runs each)\n";
+}
+
 /// Incremental serving: chained 1%-mutation batches served through
 /// ApplyDelta (dirty-block splicing against the cached plan) vs a
 /// bypass-cache full re-plan of the identical mutated state. Both sides
@@ -431,6 +488,8 @@ void Report() {
   ReportHitRatioSweep();
   std::cout << "\n";
   ReportHitVsDirect();
+  std::cout << "\n";
+  ReportCaptureCost();
   std::cout << "\n";
   ReportDeltaSpeedup();
   std::cout << "\n";

@@ -367,6 +367,20 @@ def self_test():
     assert content_hash.get("direction") == "lower", content_hash
     checks += 1
 
+    # Plan capture rides on every cold subset miss, so what it adds to the
+    # plan is gated on both top-level routes the served benchmark sends
+    # (lhs marriage and common lhs): the gate limit baseline*(1+threshold)
+    # on capture-over-plan must stay <= 1.10.
+    for route in ("marriage", "office"):
+        capture = tracked.get("srepair.capture_over_plan_%s" % route)
+        assert capture is not None, "baselines.json must track the %s " \
+            "plan-capture cost" % route
+        assert capture.get("direction") == "lower", capture
+        assert capture["baseline"] * (
+            1 + capture.get("threshold", default_threshold)) <= 1.10 + 1e-9, \
+            capture
+    checks += 1
+
     # The soft-FD gates (bench_soft_repair): the planner's throughput must
     # stay tracked, and the light-profile cost ratio's gate limit
     # (baseline*(1+threshold)) must stay <= 1 — softening constraints can

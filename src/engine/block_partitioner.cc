@@ -9,17 +9,17 @@ void PartitionSpanByAttrs(RowSpan span, AttrSet attrs, GroupScratch* scratch,
   scratch->GroupInPlace(span, attrs, group_ends);
 }
 
-void BaseBlockIndex::Add(const std::vector<TupleId>& ids) {
+void BaseBlockIndex::Add(const TupleId* ids, int n) {
   const int block = num_blocks();
-  blocks_.push_back(&ids);
-  if (!ids.empty()) block_of_first_id_.emplace(ids.front(), block);
+  blocks_.emplace_back(ids, n);
+  if (n > 0) block_of_first_id_.emplace(ids[0], block);
 }
 
 int BaseBlockIndex::Match(const TupleId* ids, int n) const {
   if (n == 0) return -1;
   auto it = block_of_first_id_.find(ids[0]);
   if (it == block_of_first_id_.end()) return -1;
-  const std::vector<TupleId>& base = *blocks_[it->second];
+  const std::span<const TupleId> base = blocks_[it->second];
   if (static_cast<int>(base.size()) != n) return -1;
   if (!std::equal(base.begin(), base.end(), ids)) return -1;
   return it->second;

@@ -17,6 +17,7 @@
 #ifndef FDREPAIR_ENGINE_BLOCK_PARTITIONER_H_
 #define FDREPAIR_ENGINE_BLOCK_PARTITIONER_H_
 
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -68,12 +69,14 @@ void PartitionSpanForMarriage(RowSpan span, AttrSet x1, AttrSet x2,
 /// sequence, so both automatically fail the match.
 ///
 /// The index borrows the registered sequences — they must outlive it (it is
-/// built per delta request over the cached plan's blocks). Not thread-safe.
+/// built per delta request over spans of the cached plan's ids). Not
+/// thread-safe.
 class BaseBlockIndex {
  public:
-  /// Registers the next base block's membership sequence (blocks are
-  /// registered in base block order; sequences across blocks are disjoint).
-  void Add(const std::vector<TupleId>& ids);
+  /// Registers the next base block's membership sequence [ids, ids + n)
+  /// (blocks are registered in base block order; sequences across blocks
+  /// are disjoint).
+  void Add(const TupleId* ids, int n);
 
   int num_blocks() const { return static_cast<int>(blocks_.size()); }
 
@@ -84,7 +87,7 @@ class BaseBlockIndex {
   int Match(const TupleId* ids, int n) const;
 
  private:
-  std::vector<const std::vector<TupleId>*> blocks_;
+  std::vector<std::span<const TupleId>> blocks_;
   std::unordered_map<TupleId, int> block_of_first_id_;
 };
 

@@ -164,8 +164,12 @@ RepairServiceStats RepairService::stats() const {
 }
 
 void RepairService::InvalidateCache() {
+  // Declared before the lock so the victims' results (plans, kept ids,
+  // U-plans) are freed after it is released: lookups never wait on frees.
+  std::vector<decltype(entries_)::node_type> victims;
   std::lock_guard<std::mutex> lock(cache_mu_);
-  for (uint64_t key : lru_) entries_.erase(key);
+  victims.reserve(lru_.size());
+  for (uint64_t key : lru_) victims.push_back(entries_.extract(key));
   lru_.clear();
 }
 
@@ -385,7 +389,8 @@ StatusOr<RepairResponse> RepairService::Replay(const CachedRepair& cached,
 
 void RepairService::Publish(uint64_t key, const std::shared_ptr<Entry>& entry,
                             Status status, CachedRepair result) {
-  size_t evicted = 0;
+  // Evicted entries drop after cache_mu_ is released (see InvalidateCache).
+  std::vector<decltype(entries_)::node_type> victims;
   {
     std::lock_guard<std::mutex> lock(cache_mu_);
     entry->status = std::move(status);
@@ -402,16 +407,14 @@ void RepairService::Publish(uint64_t key, const std::shared_ptr<Entry>& entry,
       it->second.lru_pos = lru_.begin();
       it->second.listed = true;
       while (lru_.size() > options_.cache_capacity) {
-        uint64_t victim = lru_.back();
+        victims.push_back(entries_.extract(lru_.back()));
         lru_.pop_back();
-        entries_.erase(victim);
-        ++evicted;
       }
     }
   }
-  if (evicted > 0) {
+  if (!victims.empty()) {
     std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    stats_.evictions += evicted;
+    stats_.evictions += victims.size();
   }
   cache_cv_.notify_all();
 }

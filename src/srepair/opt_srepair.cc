@@ -1,7 +1,7 @@
 #include "srepair/opt_srepair.h"
 
 #include <algorithm>
-#include <memory>
+#include <span>
 #include <utility>
 
 #include "engine/block_partitioner.h"
@@ -110,52 +110,63 @@ class ScopedResults {
 struct RecursionContext {
   const SimplificationChain* chain;
   const OptSRepairExec* exec;
-  /// Non-null on a capturing run: the depth-0 arm records its block
-  /// structure here (and skips the all-singleton shortcuts so every block
-  /// actually gets an entry — the shortcuts are bit-identical to the
-  /// general path, so results never change). Deeper levels ignore it.
+  /// Non-null on a capturing run: the depth-0 step records its block
+  /// structure here in SolveBlocks (and skips the all-singleton shortcuts
+  /// so every block actually gets an entry — the shortcuts are
+  /// bit-identical to the general path, so results never change). Deeper
+  /// levels ignore it.
   SRepairPlanCache* capture = nullptr;
 };
 
-/// Records the top-level membership sequences — called BEFORE SolveBlocks,
-/// while each window still holds its rows in partition (original-span)
-/// order; child recursions permute their windows in place, and the delta
-/// path names blocks by this pre-recursion order. Also fills *pos_of_row
-/// (indexed by dense table row) with each row's block-local position, so
-/// CaptureBlockResults can translate kept rows to positions without any
-/// per-row hashing.
+/// Records the top-level membership sequences — called BEFORE the blocks
+/// are solved, while each window still holds its rows in partition
+/// (original-span) order; child recursions permute their windows in place,
+/// and the delta path names blocks by this pre-recursion order. Also fills
+/// *pos_of_row (indexed by dense table row) with each row's block-local
+/// position, so CaptureBlockResults can translate kept rows to positions
+/// without any per-row hashing.
 void CaptureBlockIds(SRepairPlanCache* capture, SimplificationKind kind,
                      RowSpan span, const std::vector<int>& group_ends,
                      std::vector<int>* pos_of_row) {
-  const int num_blocks = static_cast<int>(group_ends.size());
   capture->spliceable = true;
   capture->top_kind = kind;
-  capture->blocks.clear();
-  capture->blocks.reserve(num_blocks);
+  capture->ids.resize(span.num_tuples());
+  capture->block_ends = group_ends;
   pos_of_row->resize(span.table().num_tuples());
-  for (int b = 0; b < num_blocks; ++b) {
-    const int begin = b == 0 ? 0 : group_ends[b - 1];
-    SRepairBlockRecipe& recipe =
-        *capture->blocks.emplace_back(std::make_shared<SRepairBlockRecipe>());
-    recipe.ids.reserve(group_ends[b] - begin);
-    for (int i = begin; i < group_ends[b]; ++i) {
-      recipe.ids.push_back(span.id(i));
+  int begin = 0;
+  for (int end : group_ends) {
+    for (int i = begin; i < end; ++i) {
+      capture->ids[i] = span.id(i);
       (*pos_of_row)[span.row(i)] = i - begin;
     }
+    begin = end;
   }
 }
 
-/// Records each top-level block's kept positions and weight after
-/// SolveBlocks (`pos_of_row` is CaptureBlockIds' row → block-local
-/// position translation).
+/// Appends one block's kept rows (translated to block-local positions by
+/// `pos_of_row`) and weight to the plan.
+void CaptureBlockResult(SRepairPlanCache* capture,
+                        const std::vector<int>& pos_of_row,
+                        const std::vector<int>& rows, double weight) {
+  for (int row : rows) capture->kept_pos.push_back(pos_of_row[row]);
+  capture->kept_ends.push_back(static_cast<int>(capture->kept_pos.size()));
+  capture->weights.push_back(weight);
+}
+
+/// Records each top-level block's kept positions and weight after the
+/// blocks are solved.
 void CaptureBlockResults(SRepairPlanCache* capture,
                          const std::vector<int>& pos_of_row,
                          const std::vector<BlockResult>& results) {
-  for (size_t b = 0; b < capture->blocks.size(); ++b) {
-    SRepairBlockRecipe& recipe = *capture->blocks[b];
-    recipe.kept_pos.reserve(results[b].rows.size());
-    for (int row : results[b].rows) recipe.kept_pos.push_back(pos_of_row[row]);
-    recipe.weight = results[b].weight;
+  const int num_blocks = capture->num_blocks();
+  size_t kept = 0;
+  for (int b = 0; b < num_blocks; ++b) kept += results[b].rows.size();
+  capture->kept_pos.reserve(kept);
+  capture->kept_ends.reserve(num_blocks);
+  capture->weights.reserve(num_blocks);
+  for (int b = 0; b < num_blocks; ++b) {
+    CaptureBlockResult(capture, pos_of_row, results[b].rows,
+                       results[b].weight);
   }
 }
 
@@ -195,12 +206,22 @@ class UpdatedIdSet {
 Status Recurse(const RecursionContext& ctx, int depth, RowSpan span,
                std::vector<int>* kept, double* kept_weight);
 
-// Solves every block sub-span at chain depth `depth` into block-local
-// accumulators — sequentially, or on exec.pool when the parent span is
-// large enough to amortize the fan-out. Returns the first failing block's
-// status in block order; on success `results` holds one entry per block.
-// Callers merge in block order, so the reduction (including floating-point
-// weight sums) is the same expression tree for every thread count.
+/// The sub-window of `span` holding block b of a grouping with the given
+/// end offsets.
+RowSpan BlockSpan(RowSpan span, const std::vector<int>& group_ends, int b) {
+  const int begin = b == 0 ? 0 : group_ends[b - 1];
+  return span.Subspan(begin, group_ends[b] - begin);
+}
+
+// Solves every block of the step at `depth` (the `kind` partition of
+// `span` with the given end offsets) at depth + 1 into block-local
+// accumulators — sequentially, or on exec.pool when the blocks hold enough
+// work to amortize the fan-out (OptSRepairExec::FansOut). A capturing
+// run's depth-0 step also records the top-level plan around the solve.
+// Returns the first failing block's status in block order; on success
+// `results` holds one entry per block. Callers merge in block order, so
+// the reduction (including floating-point weight sums) is the same
+// expression tree for every thread count.
 //
 // The sequential path deliberately buffers per block too (instead of
 // appending straight into the caller's accumulators, as the pre-engine
@@ -213,19 +234,24 @@ Status Recurse(const RecursionContext& ctx, int depth, RowSpan span,
 // Blocks are disjoint sub-windows of one shared row-index buffer: child
 // recursions permute only their own window, so concurrent blocks never
 // touch the same buffer element.
-template <typename BlockSpanFn>
-Status SolveBlocks(const RecursionContext& ctx, int depth, int num_blocks,
-                   const BlockSpanFn& block_span, int parent_tuples,
+Status SolveBlocks(const RecursionContext& ctx, int depth,
+                   SimplificationKind kind, RowSpan span,
+                   const std::vector<int>& group_ends,
                    std::vector<BlockResult>* results) {
+  const int num_blocks = static_cast<int>(group_ends.size());
+  SRepairPlanCache* capture = depth == 0 ? ctx.capture : nullptr;
+  std::vector<int> pos_of_row;
+  if (capture != nullptr) {
+    CaptureBlockIds(capture, kind, span, group_ends, &pos_of_row);
+  }
   auto solve_one = [&](int b) {
     BlockResult& result = (*results)[b];
-    result.status =
-        Recurse(ctx, depth, block_span(b), &result.rows, &result.weight);
+    result.status = Recurse(ctx, depth + 1, BlockSpan(span, group_ends, b),
+                            &result.rows, &result.weight);
   };
   const OptSRepairExec& exec = *ctx.exec;
   const bool parallel = exec.pool != nullptr && exec.pool->num_threads() > 1 &&
-                        num_blocks > 1 &&
-                        parent_tuples >= exec.parallel_cutoff;
+                        exec.FansOut(num_blocks, span.num_tuples());
   if (parallel) {
     exec.pool->ParallelFor(num_blocks, solve_one);
     for (int b = 0; b < num_blocks; ++b) {
@@ -237,14 +263,8 @@ Status SolveBlocks(const RecursionContext& ctx, int depth, int num_blocks,
       FDR_RETURN_IF_ERROR((*results)[b].status);
     }
   }
+  if (capture != nullptr) CaptureBlockResults(capture, pos_of_row, *results);
   return Status::OK();
-}
-
-/// The sub-window of `span` holding block b of a grouping with the given
-/// end offsets.
-RowSpan BlockSpan(RowSpan span, const std::vector<int>& group_ends, int b) {
-  const int begin = b == 0 ? 0 : group_ends[b - 1];
-  return span.Subspan(begin, group_ends[b] - begin);
 }
 
 // Recursive body of Algorithm 1 over the chain step at `depth`. Appends the
@@ -291,8 +311,8 @@ Status Recurse(const RecursionContext& ctx, int depth, RowSpan span,
       ScopedIntBuffer group_ends(&scratch.groups);
       PartitionSpanByAttrs(span, step.removed, &scratch.groups, &*group_ends);
       const int num_blocks = static_cast<int>(group_ends->size());
-      const bool capturing = depth == 0 && ctx.capture != nullptr;
-      if (num_blocks == span.num_tuples() && !capturing) {
+      if (num_blocks == span.num_tuples() &&
+          (depth > 0 || ctx.capture == nullptr)) {
         // Every block is a single tuple, and a single tuple is always its
         // own optimal S-repair — the union keeps everything. Same rows and
         // the same left-to-right weight sum as the block-by-block merge.
@@ -302,19 +322,9 @@ Status Recurse(const RecursionContext& ctx, int depth, RowSpan span,
         }
         return Status::OK();
       }
-      std::vector<int> capture_pos;
-      if (capturing) {
-        CaptureBlockIds(ctx.capture, step.kind, span, *group_ends,
-                        &capture_pos);
-      }
       ScopedResults results(&scratch, num_blocks);
-      FDR_RETURN_IF_ERROR(SolveBlocks(
-          ctx, depth + 1, num_blocks,
-          [&](int b) { return BlockSpan(span, *group_ends, b); },
-          span.num_tuples(), &*results));
-      if (capturing) {
-        CaptureBlockResults(ctx.capture, capture_pos, *results);
-      }
+      FDR_RETURN_IF_ERROR(SolveBlocks(ctx, depth, step.kind, span, *group_ends,
+                                      &*results));
       for (int b = 0; b < num_blocks; ++b) {
         kept->insert(kept->end(), results[b].rows.begin(),
                      results[b].rows.end());
@@ -329,8 +339,8 @@ Status Recurse(const RecursionContext& ctx, int depth, RowSpan span,
       ScopedIntBuffer group_ends(&scratch.groups);
       PartitionSpanByAttrs(span, step.removed, &scratch.groups, &*group_ends);
       const int num_blocks = static_cast<int>(group_ends->size());
-      const bool capturing = depth == 0 && ctx.capture != nullptr;
-      if (num_blocks == span.num_tuples() && !capturing) {
+      if (num_blocks == span.num_tuples() &&
+          (depth > 0 || ctx.capture == nullptr)) {
         // All blocks are single tuples: the consensus repair is the
         // heaviest tuple, first in span order on ties — exactly what the
         // block merge below computes via `>` against the running best.
@@ -342,19 +352,9 @@ Status Recurse(const RecursionContext& ctx, int depth, RowSpan span,
         *kept_weight += span.weight(best);
         return Status::OK();
       }
-      std::vector<int> capture_pos;
-      if (capturing) {
-        CaptureBlockIds(ctx.capture, step.kind, span, *group_ends,
-                        &capture_pos);
-      }
       ScopedResults results(&scratch, num_blocks);
-      FDR_RETURN_IF_ERROR(SolveBlocks(
-          ctx, depth + 1, num_blocks,
-          [&](int b) { return BlockSpan(span, *group_ends, b); },
-          span.num_tuples(), &*results));
-      if (capturing) {
-        CaptureBlockResults(ctx.capture, capture_pos, *results);
-      }
+      FDR_RETURN_IF_ERROR(SolveBlocks(ctx, depth, step.kind, span, *group_ends,
+                                      &*results));
       const BlockResult* best = nullptr;
       for (int b = 0; b < num_blocks; ++b) {
         if (best == nullptr || results[b].weight > best->weight) {
@@ -383,20 +383,9 @@ Status Recurse(const RecursionContext& ctx, int depth, RowSpan span,
                                &scratch.groups, &*group_ends, &*left, &*right,
                                &num_left, &num_right);
       const int num_blocks = static_cast<int>(group_ends->size());
-      const bool capturing = depth == 0 && ctx.capture != nullptr;
-      std::vector<int> capture_pos;
-      if (capturing) {
-        CaptureBlockIds(ctx.capture, step.kind, span, *group_ends,
-                        &capture_pos);
-      }
       ScopedResults results(&scratch, num_blocks);
-      FDR_RETURN_IF_ERROR(SolveBlocks(
-          ctx, depth + 1, num_blocks,
-          [&](int b) { return BlockSpan(span, *group_ends, b); },
-          span.num_tuples(), &*results));
-      if (capturing) {
-        CaptureBlockResults(ctx.capture, capture_pos, *results);
-      }
+      FDR_RETURN_IF_ERROR(SolveBlocks(ctx, depth, step.kind, span, *group_ends,
+                                      &*results));
       std::vector<BipartiteEdge> edges;
       edges.reserve(num_blocks);
       for (int b = 0; b < num_blocks; ++b) {
@@ -505,7 +494,10 @@ StatusOr<std::vector<int>> DeltaRows(
   const int num_blocks = static_cast<int>(group_ends->size());
 
   BaseBlockIndex index;
-  for (const auto& recipe : base.blocks) index.Add(recipe->ids);
+  for (int m = 0; m < base.num_blocks(); ++m) {
+    const std::span<const TupleId> ids = base.block_ids(m);
+    index.Add(ids.data(), static_cast<int>(ids.size()));
+  }
   // Flaggable up to a generous multiple of the table size: ids grow by one
   // per insert ever made, so only a table that shrank by orders of
   // magnitude since its ids were minted falls back to binary search.
@@ -515,49 +507,43 @@ StatusOr<std::vector<int>> DeltaRows(
   // One pass per block, while its window still holds partition order
   // (dirty blocks' child recursions permute their windows in place, but
   // windows are disjoint — later blocks are unaffected):
-  //   1. extract the membership sequence into a reused scratch buffer and
-  //      test each member against the updated-id set as it streams by;
+  //   1. stream the membership sequence into `ids` (block-major, exactly
+  //      the refreshed plan's ids) and test each member against the
+  //      updated-id set as it goes by;
   //   2. clean (undirtied + structurally matched) blocks replay their
   //      captured kept positions straight off the window — the values a
   //      cold recursion on the identical block would recompute;
   //   3. dirty blocks re-run the span recursion at depth 1, exactly as
-  //      SolveBlocks would have from a cold depth-0 arm (keeping their id
-  //      sequence only when a refreshed capture needs it).
+  //      SolveBlocks would have from a cold depth-0 arm.
   ScopedResults results(&scratch, num_blocks);
-  std::vector<std::vector<TupleId>> ids_of_block(
-      capture != nullptr ? num_blocks : 0);
+  std::vector<TupleId> ids(view.num_tuples());
   // Refresh-only row → block-local position translation (a dirty block's
   // window is permuted by its recursion, so positions must be recorded
   // here, pre-recursion). A flat array over table rows, shared by every
   // block — no per-block hashing.
   std::vector<int> pos_of_row(capture != nullptr ? table.num_tuples() : 0);
   std::vector<int> base_of_block(num_blocks, -1);
-  std::vector<TupleId> ids_scratch;
   int blocks_clean = 0;
   for (int b = 0; b < num_blocks; ++b) {
     RowSpan block = BlockSpan(span, *group_ends, b);
-    ids_scratch.clear();
+    TupleId* block_ids = ids.data() + (b == 0 ? 0 : (*group_ends)[b - 1]);
     bool dirtied = false;
     for (int i = 0; i < block.num_tuples(); ++i) {
       const TupleId id = block.id(i);
-      ids_scratch.push_back(id);
+      block_ids[i] = id;
       if (updated.contains(id)) dirtied = true;
       if (capture != nullptr) pos_of_row[block.row(i)] = i;
     }
-    const int m =
-        dirtied ? -1
-                : index.Match(ids_scratch.data(),
-                              static_cast<int>(ids_scratch.size()));
+    const int m = dirtied ? -1 : index.Match(block_ids, block.num_tuples());
     base_of_block[b] = m;
     BlockResult& result = results[b];
     if (m >= 0) {
       ++blocks_clean;
-      const SRepairBlockRecipe& recipe = *base.blocks[m];
-      result.rows.reserve(recipe.kept_pos.size());
-      for (int p : recipe.kept_pos) result.rows.push_back(block.row(p));
-      result.weight = recipe.weight;
+      const std::span<const int> kept = base.block_kept(m);
+      result.rows.reserve(kept.size());
+      for (int p : kept) result.rows.push_back(block.row(p));
+      result.weight = base.weights[m];
     } else {
-      if (capture != nullptr) ids_of_block[b] = ids_scratch;
       FDR_RETURN_IF_ERROR(
           Recurse(ctx, 1, block, &result.rows, &result.weight));
     }
@@ -607,34 +593,38 @@ StatusOr<std::vector<int>> DeltaRows(
 
   if (capture != nullptr) {
     // Build the refreshed plan before touching *capture — callers may pass
-    // capture == &base to refresh a plan in place. Clean blocks alias the
-    // base plan's (immutable) recipes, so the refresh allocates only for
-    // the dirty set.
-    std::vector<std::shared_ptr<SRepairBlockRecipe>> blocks(num_blocks);
+    // capture == &base to refresh a plan in place. Clean blocks copy their
+    // kept positions and weight out of the base plan.
+    SRepairPlanCache fresh;
+    fresh.spliceable = true;
+    fresh.top_kind = step.kind;
+    fresh.ids = std::move(ids);
+    fresh.block_ends = *group_ends;
+    size_t kept_total = 0;
+    for (int b = 0; b < num_blocks; ++b) kept_total += results[b].rows.size();
+    fresh.kept_pos.reserve(kept_total);
+    fresh.kept_ends.reserve(num_blocks);
+    fresh.weights.reserve(num_blocks);
     for (int b = 0; b < num_blocks; ++b) {
       const int m = base_of_block[b];
-      if (m >= 0) {
-        blocks[b] = base.blocks[m];
+      if (m < 0) {
+        CaptureBlockResult(&fresh, pos_of_row, results[b].rows,
+                           results[b].weight);
         continue;
       }
-      auto fresh = std::make_shared<SRepairBlockRecipe>();
-      SRepairBlockRecipe& recipe = *fresh;
-      recipe.ids = std::move(ids_of_block[b]);
-      recipe.kept_pos.reserve(results[b].rows.size());
-      for (int row : results[b].rows) {
-        recipe.kept_pos.push_back(pos_of_row[row]);
-      }
-      recipe.weight = results[b].weight;
-      blocks[b] = std::move(fresh);
+      const std::span<const int> kept_pos = base.block_kept(m);
+      fresh.kept_pos.insert(fresh.kept_pos.end(), kept_pos.begin(),
+                            kept_pos.end());
+      fresh.kept_ends.push_back(static_cast<int>(fresh.kept_pos.size()));
+      fresh.weights.push_back(base.weights[m]);
     }
-    capture->spliceable = true;
-    capture->top_kind = step.kind;
-    capture->blocks = std::move(blocks);
+    *capture = std::move(fresh);
   }
   if (stats != nullptr) {
     stats->blocks_total = num_blocks;
     stats->blocks_clean = blocks_clean;
     stats->blocks_dirty = num_blocks - blocks_clean;
+    stats->base_block = std::move(base_of_block);
   }
 
   std::sort(kept.begin(), kept.end());
@@ -659,9 +649,7 @@ StatusOr<std::vector<int>> OptSRepairRows(const FdSet& fds,
   // A fresh capture every run: on success the depth-0 arm filled it in; on
   // the paths that never decompose (trivial ∆, single-row or empty table,
   // errors) it stays non-spliceable and delta callers fall back.
-  capture->spliceable = false;
-  capture->top_kind = SimplificationKind::kStuck;
-  capture->blocks.clear();
+  *capture = SRepairPlanCache{};
   return RunRows(fds, view, options.exec, capture);
 }
 

@@ -35,7 +35,7 @@
 #define FDREPAIR_SREPAIR_OPT_SREPAIR_H_
 
 #include <chrono>
-#include <memory>
+#include <span>
 #include <vector>
 
 #include "catalog/fdset.h"
@@ -53,9 +53,12 @@ struct OptSRepairExec {
   /// Blocks of a simplification step run on this pool when set (and the
   /// pool has more than one thread). Null: the classic sequential path.
   ThreadPool* pool = nullptr;
-  /// A step only fans its blocks out to the pool when its view still holds
-  /// at least this many tuples; smaller sub-instances stay on the calling
-  /// thread. Purely a performance knob — results never depend on it.
+  /// A step only fans its blocks out to the pool when its rows beyond each
+  /// block's first row number at least this many (see FansOut). A one-row
+  /// block ends in O(1) at the singleton shortcut, so only those extra rows
+  /// are recursion work worth a worker; tables that split into ~one-row
+  /// blocks stay on the calling thread. Purely a performance knob — results
+  /// never depend on it.
   int parallel_cutoff = 2048;
   /// Cooperative deadline, checked at every recursion node. Once passed,
   /// the recursion unwinds with kDeadlineExceeded (all in-flight blocks
@@ -66,6 +69,13 @@ struct OptSRepairExec {
   bool has_deadline() const {
     return deadline != std::chrono::steady_clock::time_point::max();
   }
+
+  /// The fan-out rule: whether a step that split `parent_tuples` rows into
+  /// `num_blocks` blocks holds enough work to run them on the pool (the
+  /// pool itself must also have more than one thread).
+  bool FansOut(int num_blocks, int parent_tuples) const {
+    return num_blocks > 1 && parent_tuples - num_blocks >= parallel_cutoff;
+  }
 };
 
 // Plan capture & delta splicing — incremental re-repair under mutation.
@@ -74,11 +84,11 @@ struct OptSRepairExec {
 // independent top-level σ-blocks; an edited tuple only touches the blocks
 // sharing its partition-attribute values (§3.2 locality). A capturing run
 // records, per top-level block, its TupleId membership sequence, the
-// TupleIds it kept, and its repair weight. A later delta run re-partitions
+// positions it kept, and its repair weight. A later delta run re-partitions
 // the *mutated* table, classifies each block clean/dirty against the
 // captured plan (engine/BaseBlockIndex), re-runs the span recursion on
-// dirty blocks only, and replays clean blocks' kept ids verbatim — then
-// redoes the top-level merge (union / consensus argmax / marriage
+// dirty blocks only, and replays clean blocks' kept positions verbatim —
+// then redoes the top-level merge (union / consensus argmax / marriage
 // matching) over the mixed per-block results.
 //
 // Bit-identity of the splice with a cold full run rests on two facts:
@@ -95,38 +105,47 @@ struct OptSRepairExec {
 // which are pool-dependent), so plans survive re-interning and compose
 // across chained deltas.
 
-/// One top-level block of a captured plan.
-struct SRepairBlockRecipe {
-  /// The block's membership, in block row order (the clean/dirty name).
-  std::vector<TupleId> ids;
-  /// The block's optimal S-repair as *positions into `ids`* rather than
-  /// TupleIds: a clean block's window holds the same id sequence in the
-  /// same order, so replay is a direct window lookup per position — no
-  /// per-id hash resolution against the mutated table (the id form made
-  /// RowOf the splice's hottest instruction).
-  std::vector<int> kept_pos;
-  /// The block's repair weight exactly as the recursion accumulated it;
-  /// bit-exact replay of this double is what keeps consensus argmax and
-  /// marriage matching identical across splices.
-  double weight = 0;
-};
-
-/// The captured top-level structure of one OptSRepairRows run. Spliceable
-/// only when the first chain step actually decomposed into blocks —
-/// trivial ∆, single-row tables and stuck chains are not (callers fall
-/// back to a full re-plan, which is cheap in exactly those cases).
+/// The captured top-level structure of one OptSRepairRows run: one flat
+/// record (compressed sparse rows — one array per field, with per-block end
+/// offsets into it), so a capture costs a handful of allocations whatever
+/// the block count. Spliceable only when the first chain step actually
+/// decomposed into blocks — trivial ∆, single-row tables and stuck chains
+/// are not (callers fall back to a full re-plan, which is cheap in exactly
+/// those cases). Plans live in a concurrently-read cache: never mutate a
+/// published one.
 struct SRepairPlanCache {
   bool spliceable = false;
   /// First chain step's kind when spliceable: kCommonLhs, kConsensus or
   /// kLhsMarriage (determines the merge the splice re-runs).
   SimplificationKind top_kind = SimplificationKind::kStuck;
-  /// Top-level blocks in first-appearance partition order. Recipes are
-  /// treated as immutable once a run completes and are SHARED between
-  /// chained plans: a splice's refreshed plan aliases every clean block's
-  /// recipe, so refresh cost scales with the dirty set rather than the
-  /// table (plans live in a concurrently-read cache — never mutate a
-  /// published recipe).
-  std::vector<std::shared_ptr<SRepairBlockRecipe>> blocks;
+  /// Every top-level member's TupleId, block-major in first-appearance
+  /// partition order, each block in its row order (the clean/dirty name).
+  std::vector<TupleId> ids;
+  /// Block b's members are ids[block_begin(b), block_ends[b]).
+  std::vector<int> block_ends;
+  /// Each block's optimal S-repair as *block-local positions* into its ids
+  /// rather than TupleIds: a clean block's window holds the same id
+  /// sequence in the same order, so replay is a direct window lookup per
+  /// position — no per-id hash resolution against the mutated table.
+  std::vector<int> kept_pos;
+  /// Block b's kept positions are kept_pos[kept_begin(b), kept_ends[b]).
+  std::vector<int> kept_ends;
+  /// Each block's repair weight exactly as the recursion accumulated it;
+  /// bit-exact replay of these doubles is what keeps consensus argmax and
+  /// marriage matching identical across splices.
+  std::vector<double> weights;
+
+  int num_blocks() const { return static_cast<int>(block_ends.size()); }
+  int block_begin(int b) const { return b == 0 ? 0 : block_ends[b - 1]; }
+  int kept_begin(int b) const { return b == 0 ? 0 : kept_ends[b - 1]; }
+  std::span<const TupleId> block_ids(int b) const {
+    return {ids.data() + block_begin(b),
+            static_cast<size_t>(block_ends[b] - block_begin(b))};
+  }
+  std::span<const int> block_kept(int b) const {
+    return {kept_pos.data() + kept_begin(b),
+            static_cast<size_t>(kept_ends[b] - kept_begin(b))};
+  }
 };
 
 /// Observability of one splice: how much cached work survived.
@@ -134,6 +153,10 @@ struct SRepairSpliceStats {
   int blocks_total = 0;
   int blocks_clean = 0;
   int blocks_dirty = 0;
+  /// Per block of the mutated table's partition (the refreshed plan's
+  /// blocks, in order): the base plan block it replayed, or -1 when the
+  /// block was re-solved.
+  std::vector<int> base_block;
 };
 
 /// Everything one OptSRepairRows run needs beyond (∆, view): execution

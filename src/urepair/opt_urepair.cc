@@ -1,7 +1,7 @@
 #include "urepair/opt_urepair.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <span>
 
 #include "storage/consistency.h"
 #include "storage/distance.h"
@@ -16,20 +16,22 @@
 namespace fdrepair {
 namespace {
 
-/// The freshening edits of one S-repair block of a common-lhs component:
-/// every non-kept position gets one edit per cover attribute. Names are
-/// the deterministic (TupleId, attr) scheme, so this derivation matches
+/// The freshening edits of one S-repair block of a common-lhs component,
+/// read as its member ids plus its kept positions into them: every
+/// non-kept position gets one edit per cover attribute. Names are the
+/// deterministic (TupleId, attr) scheme, so this derivation matches
 /// SubsetToUpdate's materialized freshening cell for cell (FreshValueNamed
 /// is idempotent, so re-deriving never mints a second symbol).
 std::shared_ptr<URepairBlockRecipe> BuildBlockEdits(
-    ValuePool& pool, const SRepairBlockRecipe& block, AttrSet cover) {
+    ValuePool& pool, std::span<const TupleId> ids, std::span<const int> kept,
+    AttrSet cover) {
   auto recipe = std::make_shared<URepairBlockRecipe>();
-  std::vector<char> kept(block.ids.size(), 0);
-  for (int pos : block.kept_pos) kept[pos] = 1;
-  for (int pos = 0; pos < static_cast<int>(block.ids.size()); ++pos) {
-    if (kept[pos]) continue;
+  std::vector<char> is_kept(ids.size(), 0);
+  for (int pos : kept) is_kept[pos] = 1;
+  for (int pos = 0; pos < static_cast<int>(ids.size()); ++pos) {
+    if (is_kept[pos]) continue;
     ForEachAttr(cover, [&](AttrId attr) {
-      ValueId value = pool.FreshValueNamed(FreshCellName(block.ids[pos], attr));
+      ValueId value = pool.FreshValueNamed(FreshCellName(ids[pos], attr));
       recipe->edits.push_back({pos, attr, pool.Text(value)});
     });
   }
@@ -140,19 +142,19 @@ StatusOr<OptURepairResult> OptURepairCells(const FdSet& fds,
       case URepairRoute::kCommonLhsExact: {
         FdSet delta = component.fds.WithoutTrivial();
         FDR_ASSIGN_OR_RETURN(cache.cover, MinimumLhsCover(delta));
-        auto splan = capture != nullptr ? std::make_shared<SRepairPlanCache>()
-                                        : nullptr;
         FDR_ASSIGN_OR_RETURN(
-            Table sub, CommonLhsOptimalURepair(component.fds, table,
-                                               options.exec, splan.get()));
+            Table sub,
+            CommonLhsOptimalURepair(component.fds, table, options.exec,
+                                    capture != nullptr ? &cache.splan
+                                                       : nullptr));
         merge(sub, attrs);
         if (capture != nullptr) {
-          if (!splan->spliceable) capture->spliceable = false;
-          for (const auto& block : splan->blocks) {
+          if (!cache.splan.spliceable) capture->spliceable = false;
+          for (int b = 0; b < cache.splan.num_blocks(); ++b) {
             cache.block_edits.push_back(
-                BuildBlockEdits(*table.pool(), *block, cache.cover));
+                BuildBlockEdits(*table.pool(), cache.splan.block_ids(b),
+                                cache.splan.block_kept(b), cache.cover));
           }
-          cache.splan = std::move(splan);
         }
         break;
       }
@@ -160,19 +162,17 @@ StatusOr<OptURepairResult> OptURepairCells(const FdSet& fds,
         cache.cycle = DetectKeyCycle(component.fds);
         FDR_CHECK(cache.cycle.has_value());
         FdSet delta = component.fds.WithoutTrivial();
-        auto splan = capture != nullptr ? std::make_shared<SRepairPlanCache>()
-                                        : nullptr;
         OptSRepairRowsOptions row_options;
         row_options.exec = options.exec;
         FDR_ASSIGN_OR_RETURN(
             std::vector<int> kept_rows,
-            OptSRepairRows(delta, TableView(table), row_options, splan.get()));
+            OptSRepairRows(delta, TableView(table), row_options,
+                           capture != nullptr ? &cache.splan : nullptr));
         merge(KeyCycleAlignRows(cache.cycle->first, cache.cycle->second, table,
                                 kept_rows),
               attrs);
-        if (capture != nullptr) {
-          if (!splan->spliceable) capture->spliceable = false;
-          cache.splan = std::move(splan);
+        if (capture != nullptr && !cache.splan.spliceable) {
+          capture->spliceable = false;
         }
         break;
       }
@@ -296,71 +296,64 @@ StatusOr<OptURepairResult> DeltaCells(
       case URepairRoute::kConsensusPlurality:
         break;
       case URepairRoute::kCommonLhsExact: {
-        if (bc.splan == nullptr ||
-            bc.block_edits.size() != bc.splan->blocks.size()) {
+        if (!bc.splan.spliceable ||
+            bc.block_edits.size() !=
+                static_cast<size_t>(bc.splan.num_blocks())) {
           return Status::FailedPrecondition(
               "captured U-plan is missing its inner S-plan");
         }
         FdSet delta = component.fds.WithoutTrivial();
-        auto fresh = std::make_shared<SRepairPlanCache>();
         SRepairSpliceStats cstats;
         OptSRepairRowsOptions row_options;
         row_options.exec = options.exec;
-        row_options.delta_base = bc.splan.get();
+        row_options.delta_base = &bc.splan;
         row_options.delta_updated_ids = &updated_ids;
         row_options.splice_stats = &cstats;
         FDR_ASSIGN_OR_RETURN(
             std::vector<int> kept_rows,
-            OptSRepairRows(delta, TableView(table), row_options, fresh.get()));
+            OptSRepairRows(delta, TableView(table), row_options, &cache.splan));
         (void)kept_rows;  // The edits derive from the refreshed blocks.
         total.blocks_total += cstats.blocks_total;
         total.blocks_clean += cstats.blocks_clean;
         total.blocks_dirty += cstats.blocks_dirty;
-        // A clean block's refreshed recipe IS the base recipe (the splice
-        // aliases it), so pointer identity proves the block's membership
-        // and kept set — and hence its freshening — are unchanged, and the
-        // cached edit recipe replays verbatim.
-        std::unordered_map<const SRepairBlockRecipe*,
-                           const std::shared_ptr<URepairBlockRecipe>*>
-            reuse;
-        reuse.reserve(bc.splan->blocks.size());
-        for (size_t i = 0; i < bc.splan->blocks.size(); ++i) {
-          reuse.emplace(bc.splan->blocks[i].get(), &bc.block_edits[i]);
-        }
-        for (const auto& block : fresh->blocks) {
-          auto it = reuse.find(block.get());
+        // A block the splice replayed from base block m has the same
+        // membership and kept set as m — and hence the same freshening — so
+        // m's cached edit recipe replays verbatim.
+        const SRepairPlanCache& fresh = cache.splan;
+        for (int b = 0; b < fresh.num_blocks(); ++b) {
+          const int m = cstats.base_block[b];
           std::shared_ptr<URepairBlockRecipe> recipe =
-              it != reuse.end() ? *it->second
-                                : BuildBlockEdits(pool, *block, bc.cover);
+              m >= 0 ? bc.block_edits[m]
+                     : BuildBlockEdits(pool, fresh.block_ids(b),
+                                       fresh.block_kept(b), bc.cover);
+          const std::span<const TupleId> ids = fresh.block_ids(b);
           for (const URepairBlockRecipe::Edit& edit : recipe->edits) {
-            const TupleId id = block->ids[edit.pos];
+            const TupleId id = ids[edit.pos];
             FDR_ASSIGN_OR_RETURN(int row, table.RowOf(id));
             edits.push_back(PosEdit{row, edit.attr, id, edit.text});
           }
           cache.block_edits.push_back(std::move(recipe));
         }
-        if (capture != nullptr && !fresh->spliceable) {
+        if (capture != nullptr && !fresh.spliceable) {
           capture->spliceable = false;
         }
-        cache.splan = std::move(fresh);
         break;
       }
       case URepairRoute::kKeyCycleExact: {
-        if (bc.splan == nullptr || !bc.cycle.has_value()) {
+        if (!bc.splan.spliceable || !bc.cycle.has_value()) {
           return Status::FailedPrecondition(
               "captured U-plan is missing its inner S-plan");
         }
         FdSet delta = component.fds.WithoutTrivial();
-        auto fresh = std::make_shared<SRepairPlanCache>();
         SRepairSpliceStats cstats;
         OptSRepairRowsOptions row_options;
         row_options.exec = options.exec;
-        row_options.delta_base = bc.splan.get();
+        row_options.delta_base = &bc.splan;
         row_options.delta_updated_ids = &updated_ids;
         row_options.splice_stats = &cstats;
         FDR_ASSIGN_OR_RETURN(
             std::vector<int> kept_rows,
-            OptSRepairRows(delta, TableView(table), row_options, fresh.get()));
+            OptSRepairRows(delta, TableView(table), row_options, &cache.splan));
         total.blocks_total += cstats.blocks_total;
         total.blocks_clean += cstats.blocks_clean;
         total.blocks_dirty += cstats.blocks_dirty;
@@ -380,10 +373,9 @@ StatusOr<OptURepairResult> DeltaCells(
             }
           }
         }
-        if (capture != nullptr && !fresh->spliceable) {
+        if (capture != nullptr && !cache.splan.spliceable) {
           capture->spliceable = false;
         }
-        cache.splan = std::move(fresh);
         break;
       }
       case URepairRoute::kExactSearch:

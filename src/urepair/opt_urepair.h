@@ -21,12 +21,12 @@
 //   - consensus attributes: recomputed outright (one contiguous column
 //     sweep per attribute — already O(n), nothing worth caching);
 //   - common-lhs: the inner OptSRepairRows splice (its delta_base set to
-//     the component's captured S-plan) re-runs dirty blocks only; a clean
-//     block's *edit recipe* is reused by shared_ptr identity with the
-//     refreshed S-plan's recipe (recipes are immutable once published, so
-//     pointer equality proves the block — ids, kept set and hence its
-//     freshening — is unchanged), skipping the per-cell name
-//     construction and pool interning entirely;
+//     the component's captured S-plan) re-runs dirty blocks only and
+//     reports, per refreshed block, the base block it replayed
+//     (SRepairSpliceStats::base_block); a replayed block has the same ids
+//     and kept set — and hence the same freshening — as that base block,
+//     so its cached *edit recipe* is reused by index, skipping the
+//     per-cell name construction and pool interning entirely;
 //   - key-cycle: the inner S-repair splices; the Proposition 4.9
 //     alignment pass is recomputed over the spliced kept set (it is a
 //     single O(n) column sweep and its bijection depends on the *global*
@@ -61,7 +61,7 @@
 namespace fdrepair {
 
 /// One cell rewrite, addressed by stable TupleId (pool- and
-/// position-independent, like SRepairBlockRecipe's id sequences) with the
+/// position-independent, like SRepairPlanCache's id sequences) with the
 /// replacement as text (ValueIds are pool-dependent).
 struct URepairCellEdit {
   TupleId id = 0;
@@ -107,9 +107,9 @@ struct OptURepairResult {
 };
 
 /// The freshening edits of one top-level S-repair block of a common-lhs
-/// component: positions index into the paired SRepairBlockRecipe's `ids`.
-/// Immutable once published and SHARED between chained plans, exactly like
-/// SRepairBlockRecipe.
+/// component: positions index into that block's ids in the paired
+/// SRepairPlanCache. Immutable once published and SHARED between chained
+/// plans: a splice's refreshed plan reuses every replayed block's recipe.
 struct URepairBlockRecipe {
   struct Edit {
     int pos = 0;
@@ -129,8 +129,8 @@ struct URepairComponentCache {
   /// Key-cycle only: the (A, B) pair.
   std::optional<std::pair<AttrId, AttrId>> cycle;
   /// The inner S-repair's captured plan (common-lhs and key-cycle).
-  std::shared_ptr<SRepairPlanCache> splan;
-  /// Common-lhs only: aligned 1:1 with splan->blocks.
+  SRepairPlanCache splan;
+  /// Common-lhs only: aligned 1:1 with splan's blocks.
   std::vector<std::shared_ptr<URepairBlockRecipe>> block_edits;
 };
 

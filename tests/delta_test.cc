@@ -7,13 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "catalog/fd_parser.h"
 #include "common/random.h"
 #include "engine/block_partitioner.h"
+#include "engine/thread_pool.h"
 #include "service/repair_service.h"
 #include "srepair/opt_srepair.h"
 #include "srepair/planner.h"
@@ -22,6 +25,7 @@
 #include "storage/table_delta.h"
 #include "storage/table_hash.h"
 #include "storage/table_view.h"
+#include "urepair/opt_urepair.h"
 #include "workloads/example_fdsets.h"
 #include "workloads/generators.h"
 
@@ -260,9 +264,9 @@ TEST(BaseBlockIndexTest, MatchesOnlyIdenticalSequences) {
   const std::vector<TupleId> b0 = {1, 2, 3};
   const std::vector<TupleId> b1 = {4};
   const std::vector<TupleId> b2 = {5, 6};
-  index.Add(b0);
-  index.Add(b1);
-  index.Add(b2);
+  index.Add(b0.data(), 3);
+  index.Add(b1.data(), 1);
+  index.Add(b2.data(), 2);
   ASSERT_EQ(index.num_blocks(), 3);
 
   const TupleId seq0[] = {1, 2, 3};
@@ -303,17 +307,23 @@ TEST(PlanCaptureTest, CaptureOverloadIsBitIdenticalAndCoversTheTable) {
   EXPECT_EQ(plan.top_kind, SimplificationKind::kCommonLhs);
   // The top-level blocks partition the table; the kept positions (each a
   // valid index into its block's id sequence) union to the repair.
+  const int num_blocks = plan.num_blocks();
+  ASSERT_GT(num_blocks, 0);
+  ASSERT_EQ(plan.kept_ends.size(), static_cast<size_t>(num_blocks));
+  ASSERT_EQ(plan.weights.size(), static_cast<size_t>(num_blocks));
   size_t members = 0, kept = 0;
-  for (const auto& block : plan.blocks) {
-    members += block->ids.size();
-    kept += block->kept_pos.size();
-    for (int p : block->kept_pos) {
+  for (int b = 0; b < num_blocks; ++b) {
+    members += plan.block_ids(b).size();
+    kept += plan.block_kept(b).size();
+    for (int p : plan.block_kept(b)) {
       ASSERT_GE(p, 0);
-      ASSERT_LT(p, static_cast<int>(block->ids.size()));
+      ASSERT_LT(p, static_cast<int>(plan.block_ids(b).size()));
     }
   }
   EXPECT_EQ(members, static_cast<size_t>(table.num_tuples()));
+  EXPECT_EQ(members, plan.ids.size());
   EXPECT_EQ(kept, captured->size());
+  EXPECT_EQ(kept, plan.kept_pos.size());
 }
 
 TEST(PlanCaptureTest, SpliceIsBitIdenticalAcrossChainedMutations) {
@@ -351,6 +361,173 @@ TEST(PlanCaptureTest, SpliceIsBitIdenticalAcrossChainedMutations) {
     // untouched — the whole point of the splice.
     EXPECT_GT(stats.blocks_clean, stats.blocks_dirty) << "step " << step;
     ASSERT_TRUE(plan.spliceable);
+  }
+}
+
+/// Field-by-field equality of two captured plans, weights compared bitwise.
+void ExpectSamePlan(const SRepairPlanCache& got, const SRepairPlanCache& want,
+                    const std::string& context) {
+  EXPECT_EQ(got.spliceable, want.spliceable) << context;
+  EXPECT_EQ(got.top_kind, want.top_kind) << context;
+  EXPECT_EQ(got.ids, want.ids) << context;
+  EXPECT_EQ(got.block_ends, want.block_ends) << context;
+  EXPECT_EQ(got.kept_pos, want.kept_pos) << context;
+  EXPECT_EQ(got.kept_ends, want.kept_ends) << context;
+  ASSERT_EQ(got.weights.size(), want.weights.size()) << context;
+  for (size_t b = 0; b < got.weights.size(); ++b) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.weights[b]),
+              std::bit_cast<uint64_t>(want.weights[b]))
+        << context << " block " << b;
+  }
+}
+
+// The plan a splice refreshes is exactly the plan a cold capture of the
+// mutated table records — so chained deltas never drift from cold state —
+// on all three top-level routes, sequentially and with every step fanned
+// out on a pool.
+TEST(PlanCaptureTest, RefreshedPlanEqualsColdCaptureAcrossChainedDeltas) {
+  struct Case {
+    std::string label;
+    ParsedFdSet parsed;
+    SimplificationKind kind;
+    Table base;
+  };
+  std::vector<Case> cases;
+  {
+    ParsedFdSet office = OfficeFds();
+    Table base = ScalingFamilyTable(office, 400, 9);
+    cases.push_back({"office", office, SimplificationKind::kCommonLhs,
+                     std::move(base)});
+  }
+  {
+    ParsedFdSet consensus = ParseFdSetInferSchemaOrDie("{} -> A; B -> C");
+    Rng rng(13);
+    RandomTableOptions options;
+    options.num_tuples = 150;
+    options.domain_size = 4;
+    options.heavy_fraction = 0.3;
+    Table base = RandomTable(consensus.schema, options, &rng);
+    cases.push_back({"consensus", consensus, SimplificationKind::kConsensus,
+                     std::move(base)});
+  }
+  {
+    ParsedFdSet marriage = DeltaAKeyBToC();
+    Table base = ScalingFamilyTable(marriage, 400, 5);
+    cases.push_back({"A<->B->C", marriage, SimplificationKind::kLhsMarriage,
+                     std::move(base)});
+  }
+
+  ThreadPool pool(4);
+  for (const Case& c : cases) {
+    for (ThreadPool* exec_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      OptSRepairRowsOptions cold_options;
+      cold_options.exec.pool = exec_pool;
+      cold_options.exec.parallel_cutoff = 1;
+      SRepairPlanCache plan;
+      ASSERT_TRUE(OptSRepairRows(c.parsed.fds, TableView(c.base),
+                                 cold_options, &plan)
+                      .ok());
+      ASSERT_TRUE(plan.spliceable) << c.label;
+      EXPECT_EQ(plan.top_kind, c.kind) << c.label;
+
+      Rng rng(29);
+      DeltaBuilder builder(c.base);
+      int clean_total = 0;
+      for (int step = 0; step < 4; ++step) {
+        const std::string context = c.label + " step " +
+                                    std::to_string(step) +
+                                    (exec_pool ? " pool" : " sequential");
+        RandomBatch(&builder, /*updates=*/3, /*inserts=*/1, /*erases=*/1,
+                    /*domain=*/25, &rng);
+        TableDelta delta = builder.Finish();
+        const TableView view(builder.table());
+
+        OptSRepairRowsOptions splice_options = cold_options;
+        splice_options.delta_base = &plan;
+        splice_options.delta_updated_ids = &delta.updated;
+        SRepairSpliceStats stats;
+        splice_options.splice_stats = &stats;
+        auto spliced = OptSRepairRows(c.parsed.fds, view, splice_options,
+                                      &plan);  // refreshed in place
+        ASSERT_TRUE(spliced.ok()) << context << ": " << spliced.status();
+
+        SRepairPlanCache cold_plan;
+        auto cold = OptSRepairRows(c.parsed.fds, view, cold_options,
+                                   &cold_plan);
+        ASSERT_TRUE(cold.ok()) << context << ": " << cold.status();
+        EXPECT_EQ(*spliced, *cold) << context;
+        ExpectSamePlan(plan, cold_plan, context);
+
+        // Every refreshed block reports the base block it replayed, or -1.
+        ASSERT_EQ(stats.base_block.size(),
+                  static_cast<size_t>(plan.num_blocks()))
+            << context;
+        int replayed = 0;
+        for (int m : stats.base_block) replayed += m >= 0 ? 1 : 0;
+        EXPECT_EQ(replayed, stats.blocks_clean) << context;
+        clean_total += stats.blocks_clean;
+      }
+      // The chain really replayed cached blocks, not only re-solved ones.
+      EXPECT_GT(clean_total, 0) << c.label;
+    }
+  }
+}
+
+// The update route's common-lhs splice: chained deltas keep reusing the
+// clean blocks' cached freshening edits (by the base block index the
+// S-splice reports), and its edits match a cold run's exactly.
+TEST(PlanCaptureTest, UpdateSpliceReusesCleanBlocksAndMatchesColdEdits) {
+  ParsedFdSet parsed = OfficeFds();
+  Table base = ScalingFamilyTable(parsed, 400, 9);
+  URepairPlanCache plan;
+  ASSERT_TRUE(OptURepairCells(parsed.fds, base, {}, &plan).ok());
+  ASSERT_TRUE(plan.spliceable);
+
+  Rng rng(61);
+  DeltaBuilder builder(base);
+  for (int step = 0; step < 4; ++step) {
+    RandomBatch(&builder, /*updates=*/3, /*inserts=*/1, /*erases=*/1,
+                /*domain=*/25, &rng);
+    TableDelta delta = builder.Finish();
+
+    SRepairSpliceStats stats;
+    OptURepairOptions options;
+    options.delta_base = &plan;
+    options.delta_updated_ids = &delta.updated;
+    options.splice_stats = &stats;
+    URepairPlanCache refreshed;
+    auto spliced =
+        OptURepairCells(parsed.fds, builder.table(), options, &refreshed);
+    ASSERT_TRUE(spliced.ok()) << spliced.status();
+    auto cold = OptURepairCells(parsed.fds, builder.table());
+    ASSERT_TRUE(cold.ok()) << cold.status();
+
+    ASSERT_EQ(spliced->edits.size(), cold->edits.size()) << "step " << step;
+    for (size_t e = 0; e < cold->edits.size(); ++e) {
+      EXPECT_EQ(spliced->edits[e].id, cold->edits[e].id) << e;
+      EXPECT_EQ(spliced->edits[e].attr, cold->edits[e].attr) << e;
+      EXPECT_EQ(spliced->edits[e].text, cold->edits[e].text) << e;
+    }
+    EXPECT_EQ(std::bit_cast<uint64_t>(spliced->distance),
+              std::bit_cast<uint64_t>(cold->distance));
+
+    EXPECT_GT(stats.blocks_clean, 0) << "step " << step;
+    // Every clean block replays the very edit recipe the base plan cached.
+    std::set<const URepairBlockRecipe*> cached;
+    for (const URepairComponentCache& component : plan.components) {
+      for (const auto& recipe : component.block_edits) {
+        cached.insert(recipe.get());
+      }
+    }
+    int reused = 0;
+    for (const URepairComponentCache& component : refreshed.components) {
+      for (const auto& recipe : component.block_edits) {
+        reused += cached.count(recipe.get()) > 0 ? 1 : 0;
+      }
+    }
+    EXPECT_EQ(reused, stats.blocks_clean) << "step " << step;
+    ASSERT_TRUE(refreshed.spliceable);
+    plan = std::move(refreshed);
   }
 }
 

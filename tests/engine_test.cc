@@ -113,18 +113,60 @@ TEST(ParallelOptSRepairTest, BitIdenticalAcrossThreadCounts) {
         {"ssn", Example31Ssn()}}) {
     Table table = ScalingFamilyTable(parsed, 4096, 21);
     TableView view(table);
-    auto sequential = OptSRepairRows(parsed.fds, view);
+    SRepairPlanCache plan;
+    auto sequential = OptSRepairRows(parsed.fds, view, {}, &plan);
     ASSERT_TRUE(sequential.ok()) << label << ": " << sequential.status();
     for (int threads : {2, 8}) {
       ThreadPool pool(threads);
       OptSRepairRowsOptions options;
       options.exec.pool = &pool;
-      options.exec.parallel_cutoff = 1;  // fan out at every level
+      // Fan out at every step with a multi-row block — the top step
+      // included, so the pool really runs blocks concurrently.
+      options.exec.parallel_cutoff = 1;
+      ASSERT_TRUE(options.exec.FansOut(plan.num_blocks(), view.num_tuples()))
+          << label;
       auto parallel = OptSRepairRows(parsed.fds, view, options);
       ASSERT_TRUE(parallel.ok()) << label << ": " << parallel.status();
       EXPECT_EQ(*parallel, *sequential) << label << " threads=" << threads;
     }
   }
+}
+
+// The fan-out rule counts the rows beyond each block's first: one-row
+// blocks end at the O(1) singleton shortcut, so a 2048-row marriage (≈ one
+// row per block) stays sequential at the default cutoff, while the Office
+// chain tables the engine bench times still fan out.
+TEST(ParallelOptSRepairTest, FansOutOnlyWhereBlocksHoldWork) {
+  struct Case {
+    std::string label;
+    ParsedFdSet parsed;
+    int rows;
+    int domain_divisor;
+    bool fans_out;
+  };
+  const std::vector<Case> cases = {
+      {"A<->B->C 2048", DeltaAKeyBToC(), 2048, 16, false},
+      {"ssn 2048", Example31Ssn(), 2048, 16, false},
+      {"office 8192 n/16", OfficeFds(), 8192, 16, true},
+      {"chain 32768 n/512", OfficeFds(), 32768, 512, true},
+  };
+  const OptSRepairExec exec;  // the default cutoff
+  for (const Case& c : cases) {
+    for (uint64_t seed : {1, 2, 3}) {
+      Table table =
+          ScalingFamilyTable(c.parsed, c.rows, seed, c.domain_divisor);
+      SRepairPlanCache plan;  // its block count is the top step's
+      ASSERT_TRUE(
+          OptSRepairRows(c.parsed.fds, TableView(table), {}, &plan).ok());
+      ASSERT_TRUE(plan.spliceable) << c.label;
+      EXPECT_EQ(exec.FansOut(plan.num_blocks(), c.rows), c.fans_out)
+          << c.label << " seed " << seed << ": " << plan.num_blocks()
+          << " blocks";
+    }
+  }
+  EXPECT_FALSE(exec.FansOut(1, 1 << 20));  // one block never fans out
+  EXPECT_TRUE(exec.FansOut(2, 2 + exec.parallel_cutoff));
+  EXPECT_FALSE(exec.FansOut(2, 1 + exec.parallel_cutoff));
 }
 
 TEST(ParallelOptSRepairTest, DeadlineExpiresMidRecursion) {

@@ -139,7 +139,9 @@ class SoftPinTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SoftPinTest, AllHardComputeSoftRepairMatchesComputeSRepair) {
   // One SRepairOptions object goes to both planners: the defaults, each
-  // soft-capable backend, and a 4-thread pool fanning out at every level.
+  // soft-capable backend, and a 4-thread pool fanning out at every step
+  // with a multi-row block (12 rows over a domain of 3 nearly always have
+  // one).
   ThreadPool pool(4);
   std::vector<std::pair<std::string, SRepairOptions>> configs;
   configs.emplace_back("default", SRepairOptions{});

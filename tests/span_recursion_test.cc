@@ -6,7 +6,8 @@
 //      accumulation merged in first-appearance order);
 //   2. bit-identical across thread counts 1 / 2 / 8 with the fan-out
 //      cutoff forced to 1, so the shared row buffer is exercised by
-//      concurrent block recursions at every level;
+//      concurrent block recursions at every step that has a multi-row
+//      block (the small random domains below make such blocks common);
 //   3. optimal against brute-force OptSRepairExact on small random
 //      instances.
 //
@@ -129,7 +130,7 @@ StatusOr<std::vector<int>> SpanRows(const FdSet& fds, const TableView& view,
   ThreadPool pool(threads);
   OptSRepairRowsOptions options;
   options.exec.pool = &pool;
-  options.exec.parallel_cutoff = 1;  // fan out at every level
+  options.exec.parallel_cutoff = 1;  // fan out wherever a block has 2+ rows
   return OptSRepairRows(fds, view, options);
 }
 

@@ -338,7 +338,7 @@ TEST_P(URepairSpanOracleTest, BitIdenticalToReferenceAndAcrossThreads) {
       OptURepairOptions cell_options;
       cell_options.planner = options;
       cell_options.exec.pool = &pool;
-      cell_options.exec.parallel_cutoff = 1;  // fan out even tiny blocks
+      cell_options.exec.parallel_cutoff = 1;  // fan out any multi-row block
       auto cells =
           OptURepairCells(named.parsed.fds, table, cell_options, nullptr);
       ASSERT_TRUE(cells.ok()) << named.name << ": " << cells.status();
