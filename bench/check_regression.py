@@ -317,12 +317,13 @@ def self_test():
         1 + lp.get("threshold", default_threshold)) <= 2.0 + 1e-9, lp
     checks += 1
 
-    # The incremental-repair gates. The subset splice is gated on its own
-    # latency (an absolute 'lower' entry) and, as a ratio, commits only
-    # "never slower than a full re-plan" (min_baseline 1.0, less the usual
-    # noise slack): the re-plan it divides by is cheap enough (its content
-    # hash is a small share of it) that a larger ratio bar would gate
-    # noise. The update path (cell-edit recipes) keeps its >=2x floor, and
+    # The incremental-repair gates. The subset and update splices are each
+    # gated on their own latency (absolute 'lower' entries). As a ratio,
+    # the subset splice commits only "never slower than a full re-plan"
+    # (min_baseline 1.0, less the usual noise slack): the re-plan it
+    # divides by is cheap enough (its content hash is a small share of it)
+    # that a larger ratio bar would gate noise. The update path (cell-edit
+    # recipes) keeps its >=2x ratio floor, and
     # the span-ported Section-4 routes must stay >=1.5x over the preserved
     # hash-map reference, so the port can never quietly regress to
     # hash-map speed.
@@ -341,6 +342,10 @@ def self_test():
         "delta speedup"
     assert udelta.get("direction") == "higher", udelta
     assert committed_floor(udelta) >= 2.0, udelta
+    udelta_us = tracked.get("service.udelta_us_per_request")
+    assert udelta_us is not None, "baselines.json must track the update " \
+        "delta latency"
+    assert udelta_us.get("direction") == "lower", udelta_us
     span = tracked.get("urepair.span_speedup")
     assert span is not None, "baselines.json must track the urepair " \
         "span speedup"

@@ -319,11 +319,7 @@ StatusOr<RepairService::CachedRepair> RepairService::Execute(
     result = OptURepairCells(cover, table, uoptions, uplan.get());
   }
   if (!result.ok()) return result.status();
-  cached.edits.reserve(result->edits.size());
-  for (const URepairCellEdit& edit : result->edits) {
-    cached.edits.push_back(
-        CachedRepair::CellEdit{edit.id, edit.attr, edit.text});
-  }
+  cached.edits = std::move(result->edits);
   cached.distance = result->distance;
   cached.optimal = result->optimal;
   cached.ratio_bound = result->ratio_bound;
@@ -334,15 +330,9 @@ StatusOr<RepairService::CachedRepair> RepairService::Execute(
   }
   cached.route = "urepair[" + (routes.empty() ? "noop" : routes) + "]";
   if (uplan->spliceable) cached.uplan = std::move(uplan);
-  // Materialize the leader's response exactly as Replay would (clone +
-  // apply edits): one shared code shape keeps leader, followers and hits
-  // bit-identical.
-  Table update = table.Clone();
-  for (const CachedRepair::CellEdit& edit : cached.edits) {
-    FDR_ASSIGN_OR_RETURN(int row, table.RowOf(edit.id));
-    update.SetValue(row, edit.attr, update.Intern(edit.text));
-  }
-  *materialized = std::move(update);
+  // Materialize the leader's response exactly as Replay does: one shared
+  // apply keeps leader, followers and hits bit-identical.
+  FDR_ASSIGN_OR_RETURN(*materialized, ApplyCellEdits(table, cached.edits));
   return cached;
 }
 
@@ -369,11 +359,7 @@ StatusOr<RepairResponse> RepairService::Replay(const CachedRepair& cached,
                             key};
     return response;
   }
-  Table update = table.Clone();
-  for (const CachedRepair::CellEdit& edit : cached.edits) {
-    FDR_ASSIGN_OR_RETURN(int row, table.RowOf(edit.id));
-    update.SetValue(row, edit.attr, update.Intern(edit.text));
-  }
+  FDR_ASSIGN_OR_RETURN(Table update, ApplyCellEdits(table, cached.edits));
   RepairResponse response{std::move(update),
                           cached.distance,
                           cached.optimal,

@@ -266,12 +266,7 @@ class RepairService {
     /// already occupies a fresh name, the pool disambiguates by appending
     /// "'" (value_pool.h), so the final text additionally depends on that
     /// colliding user content — identical tables still agree on it.
-    struct CellEdit {
-      TupleId id;
-      AttrId attr;
-      std::string text;
-    };
-    std::vector<CellEdit> edits;
+    std::vector<URepairCellEdit> edits;
     double distance = 0;
     bool optimal = false;
     double ratio_bound = 1;

@@ -1,6 +1,7 @@
 #include "srepair/opt_srepair.h"
 
 #include <algorithm>
+#include <optional>
 #include <span>
 #include <utility>
 
@@ -106,16 +107,87 @@ class ScopedResults {
   std::vector<BlockResult> results_;
 };
 
+/// Membership test for the delta's updated ids, fused into block
+/// extraction. TupleIds are normally minted densely from 1 and never
+/// recycled, so a flag vector indexed by id answers in one load per block
+/// member — the per-member unordered_set probe this replaces was (with
+/// id-keyed kept-row resolution) the splice's hottest path. Ids outside
+/// [0, flag_cap) — too sparse to flag cheaply, or negative (a CSV may carry
+/// any id) — fall back to binary search over a sorted copy.
+class UpdatedIdSet {
+ public:
+  UpdatedIdSet(const std::vector<TupleId>& ids, size_t flag_cap) {
+    if (ids.empty()) return;
+    const auto [min_id, max_id] = std::minmax_element(ids.begin(), ids.end());
+    if (*min_id >= 0 && static_cast<size_t>(*max_id) < flag_cap) {
+      flags_.assign(static_cast<size_t>(*max_id) + 1, 0);
+      for (TupleId id : ids) flags_[static_cast<size_t>(id)] = 1;
+    } else {
+      sorted_ = ids;
+      std::sort(sorted_.begin(), sorted_.end());
+    }
+  }
+
+  bool contains(TupleId id) const {
+    if (sorted_.empty()) {
+      return id >= 0 && static_cast<size_t>(id) < flags_.size() &&
+             flags_[static_cast<size_t>(id)] != 0;
+    }
+    return std::binary_search(sorted_.begin(), sorted_.end(), id);
+  }
+
+ private:
+  std::vector<unsigned char> flags_;
+  std::vector<TupleId> sorted_;
+};
+
+/// A delta run's view of its base plan, consulted by the depth-0 step: a
+/// block of the mutated table is clean — replayed, not solved — when its
+/// membership sequence matches a base block and none of its ids was
+/// updated in place.
+struct SpliceBase {
+  SpliceBase(const SRepairPlanCache& plan, const std::vector<TupleId>& ids,
+             int num_tuples, SRepairSpliceStats* stats_sink)
+      : base(plan),
+        // Flaggable up to a generous multiple of the table size: ids grow
+        // by one per insert ever made, so only a table that shrank by
+        // orders of magnitude since its ids were minted falls back to
+        // binary search.
+        updated(ids, static_cast<size_t>(num_tuples) * 16 + 65536),
+        stats(stats_sink) {
+    for (int m = 0; m < base.num_blocks(); ++m) {
+      const std::span<const TupleId> block = base.block_ids(m);
+      index.Add(block.data(), static_cast<int>(block.size()));
+    }
+  }
+
+  /// The base block a clean block replays, or -1 when it must be solved.
+  int CleanMatch(std::span<const TupleId> ids) const {
+    for (TupleId id : ids) {
+      if (updated.contains(id)) return -1;
+    }
+    return index.Match(ids.data(), static_cast<int>(ids.size()));
+  }
+
+  const SRepairPlanCache& base;
+  BaseBlockIndex index;
+  UpdatedIdSet updated;
+  SRepairSpliceStats* stats;
+};
+
 /// Everything constant across one OptSRepairRows recursion.
 struct RecursionContext {
   const SimplificationChain* chain;
   const OptSRepairExec* exec;
-  /// Non-null on a capturing run: the depth-0 step records its block
-  /// structure here in SolveBlocks (and skips the all-singleton shortcuts
-  /// so every block actually gets an entry — the shortcuts are
+  /// Non-null on a capturing or splicing run: the depth-0 step records its
+  /// block structure here in SolveBlocks (and skips the all-singleton
+  /// shortcuts so every block actually gets an entry — the shortcuts are
   /// bit-identical to the general path, so results never change). Deeper
   /// levels ignore it.
   SRepairPlanCache* capture = nullptr;
+  /// Non-null on a delta run: the depth-0 step replays its clean blocks
+  /// from this base instead of solving them.
+  const SpliceBase* splice = nullptr;
 };
 
 /// Records the top-level membership sequences — called BEFORE the blocks
@@ -143,16 +215,6 @@ void CaptureBlockIds(SRepairPlanCache* capture, SimplificationKind kind,
   }
 }
 
-/// Appends one block's kept rows (translated to block-local positions by
-/// `pos_of_row`) and weight to the plan.
-void CaptureBlockResult(SRepairPlanCache* capture,
-                        const std::vector<int>& pos_of_row,
-                        const std::vector<int>& rows, double weight) {
-  for (int row : rows) capture->kept_pos.push_back(pos_of_row[row]);
-  capture->kept_ends.push_back(static_cast<int>(capture->kept_pos.size()));
-  capture->weights.push_back(weight);
-}
-
 /// Records each top-level block's kept positions and weight after the
 /// blocks are solved.
 void CaptureBlockResults(SRepairPlanCache* capture,
@@ -165,43 +227,13 @@ void CaptureBlockResults(SRepairPlanCache* capture,
   capture->kept_ends.reserve(num_blocks);
   capture->weights.reserve(num_blocks);
   for (int b = 0; b < num_blocks; ++b) {
-    CaptureBlockResult(capture, pos_of_row, results[b].rows,
-                       results[b].weight);
+    for (int row : results[b].rows) {
+      capture->kept_pos.push_back(pos_of_row[row]);
+    }
+    capture->kept_ends.push_back(static_cast<int>(capture->kept_pos.size()));
+    capture->weights.push_back(results[b].weight);
   }
 }
-
-/// Membership test for the delta's updated ids, fused into block
-/// extraction. TupleIds are assigned densely from 1 and never recycled, so
-/// a flag vector indexed by id answers in one load per block member — the
-/// per-member unordered_set probe this replaces was (with id-keyed kept-row
-/// resolution) the splice's hottest path. Ids too sparse to flag cheaply
-/// fall back to binary search over a sorted copy.
-class UpdatedIdSet {
- public:
-  UpdatedIdSet(const std::vector<TupleId>& ids, size_t flag_cap) {
-    TupleId max_id = 0;
-    for (TupleId id : ids) max_id = std::max(max_id, id);
-    if (static_cast<size_t>(max_id) < flag_cap) {
-      flags_.assign(static_cast<size_t>(max_id) + 1, 0);
-      for (TupleId id : ids) flags_[static_cast<size_t>(id)] = 1;
-    } else {
-      sorted_ = ids;
-      std::sort(sorted_.begin(), sorted_.end());
-    }
-  }
-
-  bool contains(TupleId id) const {
-    if (!flags_.empty()) {
-      return static_cast<size_t>(id) < flags_.size() &&
-             flags_[static_cast<size_t>(id)] != 0;
-    }
-    return std::binary_search(sorted_.begin(), sorted_.end(), id);
-  }
-
- private:
-  std::vector<unsigned char> flags_;
-  std::vector<TupleId> sorted_;
-};
 
 Status Recurse(const RecursionContext& ctx, int depth, RowSpan span,
                std::vector<int>* kept, double* kept_weight);
@@ -215,13 +247,17 @@ RowSpan BlockSpan(RowSpan span, const std::vector<int>& group_ends, int b) {
 
 // Solves every block of the step at `depth` (the `kind` partition of
 // `span` with the given end offsets) at depth + 1 into block-local
-// accumulators — sequentially, or on exec.pool when the blocks hold enough
-// work to amortize the fan-out (OptSRepairExec::FansOut). A capturing
-// run's depth-0 step also records the top-level plan around the solve.
+// accumulators — sequentially, or on exec.pool when the blocks it solves
+// hold enough work to amortize the fan-out (OptSRepairExec::FansOut). A
+// capturing or splicing run's depth-0 step also records the top-level plan
+// around the solve, and a splice replays each clean block's kept positions
+// and weight from its base plan — the values a cold recursion on the
+// identical block would recompute — so only dirty blocks are solved.
 // Returns the first failing block's status in block order; on success
 // `results` holds one entry per block. Callers merge in block order, so
 // the reduction (including floating-point weight sums) is the same
-// expression tree for every thread count.
+// expression tree for every thread count, and for a splice as for a cold
+// run.
 //
 // The sequential path deliberately buffers per block too (instead of
 // appending straight into the caller's accumulators, as the pre-engine
@@ -240,28 +276,56 @@ Status SolveBlocks(const RecursionContext& ctx, int depth,
                    std::vector<BlockResult>* results) {
   const int num_blocks = static_cast<int>(group_ends.size());
   SRepairPlanCache* capture = depth == 0 ? ctx.capture : nullptr;
+  const SpliceBase* splice = depth == 0 ? ctx.splice : nullptr;
   std::vector<int> pos_of_row;
   if (capture != nullptr) {
     CaptureBlockIds(capture, kind, span, group_ends, &pos_of_row);
   }
-  auto solve_one = [&](int b) {
+  // The blocks this step solves: all of them, or a splice's dirty ones
+  // (listed only on a splice, so the cold path allocates nothing here).
+  std::vector<int> dirty;
+  int solved_rows = span.num_tuples();
+  if (splice != nullptr) {
+    std::vector<int> base_block(num_blocks, -1);
+    solved_rows = 0;
+    for (int b = 0; b < num_blocks; ++b) {
+      const RowSpan block = BlockSpan(span, group_ends, b);
+      const int m = splice->CleanMatch(capture->block_ids(b));
+      base_block[b] = m;
+      if (m < 0) {
+        dirty.push_back(b);
+        solved_rows += block.num_tuples();
+        continue;
+      }
+      BlockResult& result = (*results)[b];
+      const std::span<const int> kept = splice->base.block_kept(m);
+      result.rows.reserve(kept.size());
+      for (int p : kept) result.rows.push_back(block.row(p));
+      result.weight = splice->base.weights[m];
+    }
+    if (splice->stats != nullptr) {
+      splice->stats->blocks_total = num_blocks;
+      splice->stats->blocks_dirty = static_cast<int>(dirty.size());
+      splice->stats->blocks_clean = num_blocks - splice->stats->blocks_dirty;
+      splice->stats->base_block = std::move(base_block);
+    }
+  }
+  const int num_solved =
+      splice != nullptr ? static_cast<int>(dirty.size()) : num_blocks;
+  auto block_of = [&](int i) { return splice != nullptr ? dirty[i] : i; };
+  auto solve_one = [&](int i) {
+    const int b = block_of(i);
     BlockResult& result = (*results)[b];
     result.status = Recurse(ctx, depth + 1, BlockSpan(span, group_ends, b),
                             &result.rows, &result.weight);
   };
   const OptSRepairExec& exec = *ctx.exec;
   const bool parallel = exec.pool != nullptr && exec.pool->num_threads() > 1 &&
-                        exec.FansOut(num_blocks, span.num_tuples());
-  if (parallel) {
-    exec.pool->ParallelFor(num_blocks, solve_one);
-    for (int b = 0; b < num_blocks; ++b) {
-      FDR_RETURN_IF_ERROR((*results)[b].status);
-    }
-  } else {
-    for (int b = 0; b < num_blocks; ++b) {
-      solve_one(b);
-      FDR_RETURN_IF_ERROR((*results)[b].status);
-    }
+                        exec.FansOut(num_solved, solved_rows);
+  if (parallel) exec.pool->ParallelFor(num_solved, solve_one);
+  for (int i = 0; i < num_solved; ++i) {
+    if (!parallel) solve_one(i);
+    FDR_RETURN_IF_ERROR((*results)[block_of(i)].status);
   }
   if (capture != nullptr) CaptureBlockResults(capture, pos_of_row, *results);
   return Status::OK();
@@ -412,9 +476,18 @@ Status Recurse(const RecursionContext& ctx, int depth, RowSpan span,
   return Status::Internal("unreachable simplification kind");
 }
 
-StatusOr<std::vector<int>> RunRows(const FdSet& fds, const TableView& view,
-                                   const OptSRepairExec& exec,
-                                   SRepairPlanCache* capture) {
+}  // namespace
+
+StatusOr<std::vector<int>> OptSRepairRows(const FdSet& fds,
+                                          const TableView& view,
+                                          const OptSRepairRowsOptions& options,
+                                          SRepairPlanCache* capture) {
+  const SRepairPlanCache* base = options.delta_base;
+  if (base != nullptr && !base->spliceable) {
+    return Status::FailedPrecondition(
+        "delta splice: base plan is not spliceable (the base run never "
+        "decomposed into blocks) — fall back to a full re-plan");
+  }
   // §3.2: "the success or failure of OptSRepair(∆, T) depends only on ∆,
   // and not on T" — enforce that by running Algorithm 2 up front, so small
   // or empty tables cannot mask a non-simplifiable ∆.
@@ -426,231 +499,48 @@ StatusOr<std::vector<int>> RunRows(const FdSet& fds, const TableView& view,
   // The chain depends only on ∆ (§3.2): compute it once and let every
   // block at depth d share the step, instead of re-simplifying per block.
   SimplificationChain chain = SimplificationChain::Compute(fds);
+  std::optional<SpliceBase> splice;
+  if (base != nullptr) {
+    if (chain.at(0).kind != base->top_kind) {
+      return Status::Internal(
+          "delta splice: base plan's top step does not match ∆'s first "
+          "simplification — the plan was captured under a different FD set");
+    }
+    if (view.num_tuples() <= 1) {
+      // The cold run would take the singleton/empty shortcut and never
+      // form blocks; a full re-plan is cheaper than any splice bookkeeping.
+      return Status::FailedPrecondition(
+          "delta splice: mutated table too small to splice");
+    }
+    static const std::vector<TupleId> kNoUpdatedIds;
+    splice.emplace(*base,
+                   options.delta_updated_ids != nullptr
+                       ? *options.delta_updated_ids
+                       : kNoUpdatedIds,
+                   view.num_tuples(), options.splice_stats);
+  }
   // The single shared row-index buffer: the recursion permutes it in place
   // and hands disjoint sub-windows to child blocks (concurrent blocks touch
   // disjoint ranges), so no level materializes per-block index vectors.
   std::vector<int> buffer = view.rows();
   std::vector<int> kept;
   double kept_weight = 0;
-  RecursionContext ctx{&chain, &exec, capture};
+  // Built locally and published only on success: `capture` may alias
+  // `base`, which the depth-0 step reads. On the paths that never decompose
+  // (trivial ∆, single-row or empty table) it stays non-spliceable and
+  // delta callers fall back.
+  SRepairPlanCache plan;
+  RecursionContext ctx{&chain, &options.exec,
+                       capture != nullptr || base != nullptr ? &plan : nullptr,
+                       splice ? &*splice : nullptr};
   FDR_RETURN_IF_ERROR(
       Recurse(ctx, 0,
               RowSpan(view.table(), buffer.data(),
                       static_cast<int>(buffer.size())),
               &kept, &kept_weight));
+  if (capture != nullptr) *capture = std::move(plan);
   std::sort(kept.begin(), kept.end());
   return kept;
-}
-
-/// The delta-splice path of the canonical OptSRepairRows (see the header
-/// comment there for the contract).
-StatusOr<std::vector<int>> DeltaRows(
-    const FdSet& fds, const TableView& view, const OptSRepairExec& exec,
-    const SRepairPlanCache& base, const std::vector<TupleId>& updated_ids,
-    SRepairPlanCache* capture, SRepairSpliceStats* stats) {
-  if (!base.spliceable) {
-    return Status::FailedPrecondition(
-        "delta splice: base plan is not spliceable (the base run never "
-        "decomposed into blocks) — fall back to a full re-plan");
-  }
-  if (!OsrSucceeds(fds)) {
-    return Status::FailedPrecondition(
-        "OptSRepair fails: OSRSucceeds is false for ∆ = " + fds.ToString() +
-        " (computing an optimal S-repair is APX-complete; Theorem 3.4)");
-  }
-  SimplificationChain chain = SimplificationChain::Compute(fds);
-  const SimplificationStep& step = chain.at(0);
-  if (step.kind != base.top_kind) {
-    return Status::Internal(
-        "delta splice: base plan's top step does not match ∆'s first "
-        "simplification — the plan was captured under a different FD set");
-  }
-  if (view.num_tuples() <= 1) {
-    // The cold run would take the singleton/empty shortcut and never form
-    // blocks; a full re-plan is cheaper than any splice bookkeeping.
-    return Status::FailedPrecondition(
-        "delta splice: mutated table too small to splice");
-  }
-
-  const Table& table = view.table();
-  std::vector<int> buffer = view.rows();
-  RowSpan span(table, buffer.data(), static_cast<int>(buffer.size()));
-  RecursionContext ctx{&chain, &exec, nullptr};
-  RecursionScratch& scratch = LocalScratch();
-
-  // Partition the mutated table exactly as a cold run's depth-0 arm would.
-  ScopedIntBuffer group_ends(&scratch.groups);
-  ScopedIntBuffer left(&scratch.groups);
-  ScopedIntBuffer right(&scratch.groups);
-  int num_left = 0;
-  int num_right = 0;
-  if (step.kind == SimplificationKind::kLhsMarriage) {
-    PartitionSpanForMarriage(span, step.marriage_x1, step.marriage_x2,
-                             &scratch.groups, &*group_ends, &*left, &*right,
-                             &num_left, &num_right);
-  } else {
-    PartitionSpanByAttrs(span, step.removed, &scratch.groups, &*group_ends);
-  }
-  const int num_blocks = static_cast<int>(group_ends->size());
-
-  BaseBlockIndex index;
-  for (int m = 0; m < base.num_blocks(); ++m) {
-    const std::span<const TupleId> ids = base.block_ids(m);
-    index.Add(ids.data(), static_cast<int>(ids.size()));
-  }
-  // Flaggable up to a generous multiple of the table size: ids grow by one
-  // per insert ever made, so only a table that shrank by orders of
-  // magnitude since its ids were minted falls back to binary search.
-  const UpdatedIdSet updated(
-      updated_ids, static_cast<size_t>(view.num_tuples()) * 16 + 65536);
-
-  // One pass per block, while its window still holds partition order
-  // (dirty blocks' child recursions permute their windows in place, but
-  // windows are disjoint — later blocks are unaffected):
-  //   1. stream the membership sequence into `ids` (block-major, exactly
-  //      the refreshed plan's ids) and test each member against the
-  //      updated-id set as it goes by;
-  //   2. clean (undirtied + structurally matched) blocks replay their
-  //      captured kept positions straight off the window — the values a
-  //      cold recursion on the identical block would recompute;
-  //   3. dirty blocks re-run the span recursion at depth 1, exactly as
-  //      SolveBlocks would have from a cold depth-0 arm.
-  ScopedResults results(&scratch, num_blocks);
-  std::vector<TupleId> ids(view.num_tuples());
-  // Refresh-only row → block-local position translation (a dirty block's
-  // window is permuted by its recursion, so positions must be recorded
-  // here, pre-recursion). A flat array over table rows, shared by every
-  // block — no per-block hashing.
-  std::vector<int> pos_of_row(capture != nullptr ? table.num_tuples() : 0);
-  std::vector<int> base_of_block(num_blocks, -1);
-  int blocks_clean = 0;
-  for (int b = 0; b < num_blocks; ++b) {
-    RowSpan block = BlockSpan(span, *group_ends, b);
-    TupleId* block_ids = ids.data() + (b == 0 ? 0 : (*group_ends)[b - 1]);
-    bool dirtied = false;
-    for (int i = 0; i < block.num_tuples(); ++i) {
-      const TupleId id = block.id(i);
-      block_ids[i] = id;
-      if (updated.contains(id)) dirtied = true;
-      if (capture != nullptr) pos_of_row[block.row(i)] = i;
-    }
-    const int m = dirtied ? -1 : index.Match(block_ids, block.num_tuples());
-    base_of_block[b] = m;
-    BlockResult& result = results[b];
-    if (m >= 0) {
-      ++blocks_clean;
-      const std::span<const int> kept = base.block_kept(m);
-      result.rows.reserve(kept.size());
-      for (int p : kept) result.rows.push_back(block.row(p));
-      result.weight = base.weights[m];
-    } else {
-      FDR_RETURN_IF_ERROR(
-          Recurse(ctx, 1, block, &result.rows, &result.weight));
-    }
-  }
-
-  // Re-run the top-level merge over the mixed per-block results — the same
-  // reduction, in the same first-appearance block order, as the cold arms.
-  std::vector<int> kept;
-  switch (step.kind) {
-    case SimplificationKind::kCommonLhs: {
-      for (int b = 0; b < num_blocks; ++b) {
-        kept.insert(kept.end(), results[b].rows.begin(),
-                    results[b].rows.end());
-      }
-      break;
-    }
-    case SimplificationKind::kConsensus: {
-      const BlockResult* best = nullptr;
-      for (int b = 0; b < num_blocks; ++b) {
-        if (best == nullptr || results[b].weight > best->weight) {
-          best = &results[b];
-        }
-      }
-      if (best != nullptr && best->weight > 0) {
-        kept.insert(kept.end(), best->rows.begin(), best->rows.end());
-      }
-      break;
-    }
-    case SimplificationKind::kLhsMarriage: {
-      std::vector<BipartiteEdge> edges;
-      edges.reserve(num_blocks);
-      for (int b = 0; b < num_blocks; ++b) {
-        edges.push_back(
-            BipartiteEdge{(*left)[b], (*right)[b], results[b].weight});
-      }
-      MatchingResult matching =
-          MaxWeightBipartiteMatching(num_left, num_right, edges);
-      for (int b : matching.edge_indices) {
-        kept.insert(kept.end(), results[b].rows.begin(),
-                    results[b].rows.end());
-      }
-      break;
-    }
-    default:
-      return Status::Internal("delta splice: unreachable top step kind");
-  }
-
-  if (capture != nullptr) {
-    // Build the refreshed plan before touching *capture — callers may pass
-    // capture == &base to refresh a plan in place. Clean blocks copy their
-    // kept positions and weight out of the base plan.
-    SRepairPlanCache fresh;
-    fresh.spliceable = true;
-    fresh.top_kind = step.kind;
-    fresh.ids = std::move(ids);
-    fresh.block_ends = *group_ends;
-    size_t kept_total = 0;
-    for (int b = 0; b < num_blocks; ++b) kept_total += results[b].rows.size();
-    fresh.kept_pos.reserve(kept_total);
-    fresh.kept_ends.reserve(num_blocks);
-    fresh.weights.reserve(num_blocks);
-    for (int b = 0; b < num_blocks; ++b) {
-      const int m = base_of_block[b];
-      if (m < 0) {
-        CaptureBlockResult(&fresh, pos_of_row, results[b].rows,
-                           results[b].weight);
-        continue;
-      }
-      const std::span<const int> kept_pos = base.block_kept(m);
-      fresh.kept_pos.insert(fresh.kept_pos.end(), kept_pos.begin(),
-                            kept_pos.end());
-      fresh.kept_ends.push_back(static_cast<int>(fresh.kept_pos.size()));
-      fresh.weights.push_back(base.weights[m]);
-    }
-    *capture = std::move(fresh);
-  }
-  if (stats != nullptr) {
-    stats->blocks_total = num_blocks;
-    stats->blocks_clean = blocks_clean;
-    stats->blocks_dirty = num_blocks - blocks_clean;
-    stats->base_block = std::move(base_of_block);
-  }
-
-  std::sort(kept.begin(), kept.end());
-  return kept;
-}
-
-}  // namespace
-
-StatusOr<std::vector<int>> OptSRepairRows(const FdSet& fds,
-                                          const TableView& view,
-                                          const OptSRepairRowsOptions& options,
-                                          SRepairPlanCache* capture) {
-  if (options.delta_base != nullptr) {
-    static const std::vector<TupleId> kNoUpdatedIds;
-    const std::vector<TupleId>& updated = options.delta_updated_ids != nullptr
-                                              ? *options.delta_updated_ids
-                                              : kNoUpdatedIds;
-    return DeltaRows(fds, view, options.exec, *options.delta_base, updated,
-                     capture, options.splice_stats);
-  }
-  if (capture == nullptr) return RunRows(fds, view, options.exec, nullptr);
-  // A fresh capture every run: on success the depth-0 arm filled it in; on
-  // the paths that never decompose (trivial ∆, single-row or empty table,
-  // errors) it stays non-spliceable and delta callers fall back.
-  *capture = SRepairPlanCache{};
-  return RunRows(fds, view, options.exec, capture);
 }
 
 StatusOr<Table> OptSRepair(const FdSet& fds, const Table& table) {

@@ -53,12 +53,14 @@ struct OptSRepairExec {
   /// Blocks of a simplification step run on this pool when set (and the
   /// pool has more than one thread). Null: the classic sequential path.
   ThreadPool* pool = nullptr;
-  /// A step only fans its blocks out to the pool when its rows beyond each
-  /// block's first row number at least this many (see FansOut). A one-row
-  /// block ends in O(1) at the singleton shortcut, so only those extra rows
-  /// are recursion work worth a worker; tables that split into ~one-row
-  /// blocks stay on the calling thread. Purely a performance knob — results
-  /// never depend on it.
+  /// A step only fans the blocks it solves out to the pool when their rows
+  /// beyond each block's first row number at least this many (see
+  /// FansOut). A one-row block ends in O(1) at the singleton shortcut, so
+  /// only those extra rows are recursion work worth a worker; tables that
+  /// split into ~one-row blocks stay on the calling thread. The blocks a
+  /// step solves are all of its blocks, except at a delta splice's depth 0,
+  /// where they are only the dirty ones (clean blocks are replayed). Purely
+  /// a performance knob — results never depend on it.
   int parallel_cutoff = 2048;
   /// Cooperative deadline, checked at every recursion node. Once passed,
   /// the recursion unwinds with kDeadlineExceeded (all in-flight blocks
@@ -70,9 +72,9 @@ struct OptSRepairExec {
     return deadline != std::chrono::steady_clock::time_point::max();
   }
 
-  /// The fan-out rule: whether a step that split `parent_tuples` rows into
-  /// `num_blocks` blocks holds enough work to run them on the pool (the
-  /// pool itself must also have more than one thread).
+  /// The fan-out rule: whether the blocks a step solves — `num_blocks` of
+  /// them, holding `parent_tuples` rows in all — hold enough work to run
+  /// on the pool (the pool itself must also have more than one thread).
   bool FansOut(int num_blocks, int parent_tuples) const {
     return num_blocks > 1 && parent_tuples - num_blocks >= parallel_cutoff;
   }
@@ -84,12 +86,14 @@ struct OptSRepairExec {
 // independent top-level σ-blocks; an edited tuple only touches the blocks
 // sharing its partition-attribute values (§3.2 locality). A capturing run
 // records, per top-level block, its TupleId membership sequence, the
-// positions it kept, and its repair weight. A later delta run re-partitions
-// the *mutated* table, classifies each block clean/dirty against the
-// captured plan (engine/BaseBlockIndex), re-runs the span recursion on
-// dirty blocks only, and replays clean blocks' kept positions verbatim —
-// then redoes the top-level merge (union / consensus argmax / marriage
-// matching) over the mixed per-block results.
+// positions it kept, and its repair weight. A delta run is the cold run
+// with a base plan in hand: the same depth-0 arm partitions the *mutated*
+// table, and its block solve classifies each block clean/dirty against the
+// captured plan (engine/BaseBlockIndex plus the in-place-updated ids),
+// replays clean blocks' kept positions and weights verbatim and recurses
+// into dirty blocks only; the arm's own merge (union / consensus argmax /
+// marriage matching) and plan capture then run unchanged over the mixed
+// per-block results.
 //
 // Bit-identity of the splice with a cold full run rests on two facts:
 //   1. a clean block holds the same rows, with the same content, in the
@@ -184,21 +188,25 @@ struct OptSRepairRowsOptions {
 /// underlying table) of an optimal S-repair, in increasing order.
 ///
 /// With `capture` non-null, additionally fills it with the run's top-level
-/// plan (capture->spliceable tells whether it can seed a delta run). The
-/// returned rows are bit-identical to a non-capturing run's — the only
-/// behavioral difference is that capture runs take the general block path
-/// at depth 0 where the plain run may take an all-singleton shortcut (the
-/// shortcuts are themselves bit-identical to that path by design).
+/// plan (capture->spliceable tells whether it can seed a delta run).
+/// `*capture` is written on success only, and may alias options.delta_base
+/// (a splice then refreshes its own base in place). The returned rows are
+/// bit-identical to a non-capturing run's — the only behavioral difference
+/// is that capture runs (and splices) take the general block path at depth
+/// 0 where the plain run may take an all-singleton shortcut (the shortcuts
+/// are themselves bit-identical to that path by design).
 ///
 /// With options.delta_base non-null, repairs `view` (the MUTATED table) by
-/// splicing the captured plan; bit-identical to a cold run on `view` for
-/// every thread count, and `capture` then receives the mutated table's
-/// refreshed plan (so delta runs chain).
+/// splicing the captured plan at depth 0; bit-identical to a cold run on
+/// `view` for every thread count, and `capture` then receives the mutated
+/// table's refreshed plan — equal to a cold capture's — so delta runs
+/// chain.
 ///
 /// Fails with kFailedPrecondition iff OSRSucceeds(∆) is false, or — delta
-/// runs only — when the base plan is not spliceable or the table is too
-/// small to splice (callers fall back to a full re-plan); fails with
-/// kDeadlineExceeded when exec.deadline expires mid-run.
+/// runs only — when the base plan is not spliceable or the table has at
+/// most one row (callers fall back to a full re-plan); with kInternal when
+/// the base plan's top step does not match ∆'s; with kDeadlineExceeded
+/// when exec.deadline expires mid-run.
 StatusOr<std::vector<int>> OptSRepairRows(
     const FdSet& fds, const TableView& view,
     const OptSRepairRowsOptions& options = {},

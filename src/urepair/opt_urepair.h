@@ -4,44 +4,58 @@
 //
 // Where an S-repair is a kept-id set, a U-repair is a set of cell
 // rewrites; the natural recipe unit is therefore a (position, attribute,
-// replacement text) triple, not a row list. OptURepairCells runs exactly
-// the ComputeURepair pipeline (consensus peeling, attribute-disjoint
-// components, the per-component route table) and returns the update as a
-// canonical edit list — sorted by (dense row position, attribute), one
-// entry per cell that actually changed — together with the DistUpd
-// distance, computed over the materialized update before it is discarded.
-// ComputeURepair itself is a thin wrapper: clone + apply edits.
+// replacement text) triple, not a row list. OptURepairCells runs the whole
+// §4 pipeline (consensus peeling, attribute-disjoint components, the
+// per-component route table) and returns the update as a canonical edit
+// list — sorted by (dense row position, attribute), one entry per cell
+// that actually changed — together with its DistUpd distance.
 //
-// Plan capture records, per component, the inner S-repair's
-// SRepairPlanCache (common-lhs and key-cycle routes both reduce to
-// Algorithm 1) and — for common-lhs components — one URepairBlockRecipe
-// per top-level S-repair block: the freshening edits of that block's
-// deleted rows. A later delta run splices each component:
+// One component loop serves cold runs and delta splices alike: every
+// route emits position-addressed edits into one assembly (a counting pass
+// by row, then DistUpd's row-order sum). Per route:
 //
-//   - consensus attributes: recomputed outright (one contiguous column
-//     sweep per attribute — already O(n), nothing worth caching);
-//   - common-lhs: the inner OptSRepairRows splice (its delta_base set to
-//     the component's captured S-plan) re-runs dirty blocks only and
+//   - consensus attributes: one plurality sweep per column — already O(n),
+//     so splices recompute it too;
+//   - common-lhs (Corollary 4.6): the inner OptSRepairRows, then every
+//     deleted row's lhs cover freshened (Proposition 4.4). A cold run
+//     freshens in one tight row-order pass: a later cache hit re-interns
+//     every edit text, and the pool's index allocates its nodes in intern
+//     order, so interning block by block (interleaved with recipe
+//     allocations) made those hits measurably slower. A capturing run then
+//     cuts one URepairBlockRecipe per top-level S-repair block from those
+//     cells. A splice sets the inner delta_base to the component's
+//     captured S-plan, so only dirty blocks are re-solved; the S-splice
 //     reports, per refreshed block, the base block it replayed
-//     (SRepairSpliceStats::base_block); a replayed block has the same ids
-//     and kept set — and hence the same freshening — as that base block,
-//     so its cached *edit recipe* is reused by index, skipping the
-//     per-cell name construction and pool interning entirely;
-//   - key-cycle: the inner S-repair splices; the Proposition 4.9
-//     alignment pass is recomputed over the spliced kept set (it is a
-//     single O(n) column sweep and its bijection depends on the *global*
-//     kept order, so it cannot be cached per block);
-//   - exact-search / combined-approx components make the whole plan
-//     non-spliceable (kFailedPrecondition → callers fall back to a full
-//     re-plan, exactly as the service does for non-spliceable S-plans).
+//     (SRepairSpliceStats::base_block), and a replayed block has the same
+//     ids and kept set — hence the same freshening — so its recipe is
+//     reused by index, and dirty blocks derive theirs;
+//   - key-cycle (Proposition 4.9): the inner S-repair (cold or spliced),
+//     then the alignment pass over the kept set — a single O(n) column
+//     sweep whose bijection depends on the *global* kept order, so it is
+//     never cached per block;
+//   - exact-search / combined-approx components make the plan
+//     non-spliceable (a splice of such a plan fails with
+//     kFailedPrecondition → callers fall back to a full re-plan, exactly
+//     as the service does for non-spliceable S-plans).
+//
+// A cold run also applies its edits to a clone of the table as it emits
+// them and FDR_CHECKs Satisfies on the result; ComputeURepair
+// (urepair/planner.h), defined next to OptURepairCells, returns that
+// audited update rather than applying the edits a second time. Splices
+// skip the audit.
 //
 // Bit-identity of the splice with a cold OptURepairCells run follows from
 // the S-repair splice guarantee (opt_srepair.h) plus determinism of the
 // freshening: fresh-constant names derive from (TupleId, attribute) — see
 // urepair/fresh.h — so a clean block's cached edit texts are literally
-// what a cold run would re-derive, and the sequential merge/diff order is
-// unchanged. tests/delta_test.cc property-tests this across random
-// mutation sequences and thread counts.
+// what a cold run would re-derive, and the assembly's order and distance
+// depend only on the edit set. tests/delta_test.cc property-tests this
+// across random mutation sequences and thread counts.
+//
+// OptURepairOptions mirrors OptSRepairRowsOptions' exec and delta fields
+// rather than deriving from it: it is a documented layer boundary, whose
+// delta_base is a URepairPlanCache, not an SRepairPlanCache. The component
+// loop builds the one OptSRepairRowsOptions its inner S-repairs run under.
 
 #ifndef FDREPAIR_UREPAIR_OPT_UREPAIR_H_
 #define FDREPAIR_UREPAIR_OPT_UREPAIR_H_
@@ -73,7 +87,8 @@ struct URepairPlanCache;
 
 /// Everything one OptURepairCells run needs beyond (∆, T): planner knobs,
 /// execution limits, and the optional delta-splice inputs — the
-/// update-mode mirror of OptSRepairRowsOptions.
+/// update-mode mirror of OptSRepairRowsOptions (see the file comment for
+/// why it mirrors rather than derives).
 struct OptURepairOptions {
   URepairOptions planner;
   /// Inner S-repairs (common-lhs, key-cycle) fan their blocks out under
@@ -145,7 +160,9 @@ struct URepairPlanCache {
 
 /// Plans and executes an update repair, returning the canonical edit
 /// list. With `capture` non-null additionally records the run's plan
-/// (capture->spliceable tells whether it can seed a delta run).
+/// (capture->spliceable tells whether it can seed a delta run). `*capture`
+/// is written on success only, and may alias options.delta_base: a splice
+/// then refreshes its own base in place.
 ///
 /// With options.delta_base non-null, repairs `table` (the MUTATED table)
 /// by splicing the captured plan; bit-identical to a cold run on `table`
@@ -157,6 +174,12 @@ StatusOr<OptURepairResult> OptURepairCells(const FdSet& fds,
                                            const Table& table,
                                            const OptURepairOptions& options = {},
                                            URepairPlanCache* capture = nullptr);
+
+/// Materializes an edit list: a clone of `table` with every edit's text
+/// interned into the shared pool and written to its tuple's cell. Fails
+/// with kNotFound when an edit names a tuple id `table` does not hold.
+StatusOr<Table> ApplyCellEdits(const Table& table,
+                               const std::vector<URepairCellEdit>& edits);
 
 }  // namespace fdrepair
 

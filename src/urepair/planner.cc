@@ -5,7 +5,6 @@
 
 #include "srepair/osr_succeeds.h"
 #include "urepair/covers.h"
-#include "urepair/opt_urepair.h"
 #include "urepair/urepair_key_cycle.h"
 
 namespace fdrepair {
@@ -179,28 +178,6 @@ StatusOr<URepairPlan> PlanURepair(const FdSet& fds) {
     }
   }
   return plan;
-}
-
-StatusOr<URepairResult> ComputeURepair(const FdSet& fds, const Table& table,
-                                       const URepairOptions& options) {
-  // The execution pipeline lives in OptURepairCells (urepair/opt_urepair.cc)
-  // — one implementation serves both the Table-producing facade and the
-  // service's edit-list / delta-splice path. Applying the canonical edits
-  // to a clone reproduces the pipeline's internal update bit for bit: the
-  // edit texts are already interned in the shared pool, so Intern returns
-  // the very ValueIds the pipeline wrote.
-  OptURepairOptions cell_options;
-  cell_options.planner = options;
-  FDR_ASSIGN_OR_RETURN(OptURepairResult cells,
-                       OptURepairCells(fds, table, cell_options, nullptr));
-  Table update = table.Clone();
-  for (const URepairCellEdit& edit : cells.edits) {
-    FDR_ASSIGN_OR_RETURN(int row, update.RowOf(edit.id));
-    update.SetValue(row, edit.attr, update.Intern(edit.text));
-  }
-  URepairResult result{std::move(update), cells.distance, cells.optimal,
-                       cells.ratio_bound, std::move(cells.plan)};
-  return result;
 }
 
 }  // namespace fdrepair

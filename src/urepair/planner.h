@@ -106,7 +106,9 @@ struct URepairResult {
   URepairPlan plan;
 };
 
-/// Plans and executes an update repair of `table` under ∆.
+/// Plans and executes an update repair of `table` under ∆: a cold
+/// OptURepairCells run (defined with it, in urepair/opt_urepair.cc),
+/// returning the update that run materialized and audited.
 StatusOr<URepairResult> ComputeURepair(const FdSet& fds, const Table& table,
                                        const URepairOptions& options = {});
 

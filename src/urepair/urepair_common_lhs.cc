@@ -1,5 +1,6 @@
 #include "urepair/urepair_common_lhs.h"
 
+#include "srepair/opt_srepair.h"
 #include "urepair/covers.h"
 #include "urepair/fresh.h"
 
@@ -33,9 +34,7 @@ StatusOr<Table> SubsetToUpdate(const FdSet& fds, const Table& table,
   return update;
 }
 
-StatusOr<Table> CommonLhsOptimalURepair(const FdSet& fds, const Table& table,
-                                        const OptSRepairExec& exec,
-                                        SRepairPlanCache* capture) {
+StatusOr<Table> CommonLhsOptimalURepair(const FdSet& fds, const Table& table) {
   FdSet delta = fds.WithoutTrivial();
   if (!delta.FindCommonLhsAttr().has_value()) {
     return Status::FailedPrecondition(
@@ -47,16 +46,9 @@ StatusOr<Table> CommonLhsOptimalURepair(const FdSet& fds, const Table& table,
   }
   // Optimal S-repair (fails exactly when the problem is APX-complete), then
   // the cost-preserving conversion: mlc = 1 because of the common lhs.
-  OptSRepairRowsOptions row_options;
-  row_options.exec = exec;
-  FDR_ASSIGN_OR_RETURN(
-      std::vector<int> kept_rows,
-      OptSRepairRows(delta, TableView(table), row_options, capture));
+  FDR_ASSIGN_OR_RETURN(std::vector<int> kept_rows,
+                       OptSRepairRows(delta, TableView(table)));
   return SubsetToUpdate(delta, table, kept_rows);
-}
-
-StatusOr<Table> CommonLhsOptimalURepair(const FdSet& fds, const Table& table) {
-  return CommonLhsOptimalURepair(fds, table, OptSRepairExec{}, nullptr);
 }
 
 }  // namespace fdrepair

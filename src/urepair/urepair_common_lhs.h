@@ -17,7 +17,6 @@
 
 #include "catalog/fdset.h"
 #include "common/status.h"
-#include "srepair/opt_srepair.h"
 #include "storage/table.h"
 
 namespace fdrepair {
@@ -32,15 +31,12 @@ StatusOr<Table> SubsetToUpdate(const FdSet& fds, const Table& table,
 /// Corollary 4.6: the exact optimal U-repair for a consensus-free ∆ with a
 /// common lhs, provided OSRSucceeds(∆) (otherwise OptSRepair — and by the
 /// corollary the U-problem too — is APX-complete, and this returns
-/// kFailedPrecondition). The exec overload fans the inner S-repair's blocks
-/// out to exec.pool (the freshening pass stays sequential, so results are
-/// bit-identical for every thread count) and, when `capture` is non-null,
-/// records the inner S-repair's top-level plan — the seed the delta splice
-/// path (urepair/opt_urepair.cc) re-runs dirty blocks against.
+/// kFailedPrecondition). The paper's entry point, sequential; the planner
+/// (urepair/opt_urepair.h) runs the same construction inside its one
+/// component loop — inner S-repair under its exec, then a row-order
+/// freshening pass that emits cell edits without cloning the table — and
+/// that loop is where plan capture and delta splicing live.
 StatusOr<Table> CommonLhsOptimalURepair(const FdSet& fds, const Table& table);
-StatusOr<Table> CommonLhsOptimalURepair(const FdSet& fds, const Table& table,
-                                        const OptSRepairExec& exec,
-                                        SRepairPlanCache* capture);
 
 }  // namespace fdrepair
 

@@ -43,23 +43,6 @@ ValueId PluralityValue(const Table& table, AttrId attr, DenseValueIndex& index,
 
 }  // namespace
 
-Table ConsensusPluralityRepair(const Table& table, AttrSet attrs) {
-  Table update = table.Clone();
-  if (table.num_tuples() == 0) return update;
-  DenseValueIndex index;
-  std::vector<double> weight_of;
-  std::vector<ValueId> order;
-  ForEachAttr(attrs, [&](AttrId attr) {
-    ValueId plurality = PluralityValue(table, attr, index, weight_of, order);
-    for (int row = 0; row < update.num_tuples(); ++row) {
-      if (update.value(row, attr) != plurality) {
-        update.SetValue(row, attr, plurality);
-      }
-    }
-  });
-  return update;
-}
-
 std::vector<std::pair<AttrId, ValueId>> ConsensusPluralityValues(
     const Table& table, AttrSet attrs) {
   std::vector<std::pair<AttrId, ValueId>> result;

@@ -16,19 +16,15 @@
 
 namespace fdrepair {
 
-/// Overwrites, for each attribute in `attrs`, every cell that does not hold
-/// the column's weighted-plurality value (ties break to the first-seen
-/// value). Returns the updated table; the incurred dist_upd is the sum over
-/// columns of (total weight − plurality weight).
-Table ConsensusPluralityRepair(const Table& table, AttrSet attrs);
-
 /// The cost the plurality repair will incur, without building it.
 double ConsensusPluralityCost(const Table& table, AttrSet attrs);
 
-/// The plurality values themselves, one entry per attribute of `attrs` in
-/// ascending order — for callers (the delta splice path) that apply or
-/// diff the consensus repair without cloning the table. Empty when the
-/// table is empty.
+/// The plurality values, one entry per attribute of `attrs` in ascending
+/// order (ties break to the first-seen value). The optimal repair of the
+/// consensus columns overwrites every other cell with its column's value,
+/// at dist_upd = Σ over columns of (total weight − plurality weight); the
+/// planner (urepair/opt_urepair.h) emits those overwrites as cell edits.
+/// Empty when the table is empty.
 std::vector<std::pair<AttrId, ValueId>> ConsensusPluralityValues(
     const Table& table, AttrSet attrs);
 

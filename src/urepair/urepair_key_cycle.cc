@@ -1,5 +1,6 @@
 #include "urepair/urepair_key_cycle.h"
 
+#include "srepair/opt_srepair.h"
 #include "storage/row_span.h"
 
 namespace fdrepair {
@@ -71,25 +72,18 @@ Table KeyCycleAlignRows(AttrId a, AttrId b, const Table& table,
   return update;
 }
 
-StatusOr<Table> KeyCycleOptimalURepair(const FdSet& fds, const Table& table,
-                                       const OptSRepairExec& exec) {
+StatusOr<Table> KeyCycleOptimalURepair(const FdSet& fds, const Table& table) {
   auto cycle = DetectKeyCycle(fds);
   if (!cycle) {
     return Status::FailedPrecondition(
         "KeyCycleOptimalURepair requires ∆ = {A -> B, B -> A}");
   }
   const auto [a, b] = *cycle;
-  FdSet delta = fds.WithoutTrivial();
   // {A → B, B → A} passes OSRSucceeds via lhs marriage, so this cannot fail.
-  OptSRepairRowsOptions row_options;
-  row_options.exec = exec;
-  FDR_ASSIGN_OR_RETURN(std::vector<int> kept_rows,
-                       OptSRepairRows(delta, TableView(table), row_options));
+  FDR_ASSIGN_OR_RETURN(
+      std::vector<int> kept_rows,
+      OptSRepairRows(fds.WithoutTrivial(), TableView(table)));
   return KeyCycleAlignRows(a, b, table, kept_rows);
-}
-
-StatusOr<Table> KeyCycleOptimalURepair(const FdSet& fds, const Table& table) {
-  return KeyCycleOptimalURepair(fds, table, OptSRepairExec{});
 }
 
 }  // namespace fdrepair

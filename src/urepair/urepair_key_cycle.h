@@ -14,7 +14,6 @@
 
 #include "catalog/fdset.h"
 #include "common/status.h"
-#include "srepair/opt_srepair.h"
 #include "storage/table.h"
 
 namespace fdrepair {
@@ -24,19 +23,16 @@ namespace fdrepair {
 std::optional<std::pair<AttrId, AttrId>> DetectKeyCycle(const FdSet& fds);
 
 /// Computes an *optimal* U-repair for a key-cycle FD set. Fails with
-/// kFailedPrecondition when DetectKeyCycle returns nothing. The exec
-/// overload fans the inner S-repair's blocks out to exec.pool; the
-/// alignment pass below is sequential either way, so results are
-/// bit-identical for every thread count.
+/// kFailedPrecondition when DetectKeyCycle returns nothing. The paper's
+/// entry point, sequential; the planner (urepair/opt_urepair.h) runs the
+/// inner S-repair under its exec and calls KeyCycleAlignRows directly.
 StatusOr<Table> KeyCycleOptimalURepair(const FdSet& fds, const Table& table);
-StatusOr<Table> KeyCycleOptimalURepair(const FdSet& fds, const Table& table,
-                                       const OptSRepairExec& exec);
 
 /// The Proposition 4.9 alignment pass alone: given the (A, B) cycle pair
 /// and the dense row positions of an optimal S-repair of `table`, rewrites
 /// each deleted tuple's one disagreeing cell. O(n) over the column store.
-/// Split out so the delta splice path (urepair/opt_urepair.cc) can re-run
-/// it over a spliced inner S-repair without re-detecting the cycle.
+/// Split out so the planner's component loop (urepair/opt_urepair.cc) runs
+/// it over a cold or spliced inner S-repair without re-detecting the cycle.
 Table KeyCycleAlignRows(AttrId a, AttrId b, const Table& table,
                         const std::vector<int>& kept_rows);
 

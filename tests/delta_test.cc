@@ -24,6 +24,7 @@
 #include "storage/table.h"
 #include "storage/table_delta.h"
 #include "storage/table_hash.h"
+#include "storage/table_io.h"
 #include "storage/table_view.h"
 #include "urepair/opt_urepair.h"
 #include "workloads/example_fdsets.h"
@@ -634,6 +635,150 @@ TEST(PlanCaptureTest, ComputeSRepairSplicesWithoutUpdatedIds) {
   EXPECT_GT(stats.blocks_clean, 0);
 }
 
+// A splice can refresh its own base: `capture` aliases `delta_base`, and
+// the splice still reads the intact base while it runs. Two chained deltas,
+// each spliced into its own base, each equal to a cold run.
+TEST(PlanCaptureTest, UpdateSpliceRefreshesItsBaseInPlace) {
+  ParsedFdSet parsed = OfficeFds();
+  Table base = ScalingFamilyTable(parsed, 256, 9);
+  URepairPlanCache plan;
+  ASSERT_TRUE(OptURepairCells(parsed.fds, base, {}, &plan).ok());
+  ASSERT_TRUE(plan.spliceable);
+
+  Rng rng(71);
+  DeltaBuilder builder(base);
+  for (int step = 0; step < 2; ++step) {
+    RandomBatch(&builder, /*updates=*/1, /*inserts=*/0, /*erases=*/0,
+                /*domain=*/16, &rng);
+    TableDelta delta = builder.Finish();
+    SRepairSpliceStats stats;
+    OptURepairOptions options;
+    options.delta_base = &plan;
+    options.delta_updated_ids = &delta.updated;
+    options.splice_stats = &stats;
+    auto spliced = OptURepairCells(parsed.fds, builder.table(), options, &plan);
+    ASSERT_TRUE(spliced.ok()) << spliced.status();
+    EXPECT_GT(stats.blocks_clean, 0) << "step " << step;
+
+    URepairPlanCache cold_plan;
+    auto cold = OptURepairCells(parsed.fds, builder.table(), {}, &cold_plan);
+    ASSERT_TRUE(cold.ok()) << cold.status();
+    ASSERT_EQ(spliced->edits.size(), cold->edits.size()) << "step " << step;
+    for (size_t e = 0; e < cold->edits.size(); ++e) {
+      EXPECT_EQ(spliced->edits[e].id, cold->edits[e].id) << e;
+      EXPECT_EQ(spliced->edits[e].attr, cold->edits[e].attr) << e;
+      EXPECT_EQ(spliced->edits[e].text, cold->edits[e].text) << e;
+    }
+    EXPECT_EQ(std::bit_cast<uint64_t>(spliced->distance),
+              std::bit_cast<uint64_t>(cold->distance));
+    ASSERT_TRUE(plan.spliceable);
+    ASSERT_EQ(plan.components.size(), cold_plan.components.size());
+    for (size_t c = 0; c < plan.components.size(); ++c) {
+      ExpectSamePlan(plan.components[c].splan, cold_plan.components[c].splan,
+                     "step " + std::to_string(step));
+    }
+  }
+}
+
+// A splice fans its dirty blocks out to the pool once they hold enough
+// work. With the cutoff at 1 and chained deltas dirtying many blocks, the
+// pooled splice equals the sequential splice and a cold run, and both
+// refreshed plans equal a cold capture.
+TEST(PlanCaptureTest, SpliceFansOutDirtyBlocksBitIdentically) {
+  ThreadPool pool(4);
+  OptSRepairRowsOptions sequential;
+  OptSRepairRowsOptions pooled;
+  pooled.exec.pool = &pool;
+  pooled.exec.parallel_cutoff = 1;
+  for (const ParsedFdSet& parsed : {OfficeFds(), DeltaAKeyBToC()}) {
+    const std::string label = parsed.fds.ToString();
+    Table base = ScalingFamilyTable(parsed, 600, 9);
+    SRepairPlanCache sequential_plan;
+    SRepairPlanCache pooled_plan;
+    ASSERT_TRUE(OptSRepairRows(parsed.fds, TableView(base), sequential,
+                               &sequential_plan)
+                    .ok());
+    ASSERT_TRUE(
+        OptSRepairRows(parsed.fds, TableView(base), pooled, &pooled_plan)
+            .ok());
+
+    Rng rng(43);
+    DeltaBuilder builder(base);
+    for (int step = 0; step < 3; ++step) {
+      const std::string context = label + " step " + std::to_string(step);
+      RandomBatch(&builder, /*updates=*/40, /*inserts=*/4, /*erases=*/4,
+                  /*domain=*/37, &rng);
+      TableDelta delta = builder.Finish();
+      const TableView view(builder.table());
+
+      auto splice = [&](OptSRepairRowsOptions options, SRepairPlanCache* plan,
+                        SRepairSpliceStats* stats) {
+        options.delta_base = plan;
+        options.delta_updated_ids = &delta.updated;
+        options.splice_stats = stats;
+        return OptSRepairRows(parsed.fds, view, options, plan);
+      };
+      SRepairSpliceStats sequential_stats;
+      SRepairSpliceStats pooled_stats;
+      auto by_thread = splice(sequential, &sequential_plan, &sequential_stats);
+      auto by_pool = splice(pooled, &pooled_plan, &pooled_stats);
+      ASSERT_TRUE(by_thread.ok()) << context << ": " << by_thread.status();
+      ASSERT_TRUE(by_pool.ok()) << context << ": " << by_pool.status();
+      SRepairPlanCache cold_plan;
+      auto cold = OptSRepairRows(parsed.fds, view, sequential, &cold_plan);
+      ASSERT_TRUE(cold.ok()) << context << ": " << cold.status();
+      EXPECT_EQ(*by_pool, *by_thread) << context;
+      EXPECT_EQ(*by_pool, *cold) << context;
+      ExpectSamePlan(pooled_plan, cold_plan, context);
+      ExpectSamePlan(sequential_plan, cold_plan, context);
+
+      // The dirty blocks really held enough work to fan out, and clean
+      // blocks were still replayed.
+      int dirty_rows = 0;
+      for (int b = 0; b < pooled_plan.num_blocks(); ++b) {
+        if (pooled_stats.base_block[b] < 0) {
+          dirty_rows += static_cast<int>(pooled_plan.block_ids(b).size());
+        }
+      }
+      EXPECT_GT(pooled_stats.blocks_dirty, 1) << context;
+      EXPECT_GT(pooled_stats.blocks_clean, 0) << context;
+      EXPECT_TRUE(pooled.exec.FansOut(pooled_stats.blocks_dirty, dirty_rows))
+          << context;
+    }
+  }
+
+  // At the default cutoff, a 1% update batch on 8192-row Office dirties
+  // too little work to fan out: the splice stays on the calling thread.
+  ParsedFdSet office = OfficeFds();
+  Table base = ScalingFamilyTable(office, 8192, 5);
+  SRepairPlanCache plan;
+  ASSERT_TRUE(OptSRepairRows(office.fds, TableView(base), {}, &plan).ok());
+  Rng rng(4242);
+  DeltaBuilder builder(base);
+  RandomBatch(&builder, /*updates=*/82, /*inserts=*/0, /*erases=*/0,
+              /*domain=*/512, &rng);
+  TableDelta delta = builder.Finish();
+  OptSRepairRowsOptions options;
+  options.exec.pool = &pool;
+  options.delta_base = &plan;
+  options.delta_updated_ids = &delta.updated;
+  SRepairSpliceStats stats;
+  options.splice_stats = &stats;
+  SRepairPlanCache refreshed;
+  ASSERT_TRUE(OptSRepairRows(office.fds, TableView(builder.table()), options,
+                             &refreshed)
+                  .ok());
+  int dirty_rows = 0;
+  for (int b = 0; b < refreshed.num_blocks(); ++b) {
+    if (stats.base_block[b] < 0) {
+      dirty_rows += static_cast<int>(refreshed.block_ids(b).size());
+    }
+  }
+  EXPECT_GT(stats.blocks_dirty, 1);
+  EXPECT_FALSE(options.exec.FansOut(stats.blocks_dirty, dirty_rows))
+      << stats.blocks_dirty << " dirty blocks, " << dirty_rows << " rows";
+}
+
 // --------------------------------------------------------------------------
 // RepairService::ApplyDelta
 // --------------------------------------------------------------------------
@@ -750,6 +895,34 @@ TEST(ServiceDeltaTest, MissingBasePlanFallsBackToFullReplan) {
   EXPECT_EQ(stats.delta_requests, 1u);
   EXPECT_EQ(stats.delta_splices, 0u);
   EXPECT_EQ(stats.delta_full_replans, 1u);
+}
+
+// Tuple ids need not be dense or positive: a CSV may carry any id. A delta
+// that updates a negative id must splice safely (the updated-id set once
+// indexed a flag vector by id) and serve exactly what a cold re-plan does.
+TEST(ServiceDeltaTest, NegativeTupleIdsSpliceSafely) {
+  auto table = TableFromCsv("id,A,B\n-7,a,x\n-3,a,y\n2,b,z\n5,c,w\n");
+  ASSERT_TRUE(table.ok()) << table.status();
+  FdSet fds = ParseFdSetOrDie(table->schema(), "A -> B");
+  RepairService service;
+  ASSERT_TRUE(service.Serve(Request(RepairMode::kSubset, fds, &*table)).ok());
+
+  DeltaBuilder builder(*table);
+  ASSERT_TRUE(builder.Update(-7, 1, "q").ok());
+  TableDelta delta = builder.Finish();
+  RepairRequest incremental =
+      Request(RepairMode::kSubset, fds, &builder.table());
+  incremental.delta = &delta;
+  auto served = service.ApplyDelta(incremental);
+  ASSERT_TRUE(served.ok()) << served.status();
+  EXPECT_EQ(service.stats().delta_splices, 1u);
+
+  Table copy = CopyContent(builder.table());
+  RepairService fresh;
+  auto reference = fresh.Serve(Request(RepairMode::kSubset, fds, &copy));
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  ExpectSameRepair(reference->repair, served->repair);
+  EXPECT_EQ(reference->distance, served->distance);
 }
 
 /// The headline property: over random mutation sequences, ApplyDelta is

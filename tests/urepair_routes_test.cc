@@ -37,15 +37,21 @@
 namespace fdrepair {
 namespace {
 
+// The consensus route runs inside the planner: ∆ made only of consensus
+// FDs is repaired by ComputeURepair's plurality sweep alone.
 TEST(ConsensusRepairTest, WeightedPlurality) {
   ParsedFdSet parsed = ParseFdSetInferSchemaOrDie("{} -> A");
   Table table(parsed.schema);
   table.AddTuple({"x"}, 1);
   table.AddTuple({"y"}, 3);
   table.AddTuple({"x"}, 1);
-  Table update = ConsensusPluralityRepair(table, AttrSet::Of({0}));
+  auto repaired = ComputeURepair(parsed.fds, table);
+  ASSERT_TRUE(repaired.ok()) << repaired.status();
+  const Table& update = repaired->update;
   EXPECT_TRUE(Satisfies(update, parsed.fds));
   EXPECT_DOUBLE_EQ(DistUpdOrDie(update, table), 2);  // both x's flip
+  EXPECT_DOUBLE_EQ(repaired->distance, 2);
+  EXPECT_TRUE(repaired->optimal);
   EXPECT_EQ(update.ValueText(0, 0), "y");
   EXPECT_DOUBLE_EQ(ConsensusPluralityCost(table, AttrSet::Of({0})), 2);
 }
@@ -57,10 +63,13 @@ TEST(ConsensusRepairTest, PerAttributeIndependence) {
   table.AddTuple({"x", "q"}, 1);
   table.AddTuple({"x", "r"}, 2);
   table.AddTuple({"y", "r"}, 1);
-  Table update = ConsensusPluralityRepair(table, AttrSet::Of({0, 1}));
-  EXPECT_TRUE(Satisfies(update, parsed.fds));
+  auto repaired = ComputeURepair(parsed.fds, table);
+  ASSERT_TRUE(repaired.ok()) << repaired.status();
+  EXPECT_TRUE(Satisfies(repaired->update, parsed.fds));
   // A: keep x (weight 3 vs 1); B: keep r (weight 3 vs 1); cost 1 + 1.
-  EXPECT_DOUBLE_EQ(DistUpdOrDie(update, table), 2);
+  EXPECT_DOUBLE_EQ(DistUpdOrDie(repaired->update, table), 2);
+  EXPECT_EQ(repaired->update.ValueText(2, 0), "x");
+  EXPECT_EQ(repaired->update.ValueText(0, 1), "r");
 }
 
 TEST(ConsensusRepairTest, MatchesExactOptimum) {
@@ -73,10 +82,14 @@ TEST(ConsensusRepairTest, MatchesExactOptimum) {
     options.heavy_fraction = 0.5;
     Rng table_rng = rng.Fork();
     Table table = RandomTable(parsed.schema, options, &table_rng);
-    Table plurality = ConsensusPluralityRepair(table, AttrSet::Of({0, 1}));
+    auto plurality = ComputeURepair(parsed.fds, table);
+    ASSERT_TRUE(plurality.ok()) << plurality.status();
     auto exact = OptURepairExact(parsed.fds, table);
     ASSERT_TRUE(exact.ok()) << exact.status();
-    EXPECT_NEAR(DistUpdOrDie(plurality, table), DistUpdOrDie(*exact, table),
+    EXPECT_NEAR(DistUpdOrDie(plurality->update, table),
+                DistUpdOrDie(*exact, table), 1e-9);
+    EXPECT_NEAR(plurality->distance, ConsensusPluralityCost(
+                                         table, AttrSet::Of({0, 1})),
                 1e-9);
   }
 }
