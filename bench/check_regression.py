@@ -366,6 +366,16 @@ def self_test():
     assert hit_ratio["baseline"] * (
         1 + hit_ratio.get("threshold", default_threshold)) <= 1.0 + 1e-9, \
         hit_ratio
+    # An update hit writes ids recorded on its pool instead of re-interning
+    # every edit text, so it must stay far below a direct update repair:
+    # gate limit <= 0.15.
+    uhit_ratio = tracked.get("service.uhit_over_direct")
+    assert uhit_ratio is not None, "baselines.json must track the warm " \
+        "update hit over direct repair ratio"
+    assert uhit_ratio.get("direction") == "lower", uhit_ratio
+    assert uhit_ratio["baseline"] * (
+        1 + uhit_ratio.get("threshold", default_threshold)) <= 0.15 + 1e-9, \
+        uhit_ratio
     content_hash = tracked.get("storage.content_hash_us_per_row")
     assert content_hash is not None, "baselines.json must track the cold " \
         "content-hash cost"

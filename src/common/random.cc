@@ -45,9 +45,12 @@ uint64_t Rng::UniformUint64(uint64_t bound) {
 
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   FDR_CHECK(lo <= hi);
-  uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
+  // Unsigned (modular) arithmetic: hi - lo and lo + offset may exceed
+  // int64 even though the result is in [lo, hi].
+  const uint64_t base = static_cast<uint64_t>(lo);
+  uint64_t span = static_cast<uint64_t>(hi) - base + 1;
   if (span == 0) return static_cast<int64_t>(Next());  // full 64-bit range
-  return lo + static_cast<int64_t>(UniformUint64(span));
+  return static_cast<int64_t>(base + UniformUint64(span));
 }
 
 double Rng::UniformDouble() {

@@ -331,8 +331,12 @@ StatusOr<RepairService::CachedRepair> RepairService::Execute(
   cached.route = "urepair[" + (routes.empty() ? "noop" : routes) + "]";
   if (uplan->spliceable) cached.uplan = std::move(uplan);
   // Materialize the leader's response exactly as Replay does: one shared
-  // apply keeps leader, followers and hits bit-identical.
-  FDR_ASSIGN_OR_RETURN(*materialized, ApplyCellEdits(table, cached.edits));
+  // apply keeps leader, followers and hits bit-identical. It records the
+  // interned ids, so replays on this pool skip the pool.
+  FDR_ASSIGN_OR_RETURN(*materialized,
+                       ApplyCellEdits(table, cached.edits, nullptr,
+                                      &cached.values));
+  cached.values_pool = table.pool();
   return cached;
 }
 
@@ -359,7 +363,10 @@ StatusOr<RepairResponse> RepairService::Replay(const CachedRepair& cached,
                             key};
     return response;
   }
-  FDR_ASSIGN_OR_RETURN(Table update, ApplyCellEdits(table, cached.edits));
+  const bool same_pool = cached.values_pool.lock() == table.pool();
+  FDR_ASSIGN_OR_RETURN(Table update,
+                       ApplyCellEdits(table, cached.edits,
+                                      same_pool ? &cached.values : nullptr));
   RepairResponse response{std::move(update),
                           cached.distance,
                           cached.optimal,

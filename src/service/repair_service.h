@@ -267,6 +267,16 @@ class RepairService {
     /// "'" (value_pool.h), so the final text additionally depends on that
     /// colliding user content — identical tables still agree on it.
     std::vector<URepairCellEdit> edits;
+    /// kUpdate: each edit's text interned in `values_pool`, recorded when
+    /// the leader materialized its response (ApplyCellEdits). A replay onto
+    /// a table on that very pool writes these ids directly — no pool lock,
+    /// no string hash — and stays valid because a pool is append-only.
+    /// Any other pool interns the texts as the leader did. The pool is held
+    /// weakly: the cache does not keep request tables' dictionaries alive,
+    /// and an expired pool never matches, even if a new pool later reuses
+    /// its address (so a stale id can never be written).
+    std::vector<ValueId> values;
+    std::weak_ptr<ValuePool> values_pool;
     double distance = 0;
     bool optimal = false;
     double ratio_bound = 1;

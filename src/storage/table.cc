@@ -1,12 +1,24 @@
 #include "storage/table.h"
 
 #include <algorithm>
+#include <bit>
 #include <iomanip>
+#include <limits>
 #include <sstream>
+#include <unordered_map>
 
 #include "common/strings.h"
 
 namespace fdrepair {
+namespace {
+
+/// The id index's size for `rows` rows: a power of two >= 2 * rows (so a
+/// probe always meets an empty slot), or 0 for an empty table.
+size_t IndexCapacity(size_t rows) {
+  return rows == 0 ? 0 : std::bit_ceil(2 * rows);
+}
+
+}  // namespace
 
 Table::Table(Schema schema)
     : Table(std::move(schema), std::make_shared<ValuePool>()) {}
@@ -61,18 +73,46 @@ Status Table::AppendRow(TupleId id, const Tuple& values, double weight) {
     return Status::InvalidArgument("tuple weight must be positive, got " +
                                    FormatDouble(weight));
   }
-  if (id_index_.find(id) != id_index_.end()) {
+  if (id == std::numeric_limits<TupleId>::max()) {
+    return Status::InvalidArgument("tuple identifier " + std::to_string(id) +
+                                   " is reserved");
+  }
+  if (!row_slots_.empty() && row_slots_[ProbeSlot(id)] >= 0) {
     return Status::InvalidArgument("duplicate tuple identifier " +
                                    std::to_string(id));
   }
   // All validation passed: no failure path leaves a partial row behind.
   content_hash_.Clear();
-  id_index_.emplace(id, num_tuples());
   ids_.push_back(id);
   weights_.push_back(weight);
   for (int a = 0; a < schema_.arity(); ++a) columns_[a].push_back(values[a]);
+  if (row_slots_.size() < IndexCapacity(ids_.size())) {
+    RebuildIndex();
+  } else {
+    row_slots_[ProbeSlot(id)] = num_tuples() - 1;
+  }
   next_id_ = std::max(next_id_, id + 1);
   return Status::OK();
+}
+
+size_t Table::ProbeSlot(TupleId id) const {
+  // Fibonacci hashing: the top log2(capacity) bits of id * 2^64/phi. It
+  // spreads runs and arithmetic progressions of ids — what tables hold in
+  // practice — over distinct slots, so most probes end at their first slot.
+  const size_t mask = row_slots_.size() - 1;
+  const int shift = 64 - std::countr_zero(row_slots_.size());
+  size_t slot = (static_cast<uint64_t>(id) * 0x9e3779b97f4a7c15ULL) >> shift;
+  for (;; slot = (slot + 1) & mask) {
+    const int32_t row = row_slots_[slot];
+    if (row < 0 || ids_[row] == id) return slot;
+  }
+}
+
+void Table::RebuildIndex() {
+  row_slots_.assign(IndexCapacity(ids_.size()), -1);
+  for (int row = 0; row < num_tuples(); ++row) {
+    row_slots_[ProbeSlot(ids_[row])] = row;
+  }
 }
 
 Tuple Table::tuple(int row) const {
@@ -85,11 +125,11 @@ Tuple Table::tuple(int row) const {
 }
 
 StatusOr<int> Table::RowOf(TupleId id) const {
-  auto it = id_index_.find(id);
-  if (it == id_index_.end()) {
+  const int32_t row = row_slots_.empty() ? -1 : row_slots_[ProbeSlot(id)];
+  if (row < 0) {
     return Status::NotFound("no tuple with identifier " + std::to_string(id));
   }
-  return it->second;
+  return row;
 }
 
 const std::string& Table::ValueText(int row, AttrId attr) const {
@@ -128,19 +168,19 @@ bool Table::IsDuplicateFree() const {
 
 Table Table::SubsetByRows(const std::vector<int>& rows) const {
   Table out(schema_, pool_);
-  // Reserve everything up front — in particular id_index_, whose
-  // per-append rehash churn dominated large subsets — and append directly:
-  // the source rows already satisfy the append invariants (positive
-  // weights, matching arity, pool-issued values), leaving only the
-  // duplicate-row check.
+  // Size everything up front — the id index included, so no append grows
+  // it — and append directly: the source rows already satisfy the append
+  // invariants (positive weights, matching arity, pool-issued values, no
+  // reserved id), leaving only the duplicate-row check.
   out.ids_.reserve(rows.size());
   out.weights_.reserve(rows.size());
-  out.id_index_.reserve(rows.size());
+  out.row_slots_.assign(IndexCapacity(rows.size()), -1);
   for (int row : rows) {
     FDR_CHECK_MSG(row >= 0 && row < num_tuples(), "row=" << row);
-    auto [it, inserted] = out.id_index_.emplace(ids_[row], out.num_tuples());
-    FDR_CHECK_MSG(inserted, "duplicate row " << row << " (tuple identifier "
+    int32_t& slot = out.row_slots_[out.ProbeSlot(ids_[row])];
+    FDR_CHECK_MSG(slot < 0, "duplicate row " << row << " (tuple identifier "
                                              << ids_[row] << ")");
+    slot = out.num_tuples();
     out.ids_.push_back(ids_[row]);
     out.weights_.push_back(weights_[row]);
     out.next_id_ = std::max(out.next_id_, ids_[row] + 1);
@@ -157,13 +197,12 @@ Table Table::SubsetByRows(const std::vector<int>& rows) const {
 }
 
 Table Table::Clone() const {
-  // Whole-container copies: id_index_ is copied as one map (bucket array
-  // sized once), never rebuilt entry by entry.
+  // Whole-container copies, the id index included.
   Table out(schema_, pool_);
   out.ids_ = ids_;
   out.weights_ = weights_;
   out.columns_ = columns_;
-  out.id_index_ = id_index_;
+  out.row_slots_ = row_slots_;
   out.next_id_ = next_id_;
   out.content_hash_ = content_hash_;  // same content, same hash
   return out;
@@ -179,12 +218,11 @@ void Table::SetValue(int row, AttrId attr, ValueId value) {
 void Table::EraseRow(int row) {
   FDR_CHECK_MSG(row >= 0 && row < num_tuples(), "row=" << row);
   content_hash_.Clear();
-  id_index_.erase(ids_[row]);
   ids_.erase(ids_.begin() + row);
   weights_.erase(weights_.begin() + row);
   for (auto& column : columns_) column.erase(column.begin() + row);
   // Every surviving row after the gap moved down one position.
-  for (int r = row; r < num_tuples(); ++r) id_index_[ids_[r]] = r;
+  RebuildIndex();
 }
 
 Status Table::EraseTuple(TupleId id) {

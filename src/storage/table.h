@@ -11,7 +11,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "catalog/schema.h"
@@ -110,6 +109,15 @@ class HashMemo {
 /// new values — in particular fresh constants — without copying the
 /// dictionary.
 ///
+/// Tuple identifiers are indexed by one flat open-addressing array of row
+/// positions: linear probing from a multiplicative (Fibonacci) hash of the
+/// id, -1 for an empty slot, capacity a power of two >= 2 * num_tuples, and
+/// each probe compares ids_[row] itself, so no id is stored twice. RowOf is
+/// O(1) expected and allocates nothing; Clone copies the index as one
+/// vector; EraseRow rebuilds it. Ids may be any int64, negative ones
+/// included, except INT64_MAX: it is reserved, so an auto-assigned id
+/// (max id + 1) never overflows.
+///
 /// Thread safety (audited for the parallel repair engine): every const
 /// member function is a pure read of immutable-after-append state, so any
 /// number of threads may read one Table concurrently — this is what lets
@@ -134,12 +142,13 @@ class Table {
   bool empty() const { return ids_.empty(); }
 
   /// Appends a tuple with an auto-assigned identifier (max id + 1) and
-  /// weight 1. Returns its identifier.
+  /// weight 1. Returns its identifier. Aborts if no id is left, i.e. the
+  /// max id is INT64_MAX - 1 (INT64_MAX is reserved).
   TupleId AddTuple(const std::vector<std::string>& values);
   /// Appends a weighted tuple; weight must be positive.
   TupleId AddTuple(const std::vector<std::string>& values, double weight);
-  /// Appends with an explicit identifier; fails if it already exists, if the
-  /// arity mismatches, or if weight <= 0.
+  /// Appends with an explicit identifier; fails if it already exists, if it
+  /// is the reserved INT64_MAX, if the arity mismatches, or if weight <= 0.
   Status AddTupleWithId(TupleId id, const std::vector<std::string>& values,
                         double weight);
   /// Low-level append of pre-interned values. Also fails, leaving the
@@ -165,7 +174,8 @@ class Table {
     return columns_[attr].data();
   }
 
-  /// The row position of identifier `id`, or kNotFound.
+  /// The row position of identifier `id`, or kNotFound. One probe sequence
+  /// of the id index.
   StatusOr<int> RowOf(TupleId id) const;
 
   /// Value text of a cell (through the pool).
@@ -188,7 +198,8 @@ class Table {
   /// (dense positions); identifiers and weights are preserved (§2.3).
   Table SubsetByRows(const std::vector<int>& rows) const;
 
-  /// A deep copy sharing the value pool; starting point for updates.
+  /// A deep copy sharing the value pool; starting point for updates. Copies
+  /// the columns, ids, weights and id index as whole vectors.
   Table Clone() const;
 
   /// Overwrites one cell; the basis of update repairs. `attr` must be valid.
@@ -197,7 +208,7 @@ class Table {
   /// Removes the row at dense position `row`; later rows shift down one
   /// position (relative order of the survivors is preserved — the delta
   /// path's clean-block soundness depends on this). O(num_tuples) for the
-  /// shift and the id-index fixup. The identifier is NOT recycled:
+  /// shift and the id-index rebuild. The identifier is NOT recycled:
   /// re-adding after an erase never aliases an old id.
   void EraseRow(int row);
   /// EraseRow addressed by tuple identifier; kNotFound if absent.
@@ -219,13 +230,20 @@ class Table {
   /// ValueIds themselves (AddTupleWithId's come from Intern).
   Status AppendRow(TupleId id, const Tuple& values, double weight);
 
+  /// The id index's slot holding `id`, or the empty slot its probe ends
+  /// at. Requires a non-empty index.
+  size_t ProbeSlot(TupleId id) const;
+  /// Re-sizes the index for num_tuples() rows and re-inserts every row.
+  void RebuildIndex();
+
   Schema schema_;
   std::shared_ptr<ValuePool> pool_;
   std::vector<TupleId> ids_;
   std::vector<double> weights_;
   /// columns_[a][r] is row r's value of attribute a.
   ColumnSet columns_;
-  std::unordered_map<TupleId, int> id_index_;
+  /// The id index: row positions by ProbeSlot, -1 for an empty slot.
+  std::vector<int32_t> row_slots_;
   TupleId next_id_ = 1;
   HashMemo content_hash_;
 };

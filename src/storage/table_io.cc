@@ -1,6 +1,7 @@
 #include "storage/table_io.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -190,8 +191,9 @@ StatusOr<Table> TableFromCsv(const std::string& csv_text,
     if (id_col >= 0) {
       char* end = nullptr;
       const std::string& id_text = fields[id_col];
+      errno = 0;
       long long id = std::strtoll(id_text.c_str(), &end, 10);
-      if (end == id_text.c_str() || *end != '\0') {
+      if (end == id_text.c_str() || *end != '\0' || errno == ERANGE) {
         return Status::InvalidArgument("bad id on CSV line " + line_no);
       }
       FDR_RETURN_IF_ERROR(table.AddTupleWithId(id, values, weight));

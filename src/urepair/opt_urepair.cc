@@ -224,11 +224,12 @@ StatusOr<OptURepairResult> RunCells(const FdSet& fds, const Table& table,
             cache.block_edits.push_back(std::move(recipe));
           }
         } else {
-          // Freshen the deleted rows in one row-order pass: a later replay
-          // re-interns every edit text, and the pool's index allocates its
-          // nodes in intern order, so row order here keeps those replays
-          // cache-friendly. first_edit[row] is the row's first freshening
-          // edit, or -1 when the row is kept.
+          // Freshen the deleted rows in one row-order pass: the service's
+          // materialize and every cross-pool replay re-intern each edit
+          // text, and the pool's index allocates its nodes in intern
+          // order, so row order here keeps those passes cache-friendly.
+          // first_edit[row] is the row's first freshening edit, or -1 when
+          // the row is kept.
           std::vector<int> first_edit(table.num_tuples(), 0);
           for (int row : kept_rows) first_edit[row] = -1;
           for (int row = 0; row < table.num_tuples(); ++row) {
@@ -362,11 +363,18 @@ StatusOr<URepairResult> ComputeURepair(const FdSet& fds, const Table& table,
 }
 
 StatusOr<Table> ApplyCellEdits(const Table& table,
-                               const std::vector<URepairCellEdit>& edits) {
+                               const std::vector<URepairCellEdit>& edits,
+                               const std::vector<ValueId>* values,
+                               std::vector<ValueId>* interned) {
+  FDR_CHECK(values == nullptr || values->size() == edits.size());
   Table update = table.Clone();
-  for (const URepairCellEdit& edit : edits) {
+  for (size_t i = 0; i < edits.size(); ++i) {
+    const URepairCellEdit& edit = edits[i];
     FDR_ASSIGN_OR_RETURN(int row, table.RowOf(edit.id));
-    update.SetValue(row, edit.attr, update.Intern(edit.text));
+    const ValueId value =
+        values != nullptr ? (*values)[i] : update.Intern(edit.text);
+    update.SetValue(row, edit.attr, value);
+    if (interned != nullptr) interned->push_back(value);
   }
   return update;
 }

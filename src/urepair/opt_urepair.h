@@ -18,10 +18,12 @@
 //     so splices recompute it too;
 //   - common-lhs (Corollary 4.6): the inner OptSRepairRows, then every
 //     deleted row's lhs cover freshened (Proposition 4.4). A cold run
-//     freshens in one tight row-order pass: a later cache hit re-interns
-//     every edit text, and the pool's index allocates its nodes in intern
+//     freshens in one tight row-order pass: the service's materialize and
+//     a cache hit on another pool re-intern every edit text (a hit on the
+//     leader's own pool writes recorded ValueIds instead — see
+//     ApplyCellEdits), and the pool's index allocates its nodes in intern
 //     order, so interning block by block (interleaved with recipe
-//     allocations) made those hits measurably slower. A capturing run then
+//     allocations) made those passes measurably slower. A capturing run then
 //     cuts one URepairBlockRecipe per top-level S-repair block from those
 //     cells. A splice sets the inner delta_base to the component's
 //     captured S-plan, so only dirty blocks are re-solved; the S-splice
@@ -175,11 +177,19 @@ StatusOr<OptURepairResult> OptURepairCells(const FdSet& fds,
                                            const OptURepairOptions& options = {},
                                            URepairPlanCache* capture = nullptr);
 
-/// Materializes an edit list: a clone of `table` with every edit's text
-/// interned into the shared pool and written to its tuple's cell. Fails
-/// with kNotFound when an edit names a tuple id `table` does not hold.
+/// Materializes an edit list: a clone of `table` with each edit's value
+/// written to its tuple's cell. Edit i's value is values[i] when `values`
+/// is non-null — ids the caller knows table.pool() issued for those texts,
+/// such as an earlier apply on the same pool recorded — and otherwise its
+/// text interned into the shared pool. With `interned` non-null, appends the
+/// ValueId written for each edit (aligned with `edits`), the ids a later
+/// apply onto a table on this pool can pass as `values` to skip the pool
+/// entirely (pools are append-only, so the ids stay valid). Fails with
+/// kNotFound when an edit names a tuple id `table` does not hold.
 StatusOr<Table> ApplyCellEdits(const Table& table,
-                               const std::vector<URepairCellEdit>& edits);
+                               const std::vector<URepairCellEdit>& edits,
+                               const std::vector<ValueId>* values = nullptr,
+                               std::vector<ValueId>* interned = nullptr);
 
 }  // namespace fdrepair
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <set>
 
 #include "common/random.h"
@@ -126,6 +128,27 @@ TEST(RngTest, UniformBoundsRespected) {
     EXPECT_GE(d, 0.0);
     EXPECT_LT(d, 1.0);
   }
+}
+
+// Ranges wider than int64 can subtract (hi - lo overflows) still draw
+// inside [lo, hi]; the ASan+UBSan build flags any signed overflow.
+TEST(RngTest, UniformIntHandlesExtremeRanges) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  Rng rng(11);
+  bool negative = false, positive = false;
+  for (int i = 0; i < 200; ++i) {
+    const int64_t v = rng.UniformInt(kMin, kMax - 1);
+    EXPECT_LT(v, kMax);
+    negative |= v < 0;
+    positive |= v > 0;
+    EXPECT_GE(rng.UniformInt(kMax - 2, kMax), kMax - 2);
+    EXPECT_LE(rng.UniformInt(kMin, kMin + 2), kMin + 2);
+    EXPECT_LE(rng.UniformInt(-1, kMax), kMax);
+  }
+  EXPECT_TRUE(negative && positive);
+  EXPECT_EQ(rng.UniformInt(kMin, kMin), kMin);
+  EXPECT_EQ(rng.UniformInt(kMax, kMax), kMax);
 }
 
 TEST(RngTest, UniformCoversRange) {

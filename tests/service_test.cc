@@ -8,6 +8,9 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,6 +20,8 @@
 #include "srepair/solver_backend.h"
 #include "storage/table_hash.h"
 #include "storage/table_io.h"
+#include "urepair/fresh.h"
+#include "urepair/opt_urepair.h"
 #include "urepair/planner.h"
 #include "workloads/example_fdsets.h"
 #include "workloads/generators.h"
@@ -173,6 +178,184 @@ TEST(RepairServiceTest, UpdateHitAndMissAreBitIdenticalToPlanner) {
   ExpectSameRepair(direct->update, hit->repair);
   EXPECT_EQ(miss->distance, direct->distance);
   EXPECT_EQ(hit->distance, direct->distance);
+}
+
+/// An update hit must be bit-identical, by text and distance, to the
+/// direct path on `table`'s content: OptURepairCells on the canonical
+/// cover, then ApplyCellEdits. The direct run gets a private-pool copy: a
+/// cross-pool replay interns fresh names as plain texts, and a later
+/// planner run on that pool would then disambiguate them with "'".
+void ExpectUpdateHitMatchesDirect(const RepairResponse& hit, const FdSet& fds,
+                                  const Table& table) {
+  EXPECT_TRUE(hit.cache_hit);
+  const Table direct_table = CopyContent(table);
+  auto cells = OptURepairCells(fds.CanonicalCover(), direct_table);
+  ASSERT_TRUE(cells.ok()) << cells.status();
+  auto update = ApplyCellEdits(direct_table, cells->edits);
+  ASSERT_TRUE(update.ok()) << update.status();
+  ExpectSameRepair(*update, hit.repair);
+  EXPECT_EQ(hit.distance, cells->distance);
+}
+
+Table PlantedOffice(const ParsedFdSet& parsed, int tuples, uint64_t seed) {
+  Rng rng(seed);
+  PlantedTableOptions options;
+  options.num_tuples = tuples;
+  options.corruptions = tuples / 6;
+  return PlantedDirtyTable(parsed.schema, parsed.fds, options, &rng);
+}
+
+// A hit on the leader's own pool writes the ids it recorded; a hit on a
+// content-identical table with a private pool interns the texts. Both must
+// match the direct path.
+TEST(RepairServiceTest, UpdateHitOnSameTableAndPrivatePoolCopyMatchDirect) {
+  ParsedFdSet parsed = OfficeFds();
+  Table table = PlantedOffice(parsed, 120, 41);
+  Table copy = CopyContent(table);
+  RepairService service;
+  auto miss = service.Serve(Request(RepairMode::kUpdate, parsed.fds, &table));
+  ASSERT_TRUE(miss.ok()) << miss.status();
+  ASSERT_FALSE(miss->cache_hit);
+
+  // (a) the same Table object: same pool, so the very same ValueIds.
+  auto same = service.Serve(Request(RepairMode::kUpdate, parsed.fds, &table));
+  ASSERT_TRUE(same.ok()) << same.status();
+  ExpectUpdateHitMatchesDirect(*same, parsed.fds, table);
+  for (int row = 0; row < table.num_tuples(); ++row) {
+    EXPECT_EQ(same->repair.tuple(row), miss->repair.tuple(row)) << row;
+  }
+
+  // (b) a content-identical copy on a private pool.
+  auto copied = service.Serve(Request(RepairMode::kUpdate, parsed.fds, &copy));
+  ASSERT_TRUE(copied.ok()) << copied.status();
+  EXPECT_EQ(copied->repair.pool(), copy.pool());
+  ExpectUpdateHitMatchesDirect(*copied, parsed.fds, copy);
+  EXPECT_EQ(service.stats().misses, 1u);
+}
+
+// (c) Once the leader's table, its responses and every table derived from
+// them are gone, the pool the entry recorded ids for has expired: a hit on
+// a copy interns exactly the edit texts its own pool lacks.
+TEST(RepairServiceTest, UpdateHitAfterTheLeadersPoolExpiredInternsTheTexts) {
+  ParsedFdSet parsed = OfficeFds();
+  RepairService service;
+  std::weak_ptr<ValuePool> origin_pool;
+  std::optional<Table> copy;
+  {
+    Table origin = PlantedOffice(parsed, 120, 43);
+    copy = CopyContent(origin);
+    origin_pool = origin.pool();
+    auto miss =
+        service.Serve(Request(RepairMode::kUpdate, parsed.fds, &origin));
+    ASSERT_TRUE(miss.ok()) << miss.status();
+    auto hit = service.Serve(Request(RepairMode::kUpdate, parsed.fds, &origin));
+    ASSERT_TRUE(hit.ok()) << hit.status();
+    ASSERT_TRUE(hit->cache_hit);
+    Table derived = hit->repair.SubsetByRows({0, 1});
+    Table clone = miss->repair.Clone();
+  }
+  ASSERT_TRUE(origin_pool.expired());
+
+  const Table reference = CopyContent(*copy);
+  auto cells = OptURepairCells(parsed.fds.CanonicalCover(), reference);
+  ASSERT_TRUE(cells.ok()) << cells.status();
+  std::set<std::string> missing;
+  for (const URepairCellEdit& edit : cells->edits) {
+    if (!copy->pool()->Lookup(edit.text).ok()) missing.insert(edit.text);
+  }
+  EXPECT_FALSE(missing.empty());
+  const int64_t before = copy->pool()->size();
+  auto hit = service.Serve(Request(RepairMode::kUpdate, parsed.fds, &*copy));
+  ASSERT_TRUE(hit.ok()) << hit.status();
+  EXPECT_EQ(copy->pool()->size(),
+            before + static_cast<int64_t>(missing.size()));
+  ExpectUpdateHitMatchesDirect(*hit, parsed.fds, *copy);
+  EXPECT_EQ(service.stats().misses, 1u);
+}
+
+// (d) User data already holds the fresh names the repair would pick, so the
+// pool disambiguates them with "'": the recorded ids and the re-interned
+// texts must both carry the disambiguated names.
+TEST(RepairServiceTest, UpdateHitReplaysFreshNamesDisambiguatedFromUserData) {
+  ParsedFdSet office = OfficeFds();
+  Table planted = PlantedOffice(office, 120, 47);
+  Schema schema = Schema::MakeOrDie(
+      "OfficeNotes", {"facility", "room", "floor", "city", "note"});
+  Table table(schema);
+  for (int row = 0; row < planted.num_tuples(); ++row) {
+    std::vector<std::string> values;
+    for (AttrId attr = 0; attr < 4; ++attr) {
+      values.push_back(planted.ValueText(row, attr));
+    }
+    // Every attribute's per-cell fresh name of this tuple, in turn.
+    values.push_back(FreshCellName(planted.id(row), row % 4));
+    ASSERT_TRUE(
+        table.AddTupleWithId(planted.id(row), values, planted.weight(row))
+            .ok());
+  }
+  FdSet fds =
+      ParseFdSetOrDie(schema, "facility -> city; facility room -> floor");
+  Table copy = CopyContent(table);
+
+  RepairService service;
+  auto miss = service.Serve(Request(RepairMode::kUpdate, fds, &table));
+  ASSERT_TRUE(miss.ok()) << miss.status();
+  int disambiguated = 0;
+  for (int row = 0; row < table.num_tuples(); ++row) {
+    for (AttrId attr = 0; attr < 4; ++attr) {
+      const std::string& text = miss->repair.ValueText(row, attr);
+      if (text.rfind("⊥t", 0) == 0 && text.back() == '\'') ++disambiguated;
+    }
+  }
+  EXPECT_GT(disambiguated, 0);
+
+  auto same = service.Serve(Request(RepairMode::kUpdate, fds, &table));
+  ASSERT_TRUE(same.ok()) << same.status();
+  ExpectUpdateHitMatchesDirect(*same, fds, table);
+  auto copied = service.Serve(Request(RepairMode::kUpdate, fds, &copy));
+  ASSERT_TRUE(copied.ok()) << copied.status();
+  ExpectUpdateHitMatchesDirect(*copied, fds, copy);
+  ExpectSameRepair(miss->repair, copied->repair);
+}
+
+// Two threads replay one update entry onto its own pool while a third
+// interns into that pool: the recorded ids stay valid (pools are
+// append-only) and no replay races the interner.
+TEST(RepairServiceTest, ConcurrentUpdateHitsWhileThePoolGrows) {
+  ParsedFdSet parsed = OfficeFds();
+  Table table = PlantedOffice(parsed, 200, 53);
+  RepairService service;
+  auto miss = service.Serve(Request(RepairMode::kUpdate, parsed.fds, &table));
+  ASSERT_TRUE(miss.ok()) << miss.status();
+
+  constexpr int kHits = 20;
+  std::vector<std::vector<RepairResponse>> responses(2);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kHits; ++i) {
+        auto hit =
+            service.Serve(Request(RepairMode::kUpdate, parsed.fds, &table));
+        if (hit.ok()) responses[t].push_back(std::move(*hit));
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    for (int i = 0; i < 2000; ++i) {
+      table.pool()->Intern("noise-" + std::to_string(i));
+    }
+  });
+  for (std::thread& thread : threads) thread.join();
+
+  for (const std::vector<RepairResponse>& hits : responses) {
+    ASSERT_EQ(hits.size(), static_cast<size_t>(kHits));
+    for (const RepairResponse& hit : hits) {
+      EXPECT_TRUE(hit.cache_hit);
+      ExpectSameRepair(miss->repair, hit.repair);
+      EXPECT_EQ(hit.distance, miss->distance);
+    }
+  }
+  ExpectUpdateHitMatchesDirect(responses[0].back(), parsed.fds, table);
 }
 
 TEST(RepairServiceTest, EquivalentFdPhrasingsShareOneCacheEntry) {

@@ -5,11 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <limits>
+#include <map>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "catalog/fd_parser.h"
+#include "common/random.h"
 #include "storage/consistency.h"
 #include "storage/distance.h"
 #include "storage/table.h"
@@ -340,6 +344,187 @@ TEST(TableTest, AddInternedTupleRejectsValueIdsThePoolNeverIssued) {
   ExpectHashIsFresh(table);
 }
 
+/// RowOf agrees with a linear scan of the ids for every row, and every id
+/// in `absent` is NotFound.
+void ExpectIndexConsistent(const Table& table,
+                           const std::vector<TupleId>& absent = {}) {
+  for (int row = 0; row < table.num_tuples(); ++row) {
+    StatusOr<int> found = table.RowOf(table.id(row));
+    ASSERT_TRUE(found.ok()) << table.id(row);
+    EXPECT_EQ(*found, row) << table.id(row);
+  }
+  for (TupleId id : absent) {
+    EXPECT_EQ(table.RowOf(id).status().code(), StatusCode::kNotFound) << id;
+  }
+}
+
+constexpr TupleId kMinId = std::numeric_limits<TupleId>::min();
+constexpr TupleId kMaxId = std::numeric_limits<TupleId>::max();
+
+TEST(TableTest, IdIndexHandlesNegativeSparseAndExtremeIds) {
+  Table table(Schema::Anonymous(1));
+  const std::vector<TupleId> ids = {-5, 0, 1'000'000'000'000, kMinId,
+                                    kMaxId - 1, -1, 3};
+  for (TupleId id : ids) {
+    ASSERT_TRUE(table.AddTupleWithId(id, {std::to_string(id)}, 1).ok()) << id;
+  }
+  ExpectIndexConsistent(table, {1, 2, -4, kMinId + 1, kMaxId, 999'999'999'999});
+  for (size_t row = 0; row < ids.size(); ++row) {
+    EXPECT_EQ(*table.RowOf(ids[row]), static_cast<int>(row));
+  }
+  // INT64_MAX is reserved: the table is unchanged.
+  Status reserved = table.AddTupleWithId(kMaxId, {"max"}, 1);
+  EXPECT_EQ(reserved.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(reserved.message(),
+            "tuple identifier 9223372036854775807 is reserved");
+  EXPECT_EQ(table.AddInternedTupleWithId(kMaxId, {0}, 1).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(table.num_tuples(), static_cast<int>(ids.size()));
+  ExpectIndexConsistent(table, {kMaxId});
+}
+
+TEST(TableTest, EraseThenReAddKeepsTheIndexConsistent) {
+  Table table = MakeOfficeT();
+  ASSERT_TRUE(table.EraseTuple(2).ok());
+  ExpectIndexConsistent(table, {2});
+  EXPECT_EQ(*table.RowOf(3), 1);
+  EXPECT_EQ(table.EraseTuple(2).code(), StatusCode::kNotFound);
+  // An explicit re-add of the erased id appends it at the end.
+  ASSERT_TRUE(table.AddTupleWithId(2, {"HQ", "322", "30", "Madrid"}, 1).ok());
+  EXPECT_EQ(*table.RowOf(2), 3);
+  // Auto ids are not recycled: they continue past the largest id seen.
+  EXPECT_EQ(table.AddTuple({"Lab2", "C1", "2", "Rome"}), 5);
+  table.EraseRow(0);
+  table.EraseRow(table.num_tuples() - 1);
+  ExpectIndexConsistent(table, {1, 5});
+  EXPECT_EQ(table.AddTuple({"Lab2", "C1", "2", "Rome"}), 6);
+  ExpectIndexConsistent(table, {1, 5});
+  // Erasing every row leaves an empty, still usable index.
+  while (!table.empty()) table.EraseRow(0);
+  ExpectIndexConsistent(table, {2, 3, 4, 6});
+  ASSERT_TRUE(table.AddTupleWithId(4, {"a", "b", "c", "d"}, 1).ok());
+  ExpectIndexConsistent(table, {2, 3, 6});
+}
+
+TEST(TableTest, DuplicateIdIsRejectedAndLeavesTheTableUnchanged) {
+  Table table = MakeOfficeT();
+  const uint64_t hash = TableContentHash(table);
+  const Table before = table.Clone();
+  for (TupleId id : {1, 2, 3, 4}) {
+    Status status = table.AddTupleWithId(id, {"x", "y", "z", "w"}, 1);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << id;
+    EXPECT_EQ(status.message(), "duplicate tuple identifier " +
+                                    std::to_string(id));
+    EXPECT_EQ(table.AddInternedTupleWithId(id, table.tuple(0), 1).code(),
+              StatusCode::kInvalidArgument)
+        << id;
+  }
+  EXPECT_EQ(table.num_tuples(), before.num_tuples());
+  for (int row = 0; row < table.num_tuples(); ++row) {
+    EXPECT_EQ(table.id(row), before.id(row));
+    EXPECT_EQ(table.tuple(row), before.tuple(row));
+  }
+  ExpectIndexConsistent(table, {0, 5});
+  EXPECT_EQ(TableContentHash(table), hash);
+}
+
+TEST(TableTest, CloneIndexIsIndependentOfTheOriginal) {
+  Table table = MakeOfficeT();
+  Table clone = table.Clone();
+  ASSERT_TRUE(clone.EraseTuple(1).ok());
+  ASSERT_TRUE(clone.AddTupleWithId(-7, {"a", "b", "c", "d"}, 1).ok());
+  ASSERT_TRUE(table.AddTupleWithId(9, {"e", "f", "g", "h"}, 1).ok());
+  ExpectIndexConsistent(table, {-7});
+  ExpectIndexConsistent(clone, {1, 9});
+  EXPECT_EQ(*table.RowOf(1), 0);
+  EXPECT_EQ(*clone.RowOf(2), 0);
+  EXPECT_EQ(*clone.RowOf(-7), 3);
+  EXPECT_EQ(*table.RowOf(9), 4);
+}
+
+TEST(TableTest, SubsetByRowsAndClonePreserveRowOf) {
+  Table table(Schema::Anonymous(2));
+  for (TupleId id = -300; id < 300; id += 3) {
+    ASSERT_TRUE(table.AddTupleWithId(id * 1'000'003, {"a", "b"}, 1).ok());
+  }
+  ExpectIndexConsistent(table.Clone(), {1, -1});
+  std::vector<int> rows;
+  for (int row = table.num_tuples() - 1; row >= 0; row -= 2) {
+    rows.push_back(row);
+  }
+  Table subset = table.SubsetByRows(rows);
+  ASSERT_EQ(subset.num_tuples(), static_cast<int>(rows.size()));
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(*subset.RowOf(table.id(rows[i])), static_cast<int>(i));
+  }
+  // Rows left out of the subset are absent from its index.
+  for (int row = table.num_tuples() - 2; row >= 0; row -= 2) {
+    EXPECT_FALSE(subset.RowOf(table.id(row)).ok()) << row;
+  }
+  ExpectIndexConsistent(subset.Clone());
+  ExpectIndexConsistent(table.SubsetByRows({}), {table.id(0)});
+  // The subset's index is its own: appends continue past its largest id.
+  TupleId next = subset.AddTuple({"c", "d"});
+  EXPECT_EQ(next, table.id(rows.front()) + 1);
+  ExpectIndexConsistent(subset);
+}
+
+// A seeded differential of append / erase / RowOf against a std::map
+// oracle, over ids clustered enough to collide and spread enough to hit
+// negative and large values.
+TEST(TableTest, IdIndexMatchesAMapOracleUnderRandomOperations) {
+  Rng rng(20261017);
+  Table table(Schema::Anonymous(1));
+  std::map<TupleId, int> oracle;  // id -> row
+  std::vector<TupleId> order;     // ids in row order
+  auto random_id = [&rng]() -> TupleId {
+    switch (rng.UniformUint64(3)) {
+      case 0:
+        return rng.UniformInt(-64, 64);
+      case 1:
+        return rng.UniformInt(-(int64_t{1} << 40), int64_t{1} << 40);
+      default:
+        return rng.UniformInt(kMinId, kMaxId - 1);
+    }
+  };
+  for (int op = 0; op < 10'000; ++op) {
+    const uint64_t kind = rng.UniformUint64(10);
+    if (kind < 5) {
+      const TupleId id = random_id();
+      Status status = table.AddTupleWithId(id, {"v"}, 1);
+      EXPECT_EQ(status.ok(), oracle.count(id) == 0) << "op " << op;
+      if (status.ok()) {
+        oracle[id] = static_cast<int>(order.size());
+        order.push_back(id);
+      }
+    } else if (kind < 7 && !order.empty()) {
+      const int row = static_cast<int>(rng.UniformIndex(order.size()));
+      table.EraseRow(row);
+      oracle.erase(order[row]);
+      order.erase(order.begin() + row);
+      for (int r = row; r < static_cast<int>(order.size()); ++r) {
+        oracle[order[r]] = r;
+      }
+    } else {
+      // Look up a live id half the time, a random one otherwise.
+      const TupleId id = !order.empty() && rng.Bernoulli(0.5)
+                             ? order[rng.UniformIndex(order.size())]
+                             : random_id();
+      StatusOr<int> row = table.RowOf(id);
+      auto it = oracle.find(id);
+      ASSERT_EQ(row.ok(), it != oracle.end()) << "op " << op << " id " << id;
+      if (row.ok()) {
+        EXPECT_EQ(*row, it->second) << "op " << op;
+      }
+    }
+    ASSERT_EQ(table.num_tuples(), static_cast<int>(order.size()));
+  }
+  ExpectIndexConsistent(table);
+  for (int row = 0; row < table.num_tuples(); ++row) {
+    EXPECT_EQ(table.id(row), order[row]);
+  }
+}
+
 TEST(TableViewTest, GroupByPartitions) {
   Table table = MakeOfficeT();
   TableView view(table);
@@ -432,6 +617,24 @@ TEST(TableIoTest, CsvErrors) {
   EXPECT_FALSE(TableFromCsv("A,B\nonly-one-field\n").ok());
   EXPECT_FALSE(TableFromCsv("A,w\nx,notanumber\n").ok());
   EXPECT_FALSE(TableFromCsv("A,id\nx,notanumber\n").ok());
+  // Ids outside int64 are rejected, not clamped to its range.
+  for (const char* id : {"99999999999999999999", "-99999999999999999999"}) {
+    StatusOr<Table> parsed =
+        TableFromCsv(std::string("id,A\n1,a\n") + id + ",b\n");
+    ASSERT_FALSE(parsed.ok()) << id;
+    EXPECT_EQ(parsed.status().message(), "bad id on CSV line 3") << id;
+  }
+}
+
+// INT64_MAX is reserved so the next auto id (max id + 1) cannot overflow.
+TEST(TableIoTest, ReservedMaxIdIsRejected) {
+  StatusOr<Table> parsed = TableFromCsv("id,A,B\n9223372036854775807,a,b\n");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  // The largest usable id still loads.
+  parsed = TableFromCsv("id,A,B\n9223372036854775806,a,b\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(parsed->id(0), kMaxId - 1);
 }
 
 TEST(TableTest, ToStringContainsHeaderAndValues) {
