@@ -161,11 +161,15 @@ double MedianOf(std::vector<double> values) {
 /// re-sends one Table) against computing the same repair directly — a
 /// sequential ComputeSRepair for subset mode (`service.hit_over_direct`),
 /// a sequential ComputeURepair for update mode (`service.uhit_over_direct`)
-/// — both on the calling thread, interleaved. Also the cold content-hash
-/// cost per row, on a fresh memo-less copy each time — traced runs re-hash
-/// a Table the service already memoized, so this is where the cost of
-/// hashing a never-seen table stays visible. Fixed size (no smoke cap), as
-/// for the delta sections: the ratio's meaning depends on the table size.
+/// — both on the calling thread, interleaved. What an update miss costs
+/// over that direct repair (`service.umiss_over_direct`): a cold update
+/// Serve with bypass_cache, pinned to the calling thread, which plans,
+/// captures and answers from the planner's own update. Also the cold
+/// content-hash cost per row, on a fresh memo-less copy each time — traced
+/// runs re-hash a Table the service already memoized, so this is where the
+/// cost of hashing a never-seen table stays visible. Fixed size (no smoke
+/// cap), as for the delta sections: the ratio's meaning depends on the
+/// table size.
 void ReportHitVsDirect() {
   const int tuples = 8192;
   const int reps = 31;
@@ -179,14 +183,17 @@ void ReportHitVsDirect() {
     return std::chrono::duration<double, std::micro>(Clock::now() - start)
         .count();
   };
-  // Median warm hit over median direct repair in `mode`; `direct` runs the
-  // direct repair and returns its status.
-  auto hit_over_direct = [&](RepairMode mode, const char* direct_name,
-                             auto direct) {
+  // Median Serve over median direct repair in `mode`, interleaved: a warm
+  // hit, or with `cold` a bypass_cache miss on the calling thread. `direct`
+  // runs the direct repair and returns its status.
+  auto serve_over_direct = [&](RepairMode mode, bool cold,
+                               const char* direct_name, auto direct) {
     RepairRequest request;
     request.mode = mode;
     request.fds = fds;
     request.table = &table;
+    request.options.bypass_cache = cold;
+    if (cold) request.options.threads = 1;
     if (auto response = service.Serve(request); !response.ok()) {
       std::cerr << "prime failed: " << response.status() << "\n";
       std::exit(1);
@@ -196,8 +203,8 @@ void ReportHitVsDirect() {
       Clock::time_point start = Clock::now();
       auto hit = service.Serve(request);
       hit_us.push_back(micros_since(start));
-      if (!hit.ok() || !hit->cache_hit) {
-        std::cerr << "warm request did not hit\n";
+      if (!hit.ok() || hit->cache_hit == cold) {
+        std::cerr << "request did not " << (cold ? "miss" : "hit") << "\n";
         std::exit(1);
       }
       start = Clock::now();
@@ -210,18 +217,21 @@ void ReportHitVsDirect() {
     }
     const double hit = MedianOf(hit_us);
     const double direct_median = MedianOf(direct_us);
-    report.AddRow({std::string("warm ") + RepairModeToString(mode) +
-                       " hit (Serve)",
+    report.AddRow({std::string(cold ? "cold " : "warm ") +
+                       RepairModeToString(mode) +
+                       (cold ? " miss (Serve, bypass_cache)" : " hit (Serve)"),
                    rows, Num(hit)});
     report.AddRow({direct_name, rows, Num(direct_median)});
     return direct_median > 0 ? hit / direct_median : 0;
   };
-  const double subset_ratio =
-      hit_over_direct(RepairMode::kSubset, "direct ComputeSRepair",
-                      [&] { return ComputeSRepair(fds, table).status(); });
-  const double update_ratio =
-      hit_over_direct(RepairMode::kUpdate, "direct ComputeURepair",
-                      [&] { return ComputeURepair(fds, table).status(); });
+  auto direct_srepair = [&] { return ComputeSRepair(fds, table).status(); };
+  auto direct_urepair = [&] { return ComputeURepair(fds, table).status(); };
+  const double subset_ratio = serve_over_direct(
+      RepairMode::kSubset, false, "direct ComputeSRepair", direct_srepair);
+  const double update_ratio = serve_over_direct(
+      RepairMode::kUpdate, false, "direct ComputeURepair", direct_urepair);
+  const double umiss_ratio = serve_over_direct(
+      RepairMode::kUpdate, true, "direct ComputeURepair", direct_urepair);
 
   std::vector<int> all_rows(tuples);
   for (int row = 0; row < tuples; ++row) all_rows[row] = row;
@@ -237,10 +247,12 @@ void ReportHitVsDirect() {
   report.Print();
   std::cout << "  subset hit / direct: " << Num(subset_ratio)
             << "  update hit / direct: " << Num(update_ratio)
+            << "  update miss / direct: " << Num(umiss_ratio)
             << "  (median of " << reps << ")\n";
 
   JsonReport::Get().Add("service.hit_over_direct", subset_ratio, "");
   JsonReport::Get().Add("service.uhit_over_direct", update_ratio, "");
+  JsonReport::Get().Add("service.umiss_over_direct", umiss_ratio, "");
   JsonReport::Get().Add("storage.content_hash_us_per_row", hash / tuples,
                         "us");
 }

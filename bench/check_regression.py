@@ -376,6 +376,16 @@ def self_test():
     assert uhit_ratio["baseline"] * (
         1 + uhit_ratio.get("threshold", default_threshold)) <= 0.15 + 1e-9, \
         uhit_ratio
+    # A cold update miss answers from the update its planner run already
+    # wrote, so it must stay close to a direct update repair: gate limit
+    # <= 1.15.
+    umiss_ratio = tracked.get("service.umiss_over_direct")
+    assert umiss_ratio is not None, "baselines.json must track the cold " \
+        "update miss over direct repair ratio"
+    assert umiss_ratio.get("direction") == "lower", umiss_ratio
+    assert umiss_ratio["baseline"] * (
+        1 + umiss_ratio.get("threshold", default_threshold)) <= 1.15 + 1e-9, \
+        umiss_ratio
     content_hash = tracked.get("storage.content_hash_us_per_row")
     assert content_hash is not None, "baselines.json must track the cold " \
         "content-hash cost"

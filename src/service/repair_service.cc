@@ -319,7 +319,12 @@ StatusOr<RepairService::CachedRepair> RepairService::Execute(
     result = OptURepairCells(cover, table, uoptions, uplan.get());
   }
   if (!result.ok()) return result.status();
+  // The planner's own update answers the leader; the ids it wrote let
+  // replays on this pool skip the pool.
+  *materialized = std::move(result->update);
   cached.edits = std::move(result->edits);
+  cached.values = std::move(result->values);
+  cached.values_pool = table.pool();
   cached.distance = result->distance;
   cached.optimal = result->optimal;
   cached.ratio_bound = result->ratio_bound;
@@ -330,13 +335,6 @@ StatusOr<RepairService::CachedRepair> RepairService::Execute(
   }
   cached.route = "urepair[" + (routes.empty() ? "noop" : routes) + "]";
   if (uplan->spliceable) cached.uplan = std::move(uplan);
-  // Materialize the leader's response exactly as Replay does: one shared
-  // apply keeps leader, followers and hits bit-identical. It records the
-  // interned ids, so replays on this pool skip the pool.
-  FDR_ASSIGN_OR_RETURN(*materialized,
-                       ApplyCellEdits(table, cached.edits, nullptr,
-                                      &cached.values));
-  cached.values_pool = table.pool();
   return cached;
 }
 

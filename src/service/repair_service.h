@@ -128,9 +128,10 @@ struct RepairRequest {
   /// result_hash chain instead of rehashing the table, and if the
   /// pre-mutation state's entry (keyed by delta->base_hash) still holds a
   /// spliceable plan, execution re-repairs only the blocks the mutation
-  /// dirtied — kept-id recipes in subset mode, cell-edit recipes in update
-  /// mode (urepair/opt_urepair.h) — and the response is bit-identical to a
-  /// cold full re-plan either way. Null: the ordinary content-hash path.
+  /// dirtied — of the top-level S-plan in subset mode, of each component's
+  /// inner S-plan in update mode (urepair/opt_urepair.h) — and the response
+  /// is bit-identical to a cold full re-plan either way. Null: the ordinary
+  /// content-hash path.
   const TableDelta* delta = nullptr;
 };
 
@@ -252,29 +253,28 @@ class RepairService {
     RepairMode mode = RepairMode::kSubset;
     /// kSubset/kSoft: surviving tuple ids, in the repair's row order.
     std::vector<TupleId> kept_ids;
-    /// kUpdate: cell rewrites (tuple id, attribute, new value text).
+    /// kUpdate: cell rewrites (tuple id, attribute, new value text, and
+    /// whether the repair manufactured the value).
     ///
     /// ⊥ fresh-value note: update repairs may introduce fresh constants.
     /// Their names are *deterministic* — derived from the freshened cell's
     /// (TupleId, attribute), "⊥t<id>.<attr>", or from the exact search's
     /// (attribute, index) column symbols, "⊥e<attr>.<j>" (urepair/fresh.h)
-    /// — never from a pool-global allocation counter. A replay therefore
-    /// reproduces the same names a planner run against the request's own
-    /// pool would pick, even on a content-identical copy with a private
-    /// pool, and cached cell-edit recipes replay bit-identically across
-    /// re-plans and delta splices. One caveat survives: when user data
-    /// already occupies a fresh name, the pool disambiguates by appending
-    /// "'" (value_pool.h), so the final text additionally depends on that
-    /// colliding user content — identical tables still agree on it.
+    /// — never from a pool-global allocation counter — and a pool whose
+    /// user data already holds a name disambiguates it by appending "'"
+    /// (value_pool.h). A replay onto another pool resolves each fresh edit
+    /// with FreshValueNamed on its base name, exactly as a planner run on
+    /// that pool would, so a hit equals a direct run on the request's own
+    /// pool even when that pool's user data holds the leader's ⊥ names.
     std::vector<URepairCellEdit> edits;
-    /// kUpdate: each edit's text interned in `values_pool`, recorded when
-    /// the leader materialized its response (ApplyCellEdits). A replay onto
-    /// a table on that very pool writes these ids directly — no pool lock,
-    /// no string hash — and stays valid because a pool is append-only.
-    /// Any other pool interns the texts as the leader did. The pool is held
-    /// weakly: the cache does not keep request tables' dictionaries alive,
-    /// and an expired pool never matches, even if a new pool later reuses
-    /// its address (so a stale id can never be written).
+    /// kUpdate: the ValueId the leader's planner run wrote for each edit,
+    /// ids of `values_pool`. A replay onto a table on that very pool writes
+    /// these ids directly — no pool lock, no string hash — and stays valid
+    /// because a pool is append-only. Any other pool resolves the texts
+    /// (ApplyCellEdits). The pool is held weakly: the cache does not keep
+    /// request tables' dictionaries alive, and an expired pool never
+    /// matches, even if a new pool later reuses its address (so a stale id
+    /// can never be written).
     std::vector<ValueId> values;
     std::weak_ptr<ValuePool> values_pool;
     double distance = 0;
@@ -291,8 +291,8 @@ class RepairService {
     /// published.
     std::shared_ptr<const SRepairPlanCache> plan;
     /// kUpdate, spliceable routes only: the captured U-plan (consensus
-    /// attributes, per-component inner S-plans and cell-edit block
-    /// recipes), the update-mode delta seed. Same pinning and immutability
+    /// attributes, per-component covers, cycles and inner S-plans), the
+    /// update-mode delta seed. Same pinning and immutability
     /// contract as `plan`.
     std::shared_ptr<const URepairPlanCache> uplan;
   };

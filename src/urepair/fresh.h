@@ -41,6 +41,12 @@ inline std::string FreshColumnSymbolName(AttrId attr, int j) {
   return "⊥e" + std::to_string(attr) + "." + std::to_string(j);
 }
 
+/// The name a fresh text was manufactured under: FreshValueNamed only ever
+/// appends "'" to disambiguate, and neither name above ends in one.
+inline std::string FreshBaseName(const std::string& text) {
+  return text.substr(0, text.find_last_not_of('\'') + 1);
+}
+
 /// Interns the deterministic fresh constant for cell (id, attr) into the
 /// table's pool and returns its id.
 inline ValueId FreshCellValue(Table& table, TupleId id, AttrId attr) {

@@ -3,34 +3,26 @@
 // srepair/opt_srepair.h's row-level plan cache.
 //
 // Where an S-repair is a kept-id set, a U-repair is a set of cell
-// rewrites; the natural recipe unit is therefore a (position, attribute,
+// rewrites; the natural recipe unit is therefore a (tuple id, attribute,
 // replacement text) triple, not a row list. OptURepairCells runs the whole
 // §4 pipeline (consensus peeling, attribute-disjoint components, the
-// per-component route table) and returns the update as a canonical edit
-// list — sorted by (dense row position, attribute), one entry per cell
-// that actually changed — together with its DistUpd distance.
+// per-component route table) and returns the update together with its
+// canonical edit list — sorted by (dense row position, attribute), one
+// entry per cell that actually changed — and its DistUpd distance.
 //
 // One component loop serves cold runs and delta splices alike: every
-// route emits position-addressed edits into one assembly (a counting pass
-// by row, then DistUpd's row-order sum). Per route:
+// route emits position-addressed edits, each with the ValueId it writes,
+// into one clone of the table and one assembly (a counting pass by row,
+// then DistUpd's row-order sum). Per route:
 //
 //   - consensus attributes: one plurality sweep per column — already O(n),
 //     so splices recompute it too;
-//   - common-lhs (Corollary 4.6): the inner OptSRepairRows, then every
-//     deleted row's lhs cover freshened (Proposition 4.4). A cold run
-//     freshens in one tight row-order pass: the service's materialize and
-//     a cache hit on another pool re-intern every edit text (a hit on the
-//     leader's own pool writes recorded ValueIds instead — see
-//     ApplyCellEdits), and the pool's index allocates its nodes in intern
-//     order, so interning block by block (interleaved with recipe
-//     allocations) made those passes measurably slower. A capturing run then
-//     cuts one URepairBlockRecipe per top-level S-repair block from those
-//     cells. A splice sets the inner delta_base to the component's
-//     captured S-plan, so only dirty blocks are re-solved; the S-splice
-//     reports, per refreshed block, the base block it replayed
-//     (SRepairSpliceStats::base_block), and a replayed block has the same
-//     ids and kept set — hence the same freshening — so its recipe is
-//     reused by index, and dirty blocks derive theirs;
+//   - common-lhs (Corollary 4.6): the inner OptSRepairRows, then one
+//     row-order pass that freshens every deleted row's minimum lhs cover
+//     (Proposition 4.4, FreshenDeletedRows in urepair_common_lhs.h). A
+//     splice sets the inner delta_base to the component's captured S-plan,
+//     so only dirty blocks are re-solved; the freshening is derived, never
+//     stored, and runs the same pass over the spliced kept set;
 //   - key-cycle (Proposition 4.9): the inner S-repair (cold or spliced),
 //     then the alignment pass over the kept set — a single O(n) column
 //     sweep whose bijection depends on the *global* kept order, so it is
@@ -40,19 +32,18 @@
 //     kFailedPrecondition → callers fall back to a full re-plan, exactly
 //     as the service does for non-spliceable S-plans).
 //
-// A cold run also applies its edits to a clone of the table as it emits
-// them and FDR_CHECKs Satisfies on the result; ComputeURepair
+// Every run hands back the update it materialized and the ValueId of each
+// edit, so no caller applies the edits a second time: ComputeURepair
 // (urepair/planner.h), defined next to OptURepairCells, returns that
-// audited update rather than applying the edits a second time. Splices
-// skip the audit.
+// update, and the service answers its leader with it. A cold run also
+// FDR_CHECKs Satisfies on the update; splices skip the audit.
 //
-// Bit-identity of the splice with a cold OptURepairCells run follows from
-// the S-repair splice guarantee (opt_srepair.h) plus determinism of the
-// freshening: fresh-constant names derive from (TupleId, attribute) — see
-// urepair/fresh.h — so a clean block's cached edit texts are literally
-// what a cold run would re-derive, and the assembly's order and distance
-// depend only on the edit set. tests/delta_test.cc property-tests this
-// across random mutation sequences and thread counts.
+// Bit-identity of the splice with a cold OptURepairCells run on the same
+// pool follows from the S-repair splice guarantee (opt_srepair.h): every
+// step after the inner S-repair is the cold run's own code, and fresh
+// names derive from (TupleId, attribute) — see urepair/fresh.h — and are
+// resolved against the request's own pool. tests/delta_test.cc
+// property-tests this across random mutation sequences and thread counts.
 //
 // OptURepairOptions mirrors OptSRepairRowsOptions' exec and delta fields
 // rather than deriving from it: it is a documented layer boundary, whose
@@ -62,7 +53,6 @@
 #ifndef FDREPAIR_UREPAIR_OPT_UREPAIR_H_
 #define FDREPAIR_UREPAIR_OPT_UREPAIR_H_
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -82,6 +72,10 @@ namespace fdrepair {
 struct URepairCellEdit {
   TupleId id = 0;
   AttrId attr = 0;
+  /// The repair manufactured this value (a ⊥ constant, urepair/fresh.h)
+  /// rather than copying one from the table: a replay onto another pool
+  /// resolves it with FreshValueNamed, as a planner run there would.
+  bool fresh = false;
   std::string text;
 };
 
@@ -109,31 +103,23 @@ struct OptURepairOptions {
   SRepairSpliceStats* splice_stats = nullptr;
 };
 
-/// The edit-list form of a U-repair.
+/// The edit-list form of a U-repair, with the update it materializes.
 struct OptURepairResult {
+  /// The update: a clone of the input table (sharing its pool) with every
+  /// edit written.
+  Table update;
   /// Canonical order: ascending (dense row position, attribute); each
   /// edited cell appears exactly once, and every entry really differs
   /// from the input cell.
   std::vector<URepairCellEdit> edits;
-  /// dist_upd(update, T), bit-exact with DistUpd on the materialized
-  /// update.
+  /// The ValueId written for each edit, aligned with `edits`: ids of the
+  /// input table's pool.
+  std::vector<ValueId> values;
+  /// dist_upd(update, T), bit-exact with DistUpd on `update`.
   double distance = 0;
   bool optimal = false;
   double ratio_bound = 1;
   URepairPlan plan;
-};
-
-/// The freshening edits of one top-level S-repair block of a common-lhs
-/// component: positions index into that block's ids in the paired
-/// SRepairPlanCache. Immutable once published and SHARED between chained
-/// plans: a splice's refreshed plan reuses every replayed block's recipe.
-struct URepairBlockRecipe {
-  struct Edit {
-    int pos = 0;
-    AttrId attr = 0;
-    std::string text;
-  };
-  std::vector<Edit> edits;
 };
 
 /// Captured execution state of one component.
@@ -147,8 +133,6 @@ struct URepairComponentCache {
   std::optional<std::pair<AttrId, AttrId>> cycle;
   /// The inner S-repair's captured plan (common-lhs and key-cycle).
   SRepairPlanCache splan;
-  /// Common-lhs only: aligned 1:1 with splan's blocks.
-  std::vector<std::shared_ptr<URepairBlockRecipe>> block_edits;
 };
 
 /// The captured top-level structure of one OptURepairCells run.
@@ -178,18 +162,16 @@ StatusOr<OptURepairResult> OptURepairCells(const FdSet& fds,
                                            URepairPlanCache* capture = nullptr);
 
 /// Materializes an edit list: a clone of `table` with each edit's value
-/// written to its tuple's cell. Edit i's value is values[i] when `values`
-/// is non-null — ids the caller knows table.pool() issued for those texts,
-/// such as an earlier apply on the same pool recorded — and otherwise its
-/// text interned into the shared pool. With `interned` non-null, appends the
-/// ValueId written for each edit (aligned with `edits`), the ids a later
-/// apply onto a table on this pool can pass as `values` to skip the pool
-/// entirely (pools are append-only, so the ids stay valid). Fails with
-/// kNotFound when an edit names a tuple id `table` does not hold.
+/// written to its tuple's cell — the cache-hit replay path. Edit i's value
+/// is values[i] when `values` is non-null — ids the caller knows
+/// table.pool() issued for those texts, such as an OptURepairCells run on
+/// that pool returned — and otherwise its text resolved in the shared pool:
+/// FreshValueNamed on its base name (FreshBaseName) for a fresh edit,
+/// Intern for any other. Fails with kNotFound when an edit names a tuple id
+/// `table` does not hold.
 StatusOr<Table> ApplyCellEdits(const Table& table,
                                const std::vector<URepairCellEdit>& edits,
-                               const std::vector<ValueId>* values = nullptr,
-                               std::vector<ValueId>* interned = nullptr);
+                               const std::vector<ValueId>* values = nullptr);
 
 }  // namespace fdrepair
 

@@ -2,7 +2,6 @@
 
 #include "srepair/opt_srepair.h"
 #include "urepair/covers.h"
-#include "urepair/fresh.h"
 
 namespace fdrepair {
 
@@ -14,23 +13,11 @@ StatusOr<Table> SubsetToUpdate(const FdSet& fds, const Table& table,
         "removes consensus attributes first)");
   }
   FDR_ASSIGN_OR_RETURN(AttrSet cover, MinimumLhsCover(fds));
-  std::vector<char> kept(table.num_tuples(), 0);
-  for (int row : kept_rows) {
-    FDR_CHECK(row >= 0 && row < table.num_tuples());
-    kept[row] = 1;
-  }
   Table update = table.Clone();
-  for (int row = 0; row < table.num_tuples(); ++row) {
-    if (kept[row]) continue;
-    // A fresh constant per cell: the deleted tuple can no longer agree with
-    // anything on any lhs (the cover hits every lhs), so it is inert. The
-    // constant's name is derived from (TupleId, attr) — see urepair/fresh.h
-    // — so the same deleted cell freshens to the same symbol in every run,
-    // which is what lets cell-edit recipes replay across re-plans.
-    ForEachAttr(cover, [&](AttrId attr) {
-      update.SetValue(row, attr, FreshCellValue(update, update.id(row), attr));
-    });
-  }
+  FDR_RETURN_IF_ERROR(FreshenDeletedRows(
+      table, kept_rows, cover, [&](int row, AttrId attr, ValueId value) {
+        update.SetValue(row, attr, value);
+      }));
   return update;
 }
 

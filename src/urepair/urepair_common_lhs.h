@@ -13,18 +13,52 @@
 #ifndef FDREPAIR_UREPAIR_UREPAIR_COMMON_LHS_H_
 #define FDREPAIR_UREPAIR_UREPAIR_COMMON_LHS_H_
 
+#include <string>
 #include <vector>
 
 #include "catalog/fdset.h"
 #include "common/status.h"
 #include "storage/table.h"
+#include "urepair/fresh.h"
 
 namespace fdrepair {
 
+/// The freshening of Proposition 4.4 (2) as one row-order pass: calls
+/// emit(row, attr, value) for each attribute of `cover` in every row of
+/// `table` outside `kept_rows` (dense positions), `value` being the cell's
+/// deterministic ⊥ constant in the table's pool. A fresh constant per cell
+/// makes the deleted tuple inert — the cover hits every lhs, so it agrees
+/// with nothing on any lhs — and its name derives from (TupleId, attr), so
+/// a cell freshens to the same symbol in every run and on every pool with
+/// the same user content. Fails with kInvalidArgument, before emitting,
+/// when a kept row is outside [0, num_tuples).
+template <typename Emit>
+Status FreshenDeletedRows(const Table& table, const std::vector<int>& kept_rows,
+                          AttrSet cover, Emit emit) {
+  const int n = table.num_tuples();
+  std::vector<char> kept(n, 0);
+  for (int row : kept_rows) {
+    if (row < 0 || row >= n) {
+      return Status::InvalidArgument("kept row " + std::to_string(row) +
+                                     " is outside [0, " + std::to_string(n) +
+                                     ")");
+    }
+    kept[row] = 1;
+  }
+  ValuePool& pool = *table.pool();
+  for (int row = 0; row < n; ++row) {
+    if (kept[row]) continue;
+    ForEachAttr(cover, [&](AttrId attr) {
+      emit(row, attr, pool.FreshValueNamed(FreshCellName(table.id(row), attr)));
+    });
+  }
+  return Status::OK();
+}
+
 /// Proposition 4.4 (2): turns a consistent subset (given as kept dense row
 /// positions of `table`) into a consistent update by freshening a minimum
-/// lhs cover in every deleted tuple. Requires consensus-free ∆; the result
-/// satisfies dist_upd = mlc(∆) · dist_sub.
+/// lhs cover in every deleted tuple (FreshenDeletedRows). Requires
+/// consensus-free ∆; the result satisfies dist_upd = mlc(∆) · dist_sub.
 StatusOr<Table> SubsetToUpdate(const FdSet& fds, const Table& table,
                                const std::vector<int>& kept_rows);
 
@@ -33,9 +67,9 @@ StatusOr<Table> SubsetToUpdate(const FdSet& fds, const Table& table,
 /// corollary the U-problem too — is APX-complete, and this returns
 /// kFailedPrecondition). The paper's entry point, sequential; the planner
 /// (urepair/opt_urepair.h) runs the same construction inside its one
-/// component loop — inner S-repair under its exec, then a row-order
-/// freshening pass that emits cell edits without cloning the table — and
-/// that loop is where plan capture and delta splicing live.
+/// component loop — inner S-repair under its exec, then the same
+/// FreshenDeletedRows pass emitting cell edits — and that loop is where
+/// plan capture and delta splicing live.
 StatusOr<Table> CommonLhsOptimalURepair(const FdSet& fds, const Table& table);
 
 }  // namespace fdrepair

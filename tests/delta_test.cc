@@ -21,12 +21,14 @@
 #include "srepair/opt_srepair.h"
 #include "srepair/planner.h"
 #include "srepair/solver_backend.h"
+#include "storage/consistency.h"
 #include "storage/table.h"
 #include "storage/table_delta.h"
 #include "storage/table_hash.h"
 #include "storage/table_io.h"
 #include "storage/table_view.h"
 #include "urepair/opt_urepair.h"
+#include "urepair/planner.h"
 #include "workloads/example_fdsets.h"
 #include "workloads/generators.h"
 
@@ -474,9 +476,31 @@ TEST(PlanCaptureTest, RefreshedPlanEqualsColdCaptureAcrossChainedDeltas) {
   }
 }
 
-// The update route's common-lhs splice: chained deltas keep reusing the
-// clean blocks' cached freshening edits (by the base block index the
-// S-splice reports), and its edits match a cold run's exactly.
+/// A splice and a cold run of OptURepairCells on the same table agree on
+/// every output: edits (id, attribute, text, fresh flag, written id), the
+/// bits of the distance, and the materialized update cell for cell.
+void ExpectSameCells(const OptURepairResult& spliced,
+                     const OptURepairResult& cold,
+                     const std::string& context) {
+  ASSERT_EQ(spliced.edits.size(), cold.edits.size()) << context;
+  ASSERT_EQ(spliced.values, cold.values) << context;
+  for (size_t e = 0; e < cold.edits.size(); ++e) {
+    const std::string at = context + " edit " + std::to_string(e);
+    EXPECT_EQ(spliced.edits[e].id, cold.edits[e].id) << at;
+    EXPECT_EQ(spliced.edits[e].attr, cold.edits[e].attr) << at;
+    EXPECT_EQ(spliced.edits[e].text, cold.edits[e].text) << at;
+    EXPECT_EQ(spliced.edits[e].fresh, cold.edits[e].fresh) << at;
+  }
+  EXPECT_EQ(std::bit_cast<uint64_t>(spliced.distance),
+            std::bit_cast<uint64_t>(cold.distance))
+      << context;
+  ExpectSameRepair(spliced.update, cold.update);
+}
+
+// The update route's common-lhs splice over chained deltas: the inner
+// S-splice replays clean blocks, and every output — edits, distance bits,
+// the materialized update, the refreshed inner S-plans — equals a cold run
+// with a cold capture.
 TEST(PlanCaptureTest, UpdateSpliceReusesCleanBlocksAndMatchesColdEdits) {
   ParsedFdSet parsed = OfficeFds();
   Table base = ScalingFamilyTable(parsed, 400, 9);
@@ -487,6 +511,7 @@ TEST(PlanCaptureTest, UpdateSpliceReusesCleanBlocksAndMatchesColdEdits) {
   Rng rng(61);
   DeltaBuilder builder(base);
   for (int step = 0; step < 4; ++step) {
+    const std::string context = "step " + std::to_string(step);
     RandomBatch(&builder, /*updates=*/3, /*inserts=*/1, /*erases=*/1,
                 /*domain=*/25, &rng);
     TableDelta delta = builder.Finish();
@@ -500,36 +525,77 @@ TEST(PlanCaptureTest, UpdateSpliceReusesCleanBlocksAndMatchesColdEdits) {
     auto spliced =
         OptURepairCells(parsed.fds, builder.table(), options, &refreshed);
     ASSERT_TRUE(spliced.ok()) << spliced.status();
-    auto cold = OptURepairCells(parsed.fds, builder.table());
+    URepairPlanCache cold_plan;
+    auto cold = OptURepairCells(parsed.fds, builder.table(), {}, &cold_plan);
     ASSERT_TRUE(cold.ok()) << cold.status();
+    ExpectSameCells(*spliced, *cold, context);
+    EXPECT_GT(stats.blocks_clean, 0) << context;
 
-    ASSERT_EQ(spliced->edits.size(), cold->edits.size()) << "step " << step;
-    for (size_t e = 0; e < cold->edits.size(); ++e) {
-      EXPECT_EQ(spliced->edits[e].id, cold->edits[e].id) << e;
-      EXPECT_EQ(spliced->edits[e].attr, cold->edits[e].attr) << e;
-      EXPECT_EQ(spliced->edits[e].text, cold->edits[e].text) << e;
-    }
-    EXPECT_EQ(std::bit_cast<uint64_t>(spliced->distance),
-              std::bit_cast<uint64_t>(cold->distance));
-
-    EXPECT_GT(stats.blocks_clean, 0) << "step " << step;
-    // Every clean block replays the very edit recipe the base plan cached.
-    std::set<const URepairBlockRecipe*> cached;
-    for (const URepairComponentCache& component : plan.components) {
-      for (const auto& recipe : component.block_edits) {
-        cached.insert(recipe.get());
-      }
-    }
-    int reused = 0;
-    for (const URepairComponentCache& component : refreshed.components) {
-      for (const auto& recipe : component.block_edits) {
-        reused += cached.count(recipe.get()) > 0 ? 1 : 0;
-      }
-    }
-    EXPECT_EQ(reused, stats.blocks_clean) << "step " << step;
     ASSERT_TRUE(refreshed.spliceable);
+    ASSERT_EQ(refreshed.components.size(), cold_plan.components.size());
+    for (size_t c = 0; c < cold_plan.components.size(); ++c) {
+      EXPECT_EQ(refreshed.components[c].cover, cold_plan.components[c].cover)
+          << context;
+      ExpectSamePlan(refreshed.components[c].splan,
+                     cold_plan.components[c].splan, context);
+    }
     plan = std::move(refreshed);
   }
+}
+
+/// The ⊥-collision delta: `base`'s content rebuilt on a private pool, plus
+/// one inserted row whose freshened cell holds the ⊥ text that `base`'s
+/// update repair writes into a deleted tuple, every other cell distinct.
+/// On the mutated table that text is user data, so a run there must
+/// disambiguate the deleted tuple's ⊥ with "'" — a clean block of the
+/// pre-mutation plan included.
+DeltaBuilder CollidingInsert(const FdSet& fds, const Table& base) {
+  DeltaBuilder builder(CopyContent(base));
+  auto cells = OptURepairCells(fds, base);
+  const URepairCellEdit* freshened = nullptr;
+  for (size_t e = 0; cells.ok() && e < cells->edits.size(); ++e) {
+    if (cells->edits[e].text.rfind("⊥t", 0) == 0) {
+      freshened = &cells->edits[e];
+      break;
+    }
+  }
+  if (freshened == nullptr) {
+    ADD_FAILURE() << "the base repair freshens no cell";
+    return builder;
+  }
+  std::vector<std::string> values;
+  for (AttrId attr = 0; attr < base.schema().arity(); ++attr) {
+    values.push_back(attr == freshened->attr
+                         ? freshened->text
+                         : "inserted." + std::to_string(attr));
+  }
+  builder.Insert(values);
+  return builder;
+}
+
+// A splice onto a pool whose user data holds a deleted tuple's ⊥ name must
+// write what a cold run there writes: the "'"-disambiguated name.
+TEST(PlanCaptureTest, UpdateSpliceDisambiguatesFreshNamesHeldByUserData) {
+  ParsedFdSet parsed = OfficeFds();
+  Table base = ScalingFamilyTable(parsed, 256, 9);
+  URepairPlanCache plan;
+  ASSERT_TRUE(OptURepairCells(parsed.fds, base, {}, &plan).ok());
+  ASSERT_TRUE(plan.spliceable);
+
+  DeltaBuilder builder = CollidingInsert(parsed.fds, base);
+  TableDelta delta = builder.Finish();
+  SRepairSpliceStats stats;
+  OptURepairOptions options;
+  options.delta_base = &plan;
+  options.delta_updated_ids = &delta.updated;
+  options.splice_stats = &stats;
+  auto spliced = OptURepairCells(parsed.fds, builder.table(), options);
+  ASSERT_TRUE(spliced.ok()) << spliced.status();
+  EXPECT_GT(stats.blocks_clean, 0);
+  auto cold = OptURepairCells(parsed.fds, builder.table());
+  ASSERT_TRUE(cold.ok()) << cold.status();
+  ExpectSameCells(*spliced, *cold, "colliding insert");
+  EXPECT_TRUE(Satisfies(spliced->update, parsed.fds));
 }
 
 TEST(PlanCaptureTest, ConsensusAndMarriageTopKindsSplice) {
@@ -663,14 +729,7 @@ TEST(PlanCaptureTest, UpdateSpliceRefreshesItsBaseInPlace) {
     URepairPlanCache cold_plan;
     auto cold = OptURepairCells(parsed.fds, builder.table(), {}, &cold_plan);
     ASSERT_TRUE(cold.ok()) << cold.status();
-    ASSERT_EQ(spliced->edits.size(), cold->edits.size()) << "step " << step;
-    for (size_t e = 0; e < cold->edits.size(); ++e) {
-      EXPECT_EQ(spliced->edits[e].id, cold->edits[e].id) << e;
-      EXPECT_EQ(spliced->edits[e].attr, cold->edits[e].attr) << e;
-      EXPECT_EQ(spliced->edits[e].text, cold->edits[e].text) << e;
-    }
-    EXPECT_EQ(std::bit_cast<uint64_t>(spliced->distance),
-              std::bit_cast<uint64_t>(cold->distance));
+    ExpectSameCells(*spliced, *cold, "step " + std::to_string(step));
     ASSERT_TRUE(plan.spliceable);
     ASSERT_EQ(plan.components.size(), cold_plan.components.size());
     for (size_t c = 0; c < plan.components.size(); ++c) {
@@ -923,6 +982,34 @@ TEST(ServiceDeltaTest, NegativeTupleIdsSpliceSafely) {
   ASSERT_TRUE(reference.ok()) << reference.status();
   ExpectSameRepair(reference->repair, served->repair);
   EXPECT_EQ(reference->distance, served->distance);
+}
+
+// The service-level twin of UpdateSpliceDisambiguatesFreshNamesHeldByUserData:
+// the delta's base state was served on another pool, and the mutated
+// table's pool holds a deleted tuple's ⊥ name as user data. The spliced
+// response must satisfy ∆ and equal a direct run on a copy.
+TEST(ServiceDeltaTest, UpdateSpliceOnAPoolHoldingTheFreshNamesMatchesCold) {
+  ParsedFdSet parsed = OfficeFds();
+  Table base = ScalingFamilyTable(parsed, 256, 9);
+  RepairService service;
+  ASSERT_TRUE(
+      service.Serve(Request(RepairMode::kUpdate, parsed.fds, &base)).ok());
+
+  DeltaBuilder builder = CollidingInsert(parsed.fds, base);
+  TableDelta delta = builder.Finish();
+  RepairRequest incremental =
+      Request(RepairMode::kUpdate, parsed.fds, &builder.table());
+  incremental.delta = &delta;
+  auto served = service.ApplyDelta(incremental);
+  ASSERT_TRUE(served.ok()) << served.status();
+  EXPECT_EQ(service.stats().udelta_splices, 1u);
+  EXPECT_TRUE(Satisfies(served->repair, parsed.fds));
+
+  const Table copy = CopyContent(builder.table());
+  auto direct = ComputeURepair(parsed.fds, copy);
+  ASSERT_TRUE(direct.ok()) << direct.status();
+  ExpectSameRepair(direct->update, served->repair);
+  EXPECT_EQ(direct->distance, served->distance);
 }
 
 /// The headline property: over random mutation sequences, ApplyDelta is

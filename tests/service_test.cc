@@ -180,21 +180,16 @@ TEST(RepairServiceTest, UpdateHitAndMissAreBitIdenticalToPlanner) {
   EXPECT_EQ(hit->distance, direct->distance);
 }
 
-/// An update hit must be bit-identical, by text and distance, to the
-/// direct path on `table`'s content: OptURepairCells on the canonical
-/// cover, then ApplyCellEdits. The direct run gets a private-pool copy: a
-/// cross-pool replay interns fresh names as plain texts, and a later
-/// planner run on that pool would then disambiguate them with "'".
+/// An update hit must be bit-identical, by text and distance, to a direct
+/// run on `table` itself: ComputeURepair on the canonical cover, which
+/// works on a clone sharing the table's pool.
 void ExpectUpdateHitMatchesDirect(const RepairResponse& hit, const FdSet& fds,
                                   const Table& table) {
   EXPECT_TRUE(hit.cache_hit);
-  const Table direct_table = CopyContent(table);
-  auto cells = OptURepairCells(fds.CanonicalCover(), direct_table);
-  ASSERT_TRUE(cells.ok()) << cells.status();
-  auto update = ApplyCellEdits(direct_table, cells->edits);
-  ASSERT_TRUE(update.ok()) << update.status();
-  ExpectSameRepair(*update, hit.repair);
-  EXPECT_EQ(hit.distance, cells->distance);
+  auto direct = ComputeURepair(fds.CanonicalCover(), table);
+  ASSERT_TRUE(direct.ok()) << direct.status();
+  ExpectSameRepair(direct->update, hit.repair);
+  EXPECT_EQ(hit.distance, direct->distance);
 }
 
 Table PlantedOffice(const ParsedFdSet& parsed, int tuples, uint64_t seed) {
@@ -316,6 +311,52 @@ TEST(RepairServiceTest, UpdateHitReplaysFreshNamesDisambiguatedFromUserData) {
   ASSERT_TRUE(copied.ok()) << copied.status();
   ExpectUpdateHitMatchesDirect(*copied, fds, copy);
   ExpectSameRepair(miss->repair, copied->repair);
+}
+
+// (e) The hit's pool already holds, as user data of another table, a ⊥ name
+// the leader wrote on its private pool. The replay must manufacture that
+// edit as a fresh value — "'"-disambiguated, as a direct run on the hit's
+// pool does — instead of interning the leader's text as the user value.
+TEST(RepairServiceTest, UpdateHitOnAPoolHoldingTheFreshNamesAsUserData) {
+  ParsedFdSet parsed = OfficeFds();
+  Table leader = PlantedOffice(parsed, 120, 59);
+  RepairService service;
+  auto miss = service.Serve(Request(RepairMode::kUpdate, parsed.fds, &leader));
+  ASSERT_TRUE(miss.ok()) << miss.status();
+  int fresh_row = -1;
+  AttrId fresh_attr = 0;
+  for (int row = 0; row < leader.num_tuples() && fresh_row < 0; ++row) {
+    for (AttrId attr = 0; attr < leader.schema().arity(); ++attr) {
+      if (miss->repair.ValueText(row, attr).rfind("⊥t", 0) == 0) {
+        fresh_row = row;
+        fresh_attr = attr;
+        break;
+      }
+    }
+  }
+  ASSERT_GE(fresh_row, 0);
+  const std::string name = miss->repair.ValueText(fresh_row, fresh_attr);
+
+  auto pool = std::make_shared<ValuePool>();
+  Table other(parsed.schema, pool);
+  other.AddTuple({name, "room", "floor", "city"});
+  Table copy(parsed.schema, pool);
+  for (int row = 0; row < leader.num_tuples(); ++row) {
+    std::vector<std::string> values;
+    for (AttrId attr = 0; attr < leader.schema().arity(); ++attr) {
+      values.push_back(leader.ValueText(row, attr));
+    }
+    ASSERT_TRUE(
+        copy.AddTupleWithId(leader.id(row), values, leader.weight(row)).ok());
+  }
+
+  auto hit = service.Serve(Request(RepairMode::kUpdate, parsed.fds, &copy));
+  ASSERT_TRUE(hit.ok()) << hit.status();
+  EXPECT_EQ(hit->repair.ValueText(fresh_row, fresh_attr), name + "'");
+  EXPECT_TRUE(pool->IsFresh(hit->repair.value(fresh_row, fresh_attr)));
+  const Table clone = copy.Clone();
+  ExpectUpdateHitMatchesDirect(*hit, parsed.fds, clone);
+  EXPECT_EQ(service.stats().misses, 1u);
 }
 
 // Two threads replay one update entry onto its own pool while a third

@@ -129,6 +129,16 @@ TEST(Prop44Test, SubsetToUpdateRejectsConsensus) {
             StatusCode::kFailedPrecondition);
 }
 
+TEST(Prop44Test, SubsetToUpdateRejectsRowsOutsideTheTable) {
+  OfficeExample office = MakeOfficeExample();
+  const int n = office.table.num_tuples();
+  for (int row : {-1, n}) {
+    EXPECT_EQ(SubsetToUpdate(office.fds, office.table, {row}).status().code(),
+              StatusCode::kInvalidArgument)
+        << row;
+  }
+}
+
 TEST(CommonLhsRouteTest, OfficeOptimalUpdateCostsTwo) {
   OfficeExample office = MakeOfficeExample();
   auto update = CommonLhsOptimalURepair(office.fds, office.table);
@@ -355,6 +365,8 @@ TEST_P(URepairSpanOracleTest, BitIdenticalToReferenceAndAcrossThreads) {
       auto cells =
           OptURepairCells(named.parsed.fds, table, cell_options, nullptr);
       ASSERT_TRUE(cells.ok()) << named.name << ": " << cells.status();
+      ExpectSameUpdate(live->update, cells->update,
+                       context + " threads " + std::to_string(threads));
       ExpectSameUpdate(live->update, ApplyCellEdits(table, *cells),
                        context + " threads " + std::to_string(threads));
       EXPECT_EQ(live->distance, cells->distance)
