@@ -349,33 +349,22 @@ StatusOr<RepairResponse> RepairService::Replay(const CachedRepair& cached,
       FDR_ASSIGN_OR_RETURN(int row, table.RowOf(id));
       rows.push_back(row);
     }
-    RepairResponse response{table.SubsetByRows(rows),
-                            cached.distance,
-                            cached.optimal,
-                            cached.ratio_bound,
-                            cached.route,
-                            cached.backend,
-                            cached.lower_bound,
-                            cached.achieved_ratio,
-                            cache_hit,
-                            key};
-    return response;
+    return Respond(table.SubsetByRows(rows), cached, cache_hit, key);
   }
   const bool same_pool = cached.values_pool.lock() == table.pool();
   FDR_ASSIGN_OR_RETURN(Table update,
                        ApplyCellEdits(table, cached.edits,
                                       same_pool ? &cached.values : nullptr));
-  RepairResponse response{std::move(update),
-                          cached.distance,
-                          cached.optimal,
-                          cached.ratio_bound,
-                          cached.route,
-                          cached.backend,
-                          cached.lower_bound,
-                          cached.achieved_ratio,
-                          cache_hit,
-                          key};
-  return response;
+  return Respond(std::move(update), cached, cache_hit, key);
+}
+
+RepairResponse RepairService::Respond(Table repair, const CachedRepair& cached,
+                                      bool cache_hit, uint64_t key) {
+  return RepairResponse{std::move(repair),  cached.distance,
+                        cached.optimal,     cached.ratio_bound,
+                        cached.route,       cached.backend,
+                        cached.lower_bound, cached.achieved_ratio,
+                        cache_hit,          key};
 }
 
 void RepairService::Publish(uint64_t key, const std::shared_ptr<Entry>& entry,
@@ -436,11 +425,8 @@ StatusOr<RepairResponse> RepairService::Serve(const RepairRequest& request) {
     std::lock_guard<std::mutex> stats_lock(stats_mu_);
     ++stats_.lookups;
     if (request.delta != nullptr) {
-      if (request.mode == RepairMode::kSubset) {
-        ++stats_.delta_requests;
-      } else {
-        ++stats_.udelta_requests;
-      }
+      ++(request.mode == RepairMode::kSubset ? stats_.delta_requests
+                                             : stats_.udelta_requests);
     }
   }
 
@@ -541,16 +527,8 @@ StatusOr<RepairResponse> RepairService::Serve(const RepairRequest& request) {
                 &materialized);
     ReleaseExecSlot();
     if (!computed.ok()) return fail(computed.status());
-    return RepairResponse{std::move(*materialized),
-                          computed->distance,
-                          computed->optimal,
-                          computed->ratio_bound,
-                          computed->route,
-                          computed->backend,
-                          computed->lower_bound,
-                          computed->achieved_ratio,
-                          /*cache_hit=*/false,
-                          key};
+    return Respond(std::move(*materialized), *computed, /*cache_hit=*/false,
+                   key);
   }
 
   // Leader of a delta request: look up the pre-mutation state's entry and
@@ -594,26 +572,15 @@ StatusOr<RepairResponse> RepairService::Serve(const RepairRequest& request) {
   ReleaseExecSlot();
   if (request.delta != nullptr && computed.ok()) {
     std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    if (request.mode == RepairMode::kSubset) {
-      if (splice.blocks_total > 0) {
-        ++stats_.delta_splices;
-        stats_.delta_blocks_clean +=
-            static_cast<uint64_t>(splice.blocks_clean);
-        stats_.delta_blocks_dirty +=
-            static_cast<uint64_t>(splice.blocks_dirty);
-      } else {
-        ++stats_.delta_full_replans;
-      }
+    const bool subset = request.mode == RepairMode::kSubset;
+    if (splice.blocks_total > 0) {
+      ++(subset ? stats_.delta_splices : stats_.udelta_splices);
+      (subset ? stats_.delta_blocks_clean : stats_.udelta_blocks_clean) +=
+          static_cast<uint64_t>(splice.blocks_clean);
+      (subset ? stats_.delta_blocks_dirty : stats_.udelta_blocks_dirty) +=
+          static_cast<uint64_t>(splice.blocks_dirty);
     } else {
-      if (splice.blocks_total > 0) {
-        ++stats_.udelta_splices;
-        stats_.udelta_blocks_clean +=
-            static_cast<uint64_t>(splice.blocks_clean);
-        stats_.udelta_blocks_dirty +=
-            static_cast<uint64_t>(splice.blocks_dirty);
-      } else {
-        ++stats_.udelta_full_replans;
-      }
+      ++(subset ? stats_.delta_full_replans : stats_.udelta_full_replans);
     }
   }
   if (!computed.ok()) {
@@ -622,16 +589,8 @@ StatusOr<RepairResponse> RepairService::Serve(const RepairRequest& request) {
   }
   // Answer from the planner's own output (copying only the provenance
   // strings), then publish — followers and later hits replay the entry.
-  RepairResponse response{std::move(*materialized),
-                          computed->distance,
-                          computed->optimal,
-                          computed->ratio_bound,
-                          computed->route,
-                          computed->backend,
-                          computed->lower_bound,
-                          computed->achieved_ratio,
-                          /*cache_hit=*/false,
-                          key};
+  RepairResponse response = Respond(std::move(*materialized), *computed,
+                                    /*cache_hit=*/false, key);
   Publish(key, entry, Status::OK(), std::move(*computed));
   return response;
 }

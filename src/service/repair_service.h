@@ -332,6 +332,10 @@ class RepairService {
                                   const Table& table, bool cache_hit,
                                   uint64_t key) const;
 
+  /// `repair` with `cached`'s provenance: every response is built here.
+  static RepairResponse Respond(Table repair, const CachedRepair& cached,
+                                bool cache_hit, uint64_t key);
+
   /// Marks `entry` ready (ok or failed) and wakes followers; stores ready
   /// successes into the LRU (evicting beyond capacity) and erases failures
   /// so later requests retry. Requires the entry to be the one mapped at

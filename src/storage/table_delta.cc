@@ -39,7 +39,7 @@ bool Disjoint(const std::vector<TupleId>& a, const std::vector<TupleId>& b) {
 /// cell's value digest in schema order — the same per-cell primitive
 /// TableContentHash absorbs.
 Status MixRowContent(StableHasher* hasher, const Table& mutated,
-                     const ValuePool::DigestView& digests, TupleId id,
+                     const ValuePool::ReadView& values, TupleId id,
                      const char* role) {
   StatusOr<int> row = mutated.RowOf(id);
   if (!row.ok()) {
@@ -50,7 +50,7 @@ Status MixRowContent(StableHasher* hasher, const Table& mutated,
   hasher->MixInt64(id);
   hasher->MixDouble(mutated.weight(*row));
   for (AttrId a = 0; a < mutated.schema().arity(); ++a) {
-    hasher->MixUint64(digests[mutated.value(*row, a)]);
+    hasher->MixUint64(values.digest(mutated.value(*row, a)));
   }
   return Status::OK();
 }
@@ -71,7 +71,7 @@ StatusOr<uint64_t> DeltaChainHash(const TableDelta& delta,
         "delta id lists must be sorted and duplicate-free (call "
         "TableDelta::Canonicalize)");
   }
-  const ValuePool::DigestView digests = mutated.pool()->digests();
+  const ValuePool::ReadView values = mutated.pool()->read();
   StableHasher hasher;
   hasher.MixUint64(delta.base_hash);
   // Section markers disambiguate the three framed lists (an id moving from
@@ -80,12 +80,12 @@ StatusOr<uint64_t> DeltaChainHash(const TableDelta& delta,
   hasher.MixUint64(delta.inserted.size());
   for (TupleId id : delta.inserted) {
     FDR_RETURN_IF_ERROR(
-        MixRowContent(&hasher, mutated, digests, id, "inserted"));
+        MixRowContent(&hasher, mutated, values, id, "inserted"));
   }
   hasher.MixUint64(delta.updated.size());
   for (TupleId id : delta.updated) {
     FDR_RETURN_IF_ERROR(
-        MixRowContent(&hasher, mutated, digests, id, "updated"));
+        MixRowContent(&hasher, mutated, values, id, "updated"));
   }
   hasher.MixUint64(delta.deleted.size());
   for (TupleId id : delta.deleted) hasher.MixInt64(id);

@@ -64,10 +64,10 @@ uint64_t ComputeContentHash(const Table& table) {
   WordHasher words(header.digest());
   words.Absorb(rows, [&](int r) { return static_cast<uint64_t>(table.id(r)); });
   words.Absorb(rows, [&](int r) { return DoubleBits(table.weight(r)); });
-  const ValuePool::DigestView digests = table.pool()->digests();
+  const ValuePool::ReadView values = table.pool()->read();
   for (AttrId a = 0; a < schema.arity(); ++a) {
     const ValueId* column = table.ColumnData(a);
-    words.Absorb(rows, [&](int r) { return digests[column[r]]; });
+    words.Absorb(rows, [&](int r) { return values.digest(column[r]); });
   }
   return words.Finish();
 }

@@ -67,6 +67,10 @@ ValueId ValuePool::FreshValue() {
 
 ValueId ValuePool::FreshValueNamed(const std::string& name) {
   std::unique_lock<std::shared_mutex> lock(mu_);
+  return FreshValueNamedLocked(name);
+}
+
+ValueId ValuePool::FreshValueNamedLocked(const std::string& name) {
   std::string candidate = name;
   while (true) {
     auto it = index_.find(candidate);
@@ -83,6 +87,23 @@ ValueId ValuePool::FreshValueNamed(const std::string& name) {
   }
 }
 
+std::string FreshCellName(int64_t id, int32_t attr) {
+  return "⊥t" + std::to_string(id) + "." + std::to_string(attr);
+}
+
+void ValuePool::FreshCellValues(std::span<const FreshCell> cells,
+                                ValueId* out) {
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  for (size_t i = 0; i < cells.size(); ++i) {
+    auto [it, inserted] = cell_values_.try_emplace(cells[i], 0);
+    if (inserted) {
+      it->second =
+          FreshValueNamedLocked(FreshCellName(cells[i].id, cells[i].attr));
+    }
+    out[i] = it->second;
+  }
+}
+
 bool ValuePool::IsFresh(ValueId value) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   FDR_CHECK(value >= 0 && value < static_cast<ValueId>(fresh_.size()));
@@ -94,10 +115,6 @@ const std::string& ValuePool::Text(ValueId value) const {
   FDR_CHECK_MSG(value >= 0 && value < static_cast<ValueId>(texts_.size()),
                 "value id " << value << " out of range");
   return texts_[value];
-}
-
-ValuePool::DigestView ValuePool::digests() const {
-  return DigestView(std::shared_lock<std::shared_mutex>(mu_), &digests_);
 }
 
 int64_t ValuePool::size() const {

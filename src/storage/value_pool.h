@@ -14,14 +14,14 @@
 // instead of re-reading every text.
 //
 // Thread safety: the pool is internally synchronized with a shared_mutex —
-// any number of concurrent readers (Lookup/Text/IsFresh/size/digests), and
-// writers (Intern/FreshValue) exclusive against both. This is what lets the
+// any number of concurrent readers (Lookup/Text/IsFresh/size/read), and
+// writers (Intern/FreshValue*) exclusive against both. This is what lets the
 // repair engine's blocks share one parent table, and derived repairs share
 // one dictionary, across worker threads without copies. References returned
 // by Text() stay valid for the pool's lifetime even across concurrent
 // interning (values live in a deque, which never relocates elements). A
-// DigestView holds the shared lock for its whole lifetime, so a caller maps
-// a whole table's cells to digests under one lock acquisition.
+// ReadView holds the shared lock for its whole lifetime, so a caller maps
+// a whole table's cells to digests or texts under one lock acquisition.
 
 #ifndef FDREPAIR_STORAGE_VALUE_POOL_H_
 #define FDREPAIR_STORAGE_VALUE_POOL_H_
@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <deque>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -61,6 +62,18 @@ inline uint64_t Mix64(uint64_t x) {
   x ^= x >> 33;
   return x;
 }
+
+/// A table cell by stable tuple id (storage/table.h's TupleId) and
+/// attribute: the coordinates a per-cell fresh name derives from.
+struct FreshCell {
+  int64_t id = 0;
+  int32_t attr = 0;
+  bool operator==(const FreshCell&) const = default;
+};
+
+/// The deterministic name of the fresh value for cell (id, attr): "⊥t" then
+/// the id, ".", the attribute (see urepair/fresh.h for the name families).
+std::string FreshCellName(int64_t id, int32_t attr);
 
 /// A bidirectional string <-> ValueId dictionary plus a fresh-value factory.
 class ValuePool {
@@ -106,32 +119,48 @@ class ValuePool {
   /// Number of distinct values (interned + fresh).
   int64_t size() const;
 
-  /// Read access to the per-value digests under one shared lock, held for
-  /// the view's lifetime. The holder must not intern on the same pool while
+  /// Read access to texts and digests under one shared lock, held for the
+  /// view's lifetime, so a caller reads a whole table's cells under one
+  /// lock acquisition. The holder must not intern on the same pool while
   /// the view is alive (that would self-deadlock).
-  class DigestView {
+  class ReadView {
    public:
     /// ValueDigest(Text(value)); requires a valid id from this pool.
-    uint64_t operator[](ValueId value) const {
+    uint64_t digest(ValueId value) const {
       FDR_CHECK_MSG(static_cast<size_t>(value) < digests_->size(),
                     "value id " << value << " out of range");
       return (*digests_)[value];
     }
+    /// Text(value), stable for the pool's lifetime.
+    const std::string& text(ValueId value) const {
+      FDR_CHECK_MSG(static_cast<size_t>(value) < texts_->size(),
+                    "value id " << value << " out of range");
+      return (*texts_)[value];
+    }
 
    private:
     friend class ValuePool;
-    DigestView(std::shared_lock<std::shared_mutex> lock,
-               const std::vector<uint64_t>* digests)
-        : lock_(std::move(lock)), digests_(digests) {}
+    explicit ReadView(const ValuePool& pool)
+        : lock_(pool.mu_), digests_(&pool.digests_), texts_(&pool.texts_) {}
 
     std::shared_lock<std::shared_mutex> lock_;
     const std::vector<uint64_t>* digests_;
+    const std::deque<std::string>* texts_;
   };
-  DigestView digests() const;
+  ReadView read() const { return ReadView(*this); }
+
+  /// out[i] = FreshValueNamed(FreshCellName(cells[i].id, cells[i].attr))
+  /// for every i, under one exclusive lock. Memoized per cell, which is
+  /// exact because the pool is append-only: a name that resolved to a fresh
+  /// value once resolves to it for the pool's lifetime. A memo hit builds
+  /// no name and probes no text index, so re-freshening a table whose cells
+  /// this pool already freshened costs one integer-keyed probe per cell.
+  void FreshCellValues(std::span<const FreshCell> cells, ValueId* out);
 
  private:
-  /// Intern with mu_ already held exclusively.
+  /// Intern / FreshValueNamed with mu_ already held exclusively.
   ValueId InternLocked(const std::string& text);
+  ValueId FreshValueNamedLocked(const std::string& name);
 
   mutable std::shared_mutex mu_;
   std::unordered_map<std::string, ValueId> index_;
@@ -142,6 +171,15 @@ class ValuePool {
   std::vector<uint64_t> digests_;
   std::vector<bool> fresh_;
   int64_t fresh_counter_ = 0;
+
+  /// FreshCellValues' memo: each cell it resolved, with the value.
+  struct FreshCellHash {
+    size_t operator()(const FreshCell& cell) const {
+      return Mix64(static_cast<uint64_t>(cell.id) ^
+                   (static_cast<uint64_t>(cell.attr) << 56));
+    }
+  };
+  std::unordered_map<FreshCell, ValueId, FreshCellHash> cell_values_;
 };
 
 }  // namespace fdrepair

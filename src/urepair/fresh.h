@@ -9,11 +9,12 @@
 // cell-edit recipes from replaying bit-identically across re-plans.
 //
 // These helpers derive the name from stable coordinates instead:
-//   - FreshCellName(id, attr): the per-cell freshening of SubsetToUpdate
-//     (Proposition 4.4) and the core-implicant route — one symbol per
-//     (TupleId, attribute) cell, so distinct cells never share a symbol
-//     (sharing would re-create lhs agreements) and the same cell gets the
-//     same symbol in every run;
+//   - FreshCellName(id, attr) (storage/value_pool.h, next to the per-pool
+//     memo ValuePool::FreshCellValues that resolves it): the per-cell
+//     freshening of SubsetToUpdate (Proposition 4.4) and the core-implicant
+//     route — one symbol per (TupleId, attribute) cell, so distinct cells
+//     never share a symbol (sharing would re-create lhs agreements) and the
+//     same cell gets the same symbol in every run;
 //   - FreshColumnSymbolName(attr, j): the exact search's canonical column
 //     symbols, which rows deliberately MAY share (equal fresh values are
 //     part of its search space) — one symbol per (attribute, index).
@@ -29,11 +30,6 @@
 #include "storage/table.h"
 
 namespace fdrepair {
-
-/// The deterministic ⊥ name for freshening cell (id, attr).
-inline std::string FreshCellName(TupleId id, AttrId attr) {
-  return "⊥t" + std::to_string(id) + "." + std::to_string(attr);
-}
 
 /// The deterministic name of the exact search's j-th canonical fresh
 /// symbol for column `attr`.

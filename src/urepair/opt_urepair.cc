@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <optional>
+#include <unordered_set>
 
 #include "storage/consistency.h"
 #include "urepair/covers.h"
@@ -35,7 +37,6 @@ OptURepairResult AssembleResult(const Table& table, Table update,
                                 bool all_exact, double achieved_bound,
                                 URepairPlan plan) {
   const int n = table.num_tuples();
-  const ValuePool& pool = *table.pool();
   // start[row] counts, then ends, then (after the backward placement)
   // begins row's edits; start[n] is the total.
   std::vector<int> start(n + 1, 0);
@@ -51,13 +52,15 @@ OptURepairResult AssembleResult(const Table& table, Table update,
   }
   OptURepairResult result{std::move(update), {}, {}, 0, all_exact,
                           all_exact ? 1.0 : achieved_bound, std::move(plan)};
-  // The edit list usually outlives the request (the service caches it), and
-  // its length drifts as a table mutates: sized exactly, each evicted list
-  // left a free chunk slightly too small for the next one, and the heap of
-  // a mutating workload kept growing. A power-of-two capacity lets lists
-  // of similar length reuse each other's chunks.
+  // Both lists usually outlive the request (the service caches them), and
+  // their length drifts as a table mutates. Sized exactly, each evicted
+  // list left a free chunk slightly too small for the next one, and under
+  // glibc malloc the heap of a mutating workload kept growing; power-of-two
+  // capacities let lists of similar length reuse each other's chunks.
+  // Tuned for glibc's allocator: revisit if the allocator changes.
   result.edits.reserve(std::bit_ceil(edits.size()));
-  result.values.reserve(edits.size());
+  result.values.reserve(std::bit_ceil(edits.size()));
+  const ValuePool::ReadView texts = table.pool()->read();
   double distance = 0;
   for (int row = 0; row < n; ++row) {
     const auto first = by_row.begin() + start[row];
@@ -69,7 +72,7 @@ OptURepairResult AssembleResult(const Table& table, Table update,
     distance += table.weight(row) * static_cast<int>(last - first);
     for (auto it = first; it != last; ++it) {
       result.edits.push_back(URepairCellEdit{
-          table.id(row), (*it)->attr, (*it)->fresh, pool.Text((*it)->value)});
+          table.id(row), (*it)->attr, (*it)->fresh, texts.text((*it)->value)});
       result.values.push_back((*it)->value);
     }
   }
@@ -108,8 +111,10 @@ StatusOr<OptURepairResult> OptURepairCells(const FdSet& fds,
   // Emits every cell of `attrs` where a component's sub-update differs from
   // the input. Sub-updates are clones of `table`, so rows align. Key-cycle
   // alignment only copies table values; exact search and the
-  // approximations also write ⊥ constants, told apart by the pool's fresh
-  // mark (so a ⊥ the input already held, copied, reads as manufactured).
+  // approximations also write ⊥ constants: a value is manufactured when the
+  // pool marks it fresh and the input column does not already hold it (the
+  // exact search draws candidates from the column, so it may copy a ⊥ an
+  // earlier repair left there).
   auto emit_diff = [&](const Table& sub, AttrSet attrs, bool may_freshen) {
     FDR_CHECK(sub.num_tuples() == table.num_tuples());
     for (int row = 0; row < sub.num_tuples(); ++row) {
@@ -118,10 +123,15 @@ StatusOr<OptURepairResult> OptURepairCells(const FdSet& fds,
     ForEachAttr(attrs, [&](AttrId attr) {
       const ColumnView before = table.Column(attr);
       const ColumnView after = sub.Column(attr);
+      std::optional<std::unordered_set<ValueId>> held;
       for (int row = 0; row < before.size(); ++row) {
         if (before[row] == after[row]) continue;
-        emit(row, attr, after[row],
-             may_freshen && table.pool()->IsFresh(after[row]));
+        bool fresh = may_freshen && table.pool()->IsFresh(after[row]);
+        if (fresh) {
+          if (!held) held.emplace(before.data(), before.data() + before.size());
+          fresh = !held->contains(after[row]);
+        }
+        emit(row, attr, after[row], fresh);
       }
     });
   };

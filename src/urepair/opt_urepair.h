@@ -22,7 +22,9 @@
 //     (Proposition 4.4, FreshenDeletedRows in urepair_common_lhs.h). A
 //     splice sets the inner delta_base to the component's captured S-plan,
 //     so only dirty blocks are re-solved; the freshening is derived, never
-//     stored, and runs the same pass over the spliced kept set;
+//     stored, and runs the same pass over the spliced kept set (its ⊥
+//     values come from one ValuePool::FreshCellValues batch, memoized per
+//     cell in the pool, so a re-run on the same pool probes integers);
 //   - key-cycle (Proposition 4.9): the inner S-repair (cold or spliced),
 //     then the alignment pass over the kept set — a single O(n) column
 //     sweep whose bijection depends on the *global* kept order, so it is

@@ -23,10 +23,11 @@
 
 namespace fdrepair {
 
-/// The freshening of Proposition 4.4 (2) as one row-order pass: calls
+/// The freshening of Proposition 4.4 (2), in row order: calls
 /// emit(row, attr, value) for each attribute of `cover` in every row of
 /// `table` outside `kept_rows` (dense positions), `value` being the cell's
-/// deterministic ⊥ constant in the table's pool. A fresh constant per cell
+/// deterministic ⊥ constant in the table's pool, resolved for all cells in
+/// one ValuePool::FreshCellValues batch. A fresh constant per cell
 /// makes the deleted tuple inert — the cover hits every lhs, so it agrees
 /// with nothing on any lhs — and its name derives from (TupleId, attr), so
 /// a cell freshens to the same symbol in every run and on every pool with
@@ -45,12 +46,19 @@ Status FreshenDeletedRows(const Table& table, const std::vector<int>& kept_rows,
     }
     kept[row] = 1;
   }
-  ValuePool& pool = *table.pool();
+  std::vector<FreshCell> cells;
   for (int row = 0; row < n; ++row) {
     if (kept[row]) continue;
     ForEachAttr(cover, [&](AttrId attr) {
-      emit(row, attr, pool.FreshValueNamed(FreshCellName(table.id(row), attr)));
+      cells.push_back(FreshCell{table.id(row), attr});
     });
+  }
+  std::vector<ValueId> values(cells.size());
+  table.pool()->FreshCellValues(cells, values.data());
+  size_t i = 0;
+  for (int row = 0; row < n; ++row) {
+    if (kept[row]) continue;
+    ForEachAttr(cover, [&](AttrId attr) { emit(row, attr, values[i++]); });
   }
   return Status::OK();
 }

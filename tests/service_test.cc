@@ -18,6 +18,7 @@
 #include "service/repair_service.h"
 #include "srepair/planner.h"
 #include "srepair/solver_backend.h"
+#include "storage/consistency.h"
 #include "storage/table_hash.h"
 #include "storage/table_io.h"
 #include "urepair/fresh.h"
@@ -356,6 +357,46 @@ TEST(RepairServiceTest, UpdateHitOnAPoolHoldingTheFreshNamesAsUserData) {
   EXPECT_TRUE(pool->IsFresh(hit->repair.value(fresh_row, fresh_attr)));
   const Table clone = copy.Clone();
   ExpectUpdateHitMatchesDirect(*hit, parsed.fds, clone);
+  EXPECT_EQ(service.stats().misses, 1u);
+}
+
+// (f) The exact search copies a ⊥ the input already holds: fresh on the
+// leader's pool (an earlier repair's output), user data on the hit's pool
+// (the same content reloaded). The edit is a copy, not a manufactured
+// value, so the hit must write the hit table's own value, as a direct run
+// there does; replaying it as fresh would break A -> B.
+TEST(RepairServiceTest, UpdateHitCopiesAHeldFreshValueAsTableData) {
+  ParsedFdSet parsed = ParseFdSetInferSchemaOrDie("A -> B; C -> A");
+  Table leader(parsed.schema);
+  leader.AddTuple({"a1", "b1", "c1"});
+  leader.AddTuple({"a1", "b1", "c1"});
+  leader.AddTuple({"a1", "b2", "c1"});
+  const ValueId held = leader.FreshValue();
+  leader.SetValue(0, 1, held);
+  leader.SetValue(1, 1, held);
+  const std::string text = leader.pool()->Text(held);
+  // The one cost-1 repair: row 2 copies the held ⊥ into B (changing A
+  // breaks C -> A).
+  auto cells = OptURepairCells(parsed.fds.CanonicalCover(), leader);
+  ASSERT_TRUE(cells.ok()) << cells.status();
+  ASSERT_EQ(cells->plan.components.size(), 1u);
+  ASSERT_EQ(cells->plan.components[0].route, URepairRoute::kExactSearch);
+  ASSERT_EQ(cells->edits.size(), 1u);
+  EXPECT_EQ(cells->edits[0].attr, 1);
+  EXPECT_EQ(cells->edits[0].text, text);
+  EXPECT_FALSE(cells->edits[0].fresh);
+
+  RepairService service;
+  auto miss = service.Serve(Request(RepairMode::kUpdate, parsed.fds, &leader));
+  ASSERT_TRUE(miss.ok()) << miss.status();
+  ASSERT_FALSE(miss->cache_hit);
+  Table copy = CopyContent(leader);
+  ASSERT_FALSE(copy.pool()->IsFresh(copy.value(0, 1)));
+  auto hit = service.Serve(Request(RepairMode::kUpdate, parsed.fds, &copy));
+  ASSERT_TRUE(hit.ok()) << hit.status();
+  EXPECT_EQ(hit->repair.value(2, 1), copy.value(0, 1));
+  EXPECT_TRUE(Satisfies(hit->repair, parsed.fds));
+  ExpectUpdateHitMatchesDirect(*hit, parsed.fds, copy);
   EXPECT_EQ(service.stats().misses, 1u);
 }
 
