@@ -1,22 +1,14 @@
 #include "engine/repair_engine.h"
 
-#include <algorithm>
-#include <thread>
-
 namespace fdrepair {
 namespace {
 
 using Clock = std::chrono::steady_clock;
 
-int ResolveThreads(int requested) {
-  if (requested > 0) return requested;
-  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-}
-
 }  // namespace
 
 RepairEngine::RepairEngine(const EngineOptions& options) : options_(options) {
-  pool_ = std::make_unique<ThreadPool>(ResolveThreads(options_.threads));
+  pool_ = std::make_unique<ThreadPool>(ResolveThreadCount(options_.threads));
 }
 
 RepairEngine::~RepairEngine() = default;

@@ -14,6 +14,11 @@ thread_local int tls_index = -1;
 
 }  // namespace
 
+int ResolveThreadCount(int requested) {
+  if (requested > 0) return requested;
+  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+}
+
 ThreadPool::ThreadPool(int num_threads) {
   const int n = std::max(1, num_threads);
   queues_.reserve(n);

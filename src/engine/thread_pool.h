@@ -30,6 +30,10 @@
 
 namespace fdrepair {
 
+/// `requested` when positive, else std::thread::hardware_concurrency()
+/// (at least 1): the thread knob of RepairEngine and RepairService.
+int ResolveThreadCount(int requested);
+
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers; values < 1 are clamped to 1. A 1-thread

@@ -136,9 +136,9 @@ std::optional<Clock::time_point> AbsoluteDeadline(
 const char* RepairModeToString(RepairMode mode) { return RepairModeName(mode); }
 
 RepairService::RepairService(const RepairServiceOptions& options)
-    : options_(options), engine_(options.engine) {
+    : options_(options), pool_(ResolveThreadCount(options.threads)) {
   max_inflight_ = options_.max_inflight > 0 ? options_.max_inflight
-                                            : engine_.threads();
+                                            : pool_.num_threads();
 }
 
 RepairService::~RepairService() = default;
@@ -224,11 +224,11 @@ StatusOr<RepairService::CachedRepair> RepairService::Execute(
   if (deadline && Clock::now() >= *deadline) {
     return Status::DeadlineExceeded("deadline expired before execution");
   }
-  // Every planner below runs under one exec: the engine's pool unless the
+  // Every planner below runs under one exec: the service's pool unless the
   // threads hint pins the calling thread (no block fan-out — results are
   // bit-identical either way), and the request's absolute deadline.
   OptSRepairExec exec = options_.srepair.exec;
-  exec.pool = request_options.threads == 1 ? nullptr : engine_.pool();
+  exec.pool = request_options.threads == 1 ? nullptr : &pool_;
   exec.deadline = deadline.value_or(Clock::time_point::max());
   if (request.mode != RepairMode::kUpdate) {
     // A soft request whose canonical cover is all-hard IS a subset request

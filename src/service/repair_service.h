@@ -54,7 +54,8 @@
 
 #include "catalog/fdset.h"
 #include "common/status.h"
-#include "engine/repair_engine.h"
+#include "engine/thread_pool.h"
+#include "srepair/planner.h"
 #include "storage/table.h"
 #include "storage/table_delta.h"
 #include "urepair/opt_urepair.h"
@@ -96,10 +97,10 @@ struct RepairOptions {
   /// the end of the lookup ⇒ kDeadlineExceeded, even for a cache hit (see
   /// the file comment). Unset: no limit.
   std::optional<std::chrono::milliseconds> deadline;
-  /// Thread hint: 0 uses the service's engine as configured; 1 forces this
+  /// Thread hint: 0 uses the service's pool as configured; 1 forces this
   /// request's execution onto the calling thread (no block fan-out — the
   /// bit-identical sequential baseline). Values > 1 are advisory only and
-  /// currently behave like 0 (the engine's pool is shared and fixed-size).
+  /// currently behave like 0 (the service's pool is shared and fixed-size).
   int threads = 0;
   /// Skip the cache entirely (no lookup, no store, no dedup). Admission
   /// control still applies. Used by benches to measure cold latency.
@@ -200,18 +201,17 @@ struct RepairServiceOptions {
   /// 0 disables caching but keeps single-flight dedup of in-flight work.
   size_t cache_capacity = 256;
   /// Cache-missing requests allowed to execute concurrently; 0 resolves to
-  /// the engine's thread count.
+  /// the pool's thread count.
   int max_inflight = 0;
   /// Cache-missing requests allowed to *wait* for an execution slot beyond
   /// `max_inflight`; anything past that is rejected with kUnavailable.
   int max_queue = 64;
-  /// The engine whose pool runs every request's block fan-out (its
-  /// `threads` also sizes `max_inflight` when that is 0). The engine's
-  /// `default_deadline` does not apply here: a request's only budget is
-  /// RepairOptions::deadline.
-  EngineOptions engine;
+  /// Worker threads of the service's pool, which runs every request's
+  /// block fan-out (and sizes `max_inflight` when that is 0). 0 picks
+  /// std::thread::hardware_concurrency().
+  int threads = 0;
   /// Route options passed through to the subset and soft planners.
-  /// Per request, `exec.pool` becomes the engine's pool (or null under
+  /// Per request, `exec.pool` becomes the service's pool (or null under
   /// threads == 1) and `exec.deadline` the request's absolute deadline;
   /// `exec.parallel_cutoff` also governs update mode's inner S-repairs.
   SRepairOptions srepair;
@@ -345,7 +345,7 @@ class RepairService {
 
   RepairServiceOptions options_;
   int max_inflight_ = 1;
-  RepairEngine engine_;
+  ThreadPool pool_;
 
   mutable std::mutex cache_mu_;
   std::condition_variable cache_cv_;

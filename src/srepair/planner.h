@@ -12,9 +12,17 @@
 // exact branch and bound up to `exact_guard` conflicted tuples and the
 // ILP-style branch and bound (budgeted, degrading to a 2-approximate
 // incumbent) beyond; kExactOnly insists on a proved optimum; kApproxOnly
-// always takes the fused local-ratio route. Every result carries solver
+// always takes the fused local-ratio route. Every cover backend solves the
+// conflicted core of graph/conflict_graph.h (BuildConflictedCore, the one
+// violating-pair enumeration of the hard side), and its cover complements
+// back to kept rows through the core. Every result carries solver
 // provenance: the backend name, a proved lower bound on the optimal
 // distance, and the achieved ratio certified by that bound.
+//
+// The soft planner (srepair/soft_repair.h) solves its cores through the
+// same BuildConflictedCore, the same routing step (RouteCoreBackend) and
+// the same certificate gate (CertifyRepair), declared at the end of this
+// header.
 
 #ifndef FDREPAIR_SREPAIR_PLANNER_H_
 #define FDREPAIR_SREPAIR_PLANNER_H_
@@ -25,6 +33,7 @@
 #include "srepair/class_classifier.h"
 #include "srepair/opt_srepair.h"
 #include "srepair/osr_succeeds.h"
+#include "srepair/solver_backend.h"
 #include "storage/distance.h"
 #include "storage/table.h"
 
@@ -144,6 +153,40 @@ struct SRepairResult {
 /// Plans and executes a subset repair of `table` under ∆.
 StatusOr<SRepairResult> ComputeSRepair(const FdSet& fds, const Table& table,
                                        const SRepairOptions& options = {});
+
+/// `options.backend` looked up in the solver registry: nullptr when the
+/// name is empty, kInvalidArgument when it is unknown.
+StatusOr<const SolverBackend*> FindNamedBackend(const SRepairOptions& options);
+
+/// The backend for a conflicted core of `conflicted` tuples, shared by the
+/// hard side of ComputeSRepair and the soft planner's cores (which route
+/// as kAuto): `named` when set, else "bnb" up to `options.exact_guard`
+/// conflicted tuples, else "ilp". Under kAuto with no explicit
+/// `node_budget`, "ilp" self-limits to 2000 branch nodes through *exec, so
+/// oversized instances degrade to the incumbent instead of searching
+/// without bound.
+const SolverBackend* RouteCoreBackend(const SolverBackend* named,
+                                      const SRepairOptions& options,
+                                      SRepairStrategy strategy, int conflicted,
+                                      SolverExec* exec);
+
+/// A result's quality certificate (see SRepairResult).
+struct RepairCertificate {
+  double ratio_bound = 1;
+  double lower_bound = 0;
+  double achieved_ratio = 1;
+};
+
+/// Certifies a result of value `objective` (a distance, or a soft cost)
+/// from the solver's a-priori `ratio_bound` and proved `lower_bound`; an
+/// optimal result certifies itself. The max_ratio gate shared by
+/// ComputeSRepair and ComputeSoftRepair: fails with kResourceExhausted
+/// when `options.max_ratio` > 0 and the stronger of the two ratios
+/// exceeds it.
+StatusOr<RepairCertificate> CertifyRepair(const SRepairOptions& options,
+                                          double objective, bool optimal,
+                                          double ratio_bound,
+                                          double lower_bound);
 
 }  // namespace fdrepair
 

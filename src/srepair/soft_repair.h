@@ -22,13 +22,18 @@
 //     (consensus, lhs marriage) do NOT survive finite weights — their
 //     block merges assume cross-block pairs can never cost anything,
 //     which soft penalties break;
-//   - otherwise: the soft conflicted core. Enumerate violating pairs per
-//     FD, accumulate per-pair penalties (a pair violating a hard FD is a
-//     hard edge; penalties of multiple soft FDs add), and hand the
-//     resulting soft-cover instance (srepair/soft_cover.h) to a
-//     SolverBackend::SolveSoftCover — "bnb" under `exact_guard`
-//     conflicted tuples, the LP-bounded "ilp" beyond, or the explicitly
-//     requested backend.
+//   - otherwise: the soft conflicted core, built by the same function as
+//     the hard side's (BuildConflictedCore, graph/conflict_graph.h): one
+//     violating-pair enumeration, per-pair penalties (a pair violating a
+//     hard FD is a hard edge; penalties of multiple soft FDs add), nodes
+//     numbered by ascending view index. The resulting soft-cover instance
+//     (srepair/soft_cover.h) goes to SolverBackend::SolveSoftCover through
+//     the subset planner's routing step (RouteCoreBackend, read as kAuto:
+//     the requested backend, else "bnb" up to `exact_guard` conflicted
+//     tuples, else the LP-bounded "ilp" under the shared 2000-node
+//     budget), and the cover complements back to kept rows through the
+//     core. The assembled repair passes the planner's certificate gate
+//     (CertifyRepair) for `max_ratio`.
 //
 // The recursion is sequential (options.exec's pool only reaches the
 // all-hard delegation path), so results are identical for every thread
@@ -97,7 +102,9 @@ StatusOr<SoftRepairResult> ComputeSoftRepair(
 
 /// Σ ω(φ) · #violating pairs of φ within `view`, over the finite-weight
 /// FDs of ∆ (hard FDs contribute nothing — callers wanting hard
-/// satisfaction use Satisfies). O(#FDs · n) via per-lhs grouping.
+/// satisfaction use Satisfies). O(#FDs · n) via the per-FD lhs grouping
+/// (LhsGroups, storage/consistency.h): C(g, 2) − Σ_value C(c_value, 2)
+/// pairs per group, never enumerated.
 double SoftViolationCost(const FdSet& fds, const TableView& view);
 
 }  // namespace fdrepair

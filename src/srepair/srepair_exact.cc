@@ -1,7 +1,5 @@
 #include "srepair/srepair_exact.h"
 
-#include <algorithm>
-
 #include "graph/conflict_graph.h"
 #include "graph/vertex_cover.h"
 
@@ -10,38 +8,18 @@ namespace fdrepair {
 StatusOr<std::vector<int>> OptSRepairExactRows(const FdSet& fds,
                                                const TableView& view,
                                                int max_conflict_nodes) {
-  NodeWeightedGraph full = BuildConflictGraph(view, fds);
   // Isolated tuples are always kept; branch only over the conflicted core.
-  std::vector<int> core;  // view indices with at least one conflict
-  std::vector<int> core_index(view.num_tuples(), -1);
-  for (int i = 0; i < view.num_tuples(); ++i) {
-    if (full.Degree(i) > 0) {
-      core_index[i] = static_cast<int>(core.size());
-      core.push_back(i);
-    }
-  }
-  if (static_cast<int>(core.size()) > max_conflict_nodes) {
+  const ConflictedCore core = BuildConflictedCore(view, fds);
+  if (static_cast<int>(core.nodes.size()) > max_conflict_nodes) {
     return Status::ResourceExhausted(
         "exact S-repair limited to " + std::to_string(max_conflict_nodes) +
-        " conflicted tuples, instance has " + std::to_string(core.size()));
+        " conflicted tuples, instance has " +
+        std::to_string(core.nodes.size()));
   }
-  NodeWeightedGraph graph(static_cast<int>(core.size()));
-  for (size_t c = 0; c < core.size(); ++c) {
-    graph.set_weight(static_cast<int>(c), view.weight(core[c]));
-  }
-  for (const auto& [u, v] : full.edges()) {
-    graph.AddEdge(core_index[u], core_index[v]);
-  }
-  FDR_ASSIGN_OR_RETURN(std::vector<int> cover,
-                       MinWeightVertexCoverExact(graph, max_conflict_nodes));
-  std::vector<char> deleted(view.num_tuples(), 0);
-  for (int c : cover) deleted[core[c]] = 1;
-  std::vector<int> kept;
-  for (int i = 0; i < view.num_tuples(); ++i) {
-    if (!deleted[i]) kept.push_back(view.row(i));
-  }
-  std::sort(kept.begin(), kept.end());
-  return kept;
+  FDR_ASSIGN_OR_RETURN(
+      std::vector<int> cover,
+      MinWeightVertexCoverExact(core.graph, max_conflict_nodes));
+  return core.KeptRows(view, cover);
 }
 
 StatusOr<Table> OptSRepairExact(const FdSet& fds, const Table& table,

@@ -7,6 +7,15 @@
 // side of the dichotomy this is inherently exponential — it serves as ground
 // truth for property tests and for the approximation-ratio experiments, and
 // as the exponential baseline whose blowup E2 charts against OptSRepair.
+//
+// It shares only BuildConflictedCore (graph/conflict_graph.h) with
+// the planner, never the solver registry or the routing: its cover comes
+// from graph/vertex_cover.h's MinWeightVertexCoverExact. That keeps it an
+// independent reference — the cross-backend property tests pin every
+// registry backend's distance to it, which would prove nothing if it ran
+// one of those backends. For the same reason CheckSubsetRepair
+// (verify/repair_check.h) takes its optimum from here rather than from the
+// planner's kExactOnly route, so it stays in the production tree.
 
 #ifndef FDREPAIR_SREPAIR_SREPAIR_EXACT_H_
 #define FDREPAIR_SREPAIR_SREPAIR_EXACT_H_

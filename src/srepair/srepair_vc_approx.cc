@@ -94,10 +94,6 @@ std::vector<int> RestoreConsistentRows(const FdSet& fds, const TableView& view,
   return out;
 }
 
-std::vector<int> SRepairVcApproxRows(const FdSet& fds, const TableView& view) {
-  return SRepairVcApproxRows(fds, view, nullptr);
-}
-
 std::vector<int> SRepairVcApproxRows(const FdSet& fds, const TableView& view,
                                      double* dual_lower_bound) {
   double packed = 0;  // total local-ratio burn: a feasible edge packing
@@ -106,17 +102,12 @@ std::vector<int> SRepairVcApproxRows(const FdSet& fds, const TableView& view,
   for (int i = 0; i < view.num_tuples(); ++i) residual[i] = view.weight(i);
   auto alive = [&](int i) { return residual[i] > kEps; };
 
-  // Reused per FD: lhs groups in first-appearance order, resolved by the
-  // shared hash-plus-witness ProjectionIndex (no per-row key allocation).
-  // First-appearance order also makes the local-ratio pairing
-  // deterministic — the pre-span implementation iterated unordered_map
-  // order, which was only deterministic per standard-library
-  // implementation.
-  ProjectionIndex lhs_index;
-  /// Single-attribute lhs: columnar DenseValueIndex sweep (same dense
-  /// first-appearance group ids, no projection hashing).
-  DenseValueIndex lhs_values;
-  std::vector<std::vector<int>> members;  // group -> member view indices
+  // Reused per FD: the alive rows' lhs groups (LhsGroups, in
+  // first-appearance order, members ascending). First-appearance order
+  // makes the local-ratio pairing deterministic — the pre-span
+  // implementation iterated unordered_map order, which was only
+  // deterministic per standard-library implementation.
+  LhsGroups groups;
   // Per-group rhs partition scratch (counting scatter into runs).
   std::unordered_map<ValueId, int> rhs_index;
   std::vector<int> sub_of;
@@ -127,31 +118,18 @@ std::vector<int> SRepairVcApproxRows(const FdSet& fds, const TableView& view,
 
   for (const Fd& fd : fds.fds()) {
     if (fd.IsTrivial()) continue;
-    const bool single_lhs = fd.lhs.size() == 1;
-    const ValueId* lhs_column =
-        single_lhs ? view.table().ColumnData(fd.lhs.First()) : nullptr;
-    lhs_values.Clear();
-    lhs_index.Clear();
-    members.clear();
-    for (int i = 0; i < view.num_tuples(); ++i) {
-      if (!alive(i)) continue;
-      bool created = false;
-      const int g =
-          single_lhs
-              ? lhs_values.FindOrCreate(lhs_column[view.row(i)], &created)
-              : lhs_index.FindOrCreate(view.table(), view.row(i), fd.lhs,
-                                       &created);
-      if (created) members.emplace_back();
-      members[g].push_back(i);
-    }
-    for (std::vector<int>& group_members : members) {
+    groups.Build(view, fd.lhs, alive);
+    for (int g = 0; g < groups.size(); ++g) {
+      const int* group_members = groups.begin(g);
+      const int group_size = groups.group_size(g);
       // Partition the group's members into rhs-value runs (stable, runs in
       // first-appearance order of the rhs value).
       rhs_index.clear();
       sub_of.clear();
       int num_sub = 0;
-      for (int m : group_members) {
-        auto [it, inserted] = rhs_index.emplace(view.value(m, fd.rhs), num_sub);
+      for (int m = 0; m < group_size; ++m) {
+        auto [it, inserted] =
+            rhs_index.emplace(view.value(group_members[m], fd.rhs), num_sub);
         if (inserted) ++num_sub;
         sub_of.push_back(it->second);
       }
@@ -166,9 +144,9 @@ std::vector<int> SRepairVcApproxRows(const FdSet& fds, const TableView& view,
         total += size;
         run_end[s] = total;
       }
-      scattered.resize(group_members.size());
+      scattered.resize(group_size);
       cursor.assign(run_start.begin(), run_start.end());
-      for (size_t m = 0; m < group_members.size(); ++m) {
+      for (int m = 0; m < group_size; ++m) {
         scattered[cursor[sub_of[m]]++] = group_members[m];
       }
       // Local-ratio: repeatedly take alive tuples from two distinct rhs
@@ -215,15 +193,11 @@ std::vector<int> SRepairVcApproxRows(const FdSet& fds, const TableView& view,
 std::vector<int> SRepairVcApproxRowsViaGraph(
     const FdSet& fds, const TableView& view,
     const std::vector<int>& edge_order) {
-  NodeWeightedGraph graph = BuildConflictGraph(view, fds);
-  std::vector<int> cover = VertexCoverLocalRatio(graph, edge_order);
-  std::vector<char> deleted(view.num_tuples(), 0);
-  for (int node : cover) deleted[node] = 1;
-  std::vector<int> kept;
-  for (int i = 0; i < view.num_tuples(); ++i) {
-    if (!deleted[i]) kept.push_back(view.row(i));
-  }
-  return RestoreConsistentRows(fds, view, std::move(kept));
+  // The core's edge list is the conflict graph's, in the same order.
+  const ConflictedCore core = BuildConflictedCore(view, fds);
+  return RestoreConsistentRows(
+      fds, view,
+      core.KeptRows(view, VertexCoverLocalRatio(core.graph, edge_order)));
 }
 
 Table SRepairVcApprox(const FdSet& fds, const Table& table) {

@@ -33,8 +33,7 @@ namespace fdrepair {
 /// a lower bound on the optimal deletion weight (the LP-duality half of
 /// the factor-2 guarantee). The achieved distance is at most twice it.
 std::vector<int> SRepairVcApproxRows(const FdSet& fds, const TableView& view,
-                                     double* dual_lower_bound);
-std::vector<int> SRepairVcApproxRows(const FdSet& fds, const TableView& view);
+                                     double* dual_lower_bound = nullptr);
 
 /// Explicit conflict-graph route with a caller-supplied edge processing
 /// order (indices into the conflict graph's edge list); used by ablations.

@@ -1,9 +1,5 @@
 #include "storage/consistency.h"
 
-#include <unordered_map>
-
-#include "storage/row_span.h"
-
 namespace fdrepair {
 
 bool Satisfies(const TableView& view, const FdSet& fds) {
@@ -14,68 +10,59 @@ bool Satisfies(const TableView& view, const FdSet& fds) {
   // gather per column and an epoch-stamped DenseValueIndex sweep instead
   // of projection hashing.
   const int n = view.num_tuples();
+  const int* rows = view.rows().data();
   DenseValueIndex lhs_values;
   std::vector<ValueId> lhs_staged;  // gathered lhs values, dense by view row
   ProjectionIndex lhs_index;
   std::vector<ValueId> rhs;  // entry -> the rhs value the group must share
   for (const Fd& fd : fds.fds()) {
     if (fd.IsTrivial()) continue;
-    if (fd.lhs.size() == 1) {
-      // Same size dispatch as the grouping core: small views run a fused
-      // single pass straight off the two columns (keeping the row-by-row
-      // early exit at the first violation); large views stage the lhs
-      // column through the SIMD gather first. rhs values are read straight
-      // from their column in both shapes — staging them would cost a full
-      // pass before the first violation check.
-      const ValueId* lhs_column = view.table().ColumnData(fd.lhs.First());
-      const ValueId* rhs_column = view.table().ColumnData(fd.rhs);
-      const int* rows = view.rows().data();
-      lhs_values.Clear();
-      rhs.clear();
-      if (n >= kSimdStagingMinRows &&
-          simd::ActiveSimdMode() == simd::SimdMode::kAvx2) {
-        lhs_staged.resize(n);
-        const ValueId max_lhs =
-            simd::GatherWithMax(lhs_column, rows, n, lhs_staged.data());
-        lhs_values.Reserve(max_lhs);
-        for (int i = 0; i < n; ++i) {
-          bool created = false;
-          const int g = lhs_values.FindOrCreate(lhs_staged[i], &created);
-          const ValueId r = rhs_column[rows[i]];
-          if (created) {
-            rhs.push_back(r);
-          } else if (rhs[g] != r) {
-            return false;
-          }
-        }
-      } else {
-        for (int i = 0; i < n; ++i) {
-          bool created = false;
-          const int g = lhs_values.FindOrCreate(lhs_column[rows[i]], &created);
-          const ValueId r = rhs_column[rows[i]];
-          if (created) {
-            rhs.push_back(r);
-          } else if (rhs[g] != r) {
-            return false;
-          }
-        }
-      }
-      continue;
-    }
-    lhs_index.Clear();
-    rhs.clear();
     const ValueId* rhs_column = view.table().ColumnData(fd.rhs);
-    for (int i = 0; i < n; ++i) {
-      const int row = view.row(i);
-      bool created = false;
-      const int g =
-          lhs_index.FindOrCreate(view.table(), row, fd.lhs, &created);
-      if (created) {
-        rhs.push_back(rhs_column[row]);
-      } else if (rhs[g] != rhs_column[row]) {
-        return false;
+    // One row-by-row sweep with an early exit at the first violation,
+    // instantiated once per way of finding a row's lhs group. rhs values
+    // are read straight from their column — staging them would cost a
+    // full pass before the first violation check.
+    auto sweep = [&](auto group_of) {
+      rhs.clear();
+      for (int i = 0; i < n; ++i) {
+        bool created = false;
+        const int g = group_of(i, &created);
+        const ValueId r = rhs_column[rows[i]];
+        if (created) {
+          rhs.push_back(r);
+        } else if (rhs[g] != r) {
+          return false;
+        }
       }
+      return true;
+    };
+    bool ok = true;
+    if (fd.lhs.size() != 1) {
+      lhs_index.Clear();
+      ok = sweep([&](int i, bool* created) {
+        return lhs_index.FindOrCreate(view.table(), rows[i], fd.lhs, created);
+      });
+    } else if (n >= kSimdStagingMinRows &&
+               simd::ActiveSimdMode() == simd::SimdMode::kAvx2) {
+      // Same size dispatch as the grouping core: large views stage the
+      // lhs column through the SIMD gather first; small views read it
+      // straight off the column.
+      const ValueId* lhs_column = view.table().ColumnData(fd.lhs.First());
+      lhs_staged.resize(n);
+      lhs_values.Clear();
+      lhs_values.Reserve(
+          simd::GatherWithMax(lhs_column, rows, n, lhs_staged.data()));
+      ok = sweep([&](int i, bool* created) {
+        return lhs_values.FindOrCreate(lhs_staged[i], created);
+      });
+    } else {
+      const ValueId* lhs_column = view.table().ColumnData(fd.lhs.First());
+      lhs_values.Clear();
+      ok = sweep([&](int i, bool* created) {
+        return lhs_values.FindOrCreate(lhs_column[rows[i]], created);
+      });
     }
+    if (!ok) return false;
   }
   return true;
 }
@@ -84,30 +71,19 @@ bool Satisfies(const Table& table, const FdSet& fds) {
   return Satisfies(TableView(table), fds);
 }
 
-std::vector<Violation> FindViolations(const TableView& view, const FdSet& fds) {
-  std::vector<Violation> out;
-  for (const Fd& fd : fds.fds()) {
-    if (fd.IsTrivial()) continue;
-    // Group rows by lhs projection; within a group, tuples with different
-    // rhs values pairwise violate the FD.
-    std::unordered_map<ProjectionKey, std::vector<int>, ProjectionKeyHash>
-        groups;
-    for (int i = 0; i < view.num_tuples(); ++i) {
-      groups[ProjectRow(view.table(), view.row(i), fd.lhs)].push_back(i);
-    }
-    for (const auto& [key, members] : groups) {
-      for (size_t a = 0; a < members.size(); ++a) {
-        for (size_t b = a + 1; b < members.size(); ++b) {
-          int i = members[a];
-          int j = members[b];
-          if (view.value(i, fd.rhs) != view.value(j, fd.rhs)) {
-            out.push_back(Violation{view.row(i), view.row(j), fd});
-          }
-        }
-      }
-    }
+int64_t LhsGroups::ViolatingPairs(const TableView& view, int g, AttrId rhs) {
+  rhs_values_.Clear();
+  rhs_counts_.clear();
+  for (const int* m = begin(g); m != end(g); ++m) {
+    bool created = false;
+    const int v = rhs_values_.FindOrCreate(view.value(*m, rhs), &created);
+    if (created) rhs_counts_.push_back(0);
+    ++rhs_counts_[v];
   }
-  return out;
+  const int64_t size = group_size(g);
+  int64_t pairs = size * (size - 1) / 2;
+  for (int64_t c : rhs_counts_) pairs -= c * (c - 1) / 2;
+  return pairs;
 }
 
 bool PairConsistent(const Tuple& t, const Tuple& s, const FdSet& fds) {

@@ -26,13 +26,19 @@ StatusOr<Table> KlApproxURepair(const FdSet& fds, const Table& table) {
   std::vector<char> kept(table.num_tuples(), 0);
   for (int row : kept_rows) kept[row] = 1;
 
-  // The rhs attributes each covered tuple violates (against anybody).
+  // The rhs attributes each covered tuple violates (against anybody): a
+  // tuple violates fd iff its lhs group holds two distinct rhs values —
+  // one grouping pass per FD, no pair enumeration.
   std::vector<AttrSet> violated_rhs(table.num_tuples());
-  for (const Violation& violation : FindViolations(view, delta)) {
-    violated_rhs[violation.row_i] =
-        violated_rhs[violation.row_i].With(violation.fd.rhs);
-    violated_rhs[violation.row_j] =
-        violated_rhs[violation.row_j].With(violation.fd.rhs);
+  LhsGroups groups;
+  for (const Fd& fd : delta.fds()) {
+    groups.Build(view, fd.lhs);
+    for (int g = 0; g < groups.size(); ++g) {
+      if (groups.ViolatingPairs(view, g, fd.rhs) == 0) continue;
+      for (const int* m = groups.begin(g); m != groups.end(g); ++m) {
+        violated_rhs[view.row(*m)] = violated_rhs[view.row(*m)].With(fd.rhs);
+      }
+    }
   }
 
   // Minimum core implicants, memoized per attribute in a dense vector

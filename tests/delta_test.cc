@@ -1024,7 +1024,7 @@ TEST(ServiceDeltaTest, PropertyRandomMutationSequencesAcrossThreadCounts) {
   std::vector<Table> witness;  // per-round repair from the 1-thread service
   for (int threads : {1, 2, 8}) {
     RepairServiceOptions options;
-    options.engine.threads = threads;
+    options.threads = threads;
     RepairService service(options);
     ASSERT_TRUE(
         service.Serve(Request(RepairMode::kSubset, parsed.fds, &base)).ok());
@@ -1080,7 +1080,7 @@ TEST(ServiceDeltaTest, PropertyUpdateModeMutationSequencesAcrossThreadCounts) {
   std::vector<Table> witness;  // per-round repair from the 1-thread service
   for (int threads : {1, 2, 8}) {
     RepairServiceOptions options;
-    options.engine.threads = threads;
+    options.threads = threads;
     RepairService service(options);
     ASSERT_TRUE(
         service.Serve(Request(RepairMode::kUpdate, parsed.fds, &base)).ok());

@@ -1,11 +1,15 @@
 // Tests for the graph substrate: max-weight bipartite matching (vs brute
 // force and the test-only SPFA min-cost flow reference), weighted vertex
-// cover (local-ratio guarantee vs exact), and the conflict graph.
+// cover (local-ratio guarantee vs exact), and the conflict graph and
+// BuildConflictedCore (vs an all-pairs brute force and the hash-map
+// violation oracle).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <set>
 #include <thread>
 #include <tuple>
 
@@ -16,7 +20,9 @@
 #include "graph/graph.h"
 #include "graph/vertex_cover.h"
 #include "min_cost_flow.h"
+#include "oracles/violations.h"
 #include "storage/table.h"
+#include "workloads/generators.h"
 #include "workloads/graph_gen.h"
 
 namespace fdrepair {
@@ -428,6 +434,162 @@ TEST(ConflictGraphTest, EdgesMatchViolations) {
   EXPECT_TRUE(graph.HasEdge(0, 1));
   EXPECT_DOUBLE_EQ(graph.weight(0), 2);
 }
+
+/// Every violating pair of view indices i < j by brute force over all
+/// pairs and FDs, with its expected penalty: ∞ when a hard FD fires, else
+/// the soft weights summed in ∆'s order.
+std::map<std::pair<int, int>, double> BruteForcePairs(const TableView& view,
+                                                      const FdSet& fds) {
+  std::map<std::pair<int, int>, double> out;
+  for (int i = 0; i < view.num_tuples(); ++i) {
+    for (int j = i + 1; j < view.num_tuples(); ++j) {
+      bool violated = false;
+      bool hard = false;
+      double soft = 0;
+      for (const Fd& fd : fds.fds()) {
+        bool lhs_agree = true;
+        ForEachAttr(fd.lhs, [&](AttrId attr) {
+          lhs_agree = lhs_agree && view.value(i, attr) == view.value(j, attr);
+        });
+        if (!lhs_agree || view.value(i, fd.rhs) == view.value(j, fd.rhs)) {
+          continue;
+        }
+        violated = true;
+        if (fd.IsHard()) {
+          hard = true;
+        } else {
+          soft += fd.weight;
+        }
+      }
+      if (violated) out[{i, j}] = hard ? kHardFdWeight : soft;
+    }
+  }
+  return out;
+}
+
+/// Checks BuildConflictedCore and BuildConflictGraph on `view` against
+/// the brute force and the FindViolations oracle.
+void ExpectCoreMatchesBruteForce(const TableView& view, const FdSet& fds) {
+  const std::map<std::pair<int, int>, double> expected =
+      BruteForcePairs(view, fds);
+  const ConflictedCore core = BuildConflictedCore(view, fds);
+
+  // Nodes: exactly the view indices of degree > 0, ascending, weighted as
+  // their tuples.
+  std::vector<int> conflicted;
+  for (int i = 0; i < view.num_tuples(); ++i) {
+    for (const auto& [pair, penalty] : expected) {
+      if (pair.first == i || pair.second == i) {
+        conflicted.push_back(i);
+        break;
+      }
+    }
+  }
+  EXPECT_EQ(core.nodes, conflicted);
+  ASSERT_EQ(core.graph.num_nodes(), static_cast<int>(core.nodes.size()));
+  for (int c = 0; c < core.graph.num_nodes(); ++c) {
+    EXPECT_EQ(core.graph.weight(c), view.weight(core.nodes[c]));
+  }
+
+  // Edges: the same pair set, strictly ascending, penalties aligned.
+  ASSERT_EQ(core.penalties.size(), core.graph.edges().size());
+  std::map<std::pair<int, int>, double> actual;
+  for (size_t e = 0; e < core.graph.edges().size(); ++e) {
+    const auto [u, v] = core.graph.edges()[e];
+    if (e > 0) {
+      EXPECT_LT(core.graph.edges()[e - 1], core.graph.edges()[e]);
+    }
+    actual[{core.nodes[u], core.nodes[v]}] = core.penalties[e];
+  }
+  EXPECT_EQ(actual, expected);
+
+  // The complement step: every row except the covered ones, ascending.
+  std::vector<int> cover;
+  for (int c = 0; c < core.graph.num_nodes(); c += 2) cover.push_back(c);
+  std::vector<int> expected_kept;
+  for (int i = 0; i < view.num_tuples(); ++i) {
+    const auto it = std::find(core.nodes.begin(), core.nodes.end(), i);
+    if (it == core.nodes.end() || (it - core.nodes.begin()) % 2 != 0) {
+      expected_kept.push_back(view.row(i));
+    }
+  }
+  std::sort(expected_kept.begin(), expected_kept.end());
+  EXPECT_EQ(core.KeptRows(view, cover), expected_kept);
+
+  // The full graph: node i is view row i, edges = the oracle's pairs.
+  const NodeWeightedGraph graph = BuildConflictGraph(view, fds);
+  ASSERT_EQ(graph.num_nodes(), view.num_tuples());
+  std::vector<int> view_index(view.table().num_tuples(), -1);
+  for (int i = 0; i < view.num_tuples(); ++i) view_index[view.row(i)] = i;
+  std::set<std::pair<int, int>> oracle_edges;
+  for (const Violation& violation : FindViolations(view, fds)) {
+    oracle_edges.insert(std::minmax(view_index[violation.row_i],
+                                    view_index[violation.row_j]));
+  }
+  const std::set<std::pair<int, int>> graph_edges(graph.edges().begin(),
+                                                  graph.edges().end());
+  EXPECT_EQ(graph_edges, oracle_edges);
+  for (int i = 0; i < view.num_tuples(); ++i) {
+    EXPECT_EQ(graph.weight(i), view.weight(i));
+  }
+}
+
+TEST(ConflictedCoreTest, PenaltiesAddAcrossSoftFdsAndHardAbsorbs) {
+  // Rows 0 and 1 violate both soft FDs (Σω = 2); rows 2 and 3 violate
+  // the hard A -> D and the soft A -> C (∞); row 4 is isolated.
+  ParsedFdSet parsed = ParseFdSetInferSchemaOrDie(
+      "A -> B @1.5; A -> C @0.5; E -> D");
+  Table table(parsed.schema);
+  table.AddTuple({"x", "b1", "c1", "e", "d"});
+  table.AddTuple({"x", "b2", "c2", "e", "d"});
+  table.AddTuple({"y", "b", "c1", "f", "d1"});
+  table.AddTuple({"y", "b", "c2", "f", "d2"});
+  table.AddTuple({"z", "b", "c", "g", "d"});
+  const TableView view(table);
+  ExpectCoreMatchesBruteForce(view, parsed.fds);
+  const ConflictedCore core = BuildConflictedCore(view, parsed.fds);
+  EXPECT_EQ(core.nodes, (std::vector<int>{0, 1, 2, 3}));
+  ASSERT_EQ(core.penalties.size(), 2u);
+  EXPECT_DOUBLE_EQ(core.penalties[0], 2.0);
+  EXPECT_EQ(core.penalties[1], kHardFdWeight);
+}
+
+class ConflictedCorePropertyTest
+    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+
+TEST_P(ConflictedCorePropertyTest, MatchesAllPairsBruteForce) {
+  const auto [text, seed] = GetParam();
+  ParsedFdSet parsed = ParseFdSetInferSchemaOrDie(text);
+  Rng rng(seed);
+  // A hard/soft mix: each FD hard with probability 1/4, else a soft
+  // weight from {0.5, 1.25, 3}.
+  std::vector<double> weights;
+  for (int f = 0; f < parsed.fds.size(); ++f) {
+    const int pick = static_cast<int>(rng.UniformInt(0, 3));
+    weights.push_back(pick == 0 ? kHardFdWeight
+                                : std::vector<double>{0.5, 1.25, 3}[pick - 1]);
+  }
+  const FdSet fds = parsed.fds.WithWeights(weights).value();
+  RandomTableOptions options;
+  options.num_tuples = 40;
+  options.domain_size = 3;  // small domains: duplicates and dense conflicts
+  options.heavy_fraction = 0.5;
+  const Table table = RandomTable(parsed.schema, options, &rng);
+  ExpectCoreMatchesBruteForce(TableView(table), fds);
+  // A sub-view whose view indices differ from its row positions.
+  std::vector<int> rows;
+  for (int row = table.num_tuples() - 1; row >= 0; row -= 2) {
+    rows.push_back(row);
+  }
+  ExpectCoreMatchesBruteForce(TableView(table, rows), fds);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SetsAndSeeds, ConflictedCorePropertyTest,
+    ::testing::Combine(::testing::Values("A -> B; B -> C",
+                                         "A B -> C; C -> A; B -> D",
+                                         "A B C -> D; D -> A; {} -> B"),
+                       ::testing::Values(3, 11, 29)));
 
 }  // namespace
 }  // namespace fdrepair

@@ -7,6 +7,7 @@
 
 #include <unordered_map>
 
+#include "oracles/violations.h"
 #include "srepair/opt_srepair.h"
 #include "srepair/srepair_vc_approx.h"
 #include "storage/consistency.h"

@@ -660,7 +660,7 @@ TEST(RepairServiceTest, DeadlineAndCapacityRejectionUnderFullQueue) {
   Table small_b = ScalingFamilyTable(parsed, 60, 47);
 
   RepairServiceOptions options;
-  options.engine.threads = 1;
+  options.threads = 1;
   options.max_inflight = 1;
   options.max_queue = 1;
   RepairService service(options);

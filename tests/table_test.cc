@@ -14,6 +14,7 @@
 
 #include "catalog/fd_parser.h"
 #include "common/random.h"
+#include "oracles/violations.h"
 #include "storage/consistency.h"
 #include "storage/distance.h"
 #include "storage/table.h"
