@@ -297,8 +297,9 @@ def self_test():
 
     # The solver-backend gates (bench_prop33 / bench_sec44): the ILP B&B
     # must keep proving optimality on conflicted cores >= 120 (3x the
-    # historical exact_guard of 40) — min_baseline commits that bar so a
-    # rebase can loosen noise headroom but never the capability itself —
+    # historical exact_guard of 40) and the bnb keep/delete search on
+    # cores >= 184 — min_baseline commits each bar so a rebase can loosen
+    # noise headroom but never the capability itself —
     # and the LP-rounding certified-ratio limit (what the gate actually
     # enforces: baseline*(1+threshold)) must stay within the factor-2
     # a-priori guarantee, so a rebase can never quietly accept a cover
@@ -310,6 +311,12 @@ def self_test():
     assert ilp.get("min_baseline", 0) >= 120, ilp
     assert ilp["baseline"] * (
         1 - ilp.get("threshold", default_threshold)) >= 120, ilp
+    bnb = tracked.get("prop33.bnb_solved_conflicted_tuples")
+    assert bnb is not None, "baselines.json must track the bnb solved-size"
+    assert bnb.get("direction") == "higher", bnb
+    assert bnb.get("min_baseline", 0) >= 184, bnb
+    assert bnb["baseline"] * (
+        1 - bnb.get("threshold", default_threshold)) >= 184, bnb
     lp = tracked.get("sec44.lp_rounding_worst_ratio")
     assert lp is not None, "baselines.json must track the LP-rounding ratio"
     assert lp.get("direction") == "lower", lp

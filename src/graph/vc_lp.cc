@@ -147,25 +147,4 @@ VcLpSolution SolveVcLp(const NodeWeightedGraph& graph) {
   return solution;
 }
 
-double VcDualAscentBound(const NodeWeightedGraph& graph,
-                         const std::vector<char>& alive) {
-  std::vector<double> residual(graph.num_nodes());
-  for (int v = 0; v < graph.num_nodes(); ++v) residual[v] = graph.weight(v);
-  double packed = 0;
-  for (const auto& [u, v] : graph.edges()) {
-    if (!alive[u] || !alive[v]) continue;
-    const double delta = std::min(residual[u], residual[v]);
-    if (delta <= kEps) continue;
-    residual[u] -= delta;
-    residual[v] -= delta;
-    packed += delta;
-  }
-  return packed;
-}
-
-double VcDualAscentBound(const NodeWeightedGraph& graph) {
-  return VcDualAscentBound(graph,
-                           std::vector<char>(graph.num_nodes(), 1));
-}
-
 }  // namespace fdrepair

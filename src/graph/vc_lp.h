@@ -15,9 +15,9 @@
 //    search can be confined to the kernel {v : x_v = ½}, and
 //    opt(G) = w(P1) + opt(G[kernel]).
 //
-// The LP value is a lower bound on the integral optimum; the dual ascent
-// bound below is a cheaper (one pass, no max-flow) under-approximation of
-// the same LP value, suitable for per-node pruning in branch and bound.
+// The LP value is a lower bound on the integral optimum. The local-ratio
+// burn (graph/vertex_cover.h) is a cheaper (one pass, no max-flow) under-
+// approximation of it: a feasible edge packing of the LP dual.
 
 #ifndef FDREPAIR_GRAPH_VC_LP_H_
 #define FDREPAIR_GRAPH_VC_LP_H_
@@ -43,17 +43,6 @@ struct VcLpSolution {
 /// Solves the vertex-cover LP exactly (half-integral optimum) via max-flow
 /// on the bipartite doubling. O(V·E²) worst case, far less in practice.
 VcLpSolution SolveVcLp(const NodeWeightedGraph& graph);
-
-/// A feasible dual (fractional edge packing) built by one greedy ascent
-/// pass over the edges restricted to `alive` nodes: for each alive edge,
-/// raise its dual by the smaller endpoint residual. Returns the packing
-/// value — a lower bound on the min-weight cover of the alive subgraph,
-/// never exceeding its LP optimum. O(V + E).
-double VcDualAscentBound(const NodeWeightedGraph& graph,
-                         const std::vector<char>& alive);
-
-/// Whole-graph convenience overload.
-double VcDualAscentBound(const NodeWeightedGraph& graph);
 
 }  // namespace fdrepair
 

@@ -48,33 +48,7 @@ struct BnbState {
   double weight = 0;
   double best_weight = std::numeric_limits<double>::infinity();
   std::vector<int> best_cover;
-  /// Cooperative limits: checked at node expansion; once tripped the whole
-  /// search unwinds, leaving the incumbent in best_cover.
-  VcSearchLimits limits;
-  long nodes = 0;
-  bool stopped = false;
 };
-
-// The deadline clock read is amortized over a small node batch.
-constexpr long kDeadlineCheckInterval = 128;
-
-bool LimitTripped(BnbState* state) {
-  if (state->stopped) return true;
-  ++state->nodes;
-  if (state->limits.node_budget >= 0 &&
-      state->nodes > state->limits.node_budget) {
-    state->stopped = true;
-    return true;
-  }
-  if (state->limits.deadline !=
-          std::chrono::steady_clock::time_point::max() &&
-      state->nodes % kDeadlineCheckInterval == 0 &&
-      std::chrono::steady_clock::now() >= state->limits.deadline) {
-    state->stopped = true;
-    return true;
-  }
-  return false;
-}
 
 // Finds an edge not covered yet (neither endpoint in the cover); returns
 // false when everything is covered.
@@ -90,7 +64,6 @@ bool FindUncoveredEdge(const BnbState& state, int* u, int* v) {
 }
 
 void Branch(BnbState* state) {
-  if (LimitTripped(state)) return;
   if (state->weight >= state->best_weight) return;  // prune
   int u, v;
   if (!FindUncoveredEdge(*state, &u, &v)) {
@@ -147,37 +120,23 @@ StatusOr<std::vector<int>> MinWeightVertexCoverExact(
         "exact vertex cover limited to " + std::to_string(max_nodes) +
         " nodes, got " + std::to_string(graph.num_nodes()));
   }
-  VcSearchResult result = MinWeightVertexCoverBnb(graph, VcSearchLimits{});
-  // No limits were set, so the search always runs to completion.
-  FDR_CHECK(result.optimal);
-  return std::move(result.cover);
-}
-
-VcSearchResult MinWeightVertexCoverBnb(const NodeWeightedGraph& graph,
-                                       const VcSearchLimits& limits) {
   BnbState state;
   state.graph = &graph;
   state.in_cover.assign(graph.num_nodes(), 0);
   state.excluded.assign(graph.num_nodes(), 0);
-  state.limits = limits;
-  // Incumbent seed: every non-isolated node is trivially a cover, so even
-  // an immediately-expiring search returns something valid. Seeding with a
-  // weight (rather than a real incumbent cover) would prune differently
-  // and change which of several tied optima the completed search returns —
-  // the trivial cover's weight only prunes branches that could never win.
+  // Incumbent seed: every non-isolated node is trivially a cover. Seeding
+  // with a weight (rather than a real incumbent cover) would prune
+  // differently and change which of several tied optima the search
+  // returns — the trivial cover's weight only prunes branches that could
+  // never win.
   for (int v = 0; v < graph.num_nodes(); ++v) {
     if (graph.Degree(v) > 0) state.best_cover.push_back(v);
   }
   state.best_weight = graph.WeightOf(state.best_cover) +
                       std::numeric_limits<double>::epsilon();
   Branch(&state);
-  VcSearchResult result;
-  result.cover = std::move(state.best_cover);
-  result.weight = graph.WeightOf(result.cover);
-  result.optimal = !state.stopped;
-  result.nodes = state.nodes;
-  FDR_CHECK(IsVertexCover(graph, result.cover));
-  return result;
+  FDR_CHECK(IsVertexCover(graph, state.best_cover));
+  return std::move(state.best_cover);
 }
 
 std::vector<int> MinimizeCover(const NodeWeightedGraph& graph,

@@ -3,12 +3,13 @@
 // Proposition 3.3 reduces optimal S-repairing to weighted vertex cover on
 // the conflict graph and inherits the classic 2-approximation of Bar-Yehuda
 // and Even (local-ratio). The exact solver provides ground truth for the
-// approximation-ratio experiments (E5) and for the gadget equivalences.
+// approximation-ratio experiments (E5), for the gadget equivalences and
+// for the exact reference repair; the planner's exact backends search
+// elsewhere (srepair/soft_cover.h, srepair/solver_ilp.cc).
 
 #ifndef FDREPAIR_GRAPH_VERTEX_COVER_H_
 #define FDREPAIR_GRAPH_VERTEX_COVER_H_
 
-#include <chrono>
 #include <vector>
 
 #include "common/status.h"
@@ -30,44 +31,13 @@ std::vector<int> VertexCoverLocalRatio(const NodeWeightedGraph& graph,
                                        const std::vector<int>& edge_order,
                                        double* dual_lower_bound);
 
-/// Cooperative limits for the branch-and-bound searches. Both are soft:
-/// the search stops at the next node boundary and reports its incumbent.
-struct VcSearchLimits {
-  /// Wall-clock cutoff, checked every few node expansions.
-  std::chrono::steady_clock::time_point deadline =
-      std::chrono::steady_clock::time_point::max();
-  /// Maximum branch nodes to expand; < 0 means unlimited.
-  long node_budget = -1;
-};
-
-/// A (possibly truncated) branch-and-bound run: the best cover found, its
-/// weight, and whether the search completed (proving optimality).
-struct VcSearchResult {
-  std::vector<int> cover;
-  double weight = 0;
-  /// True iff the search space was exhausted: `cover` is a minimum-weight
-  /// vertex cover. False when a limit tripped first — `cover` is then the
-  /// best incumbent, still a valid cover.
-  bool optimal = false;
-  /// Branch nodes expanded.
-  long nodes = 0;
-};
-
 /// Exact minimum-weight vertex cover by branch and bound (branch on an
-/// uncovered edge; prune on the accumulated weight). Exponential; refuses
-/// graphs with more than `max_nodes` nodes.
+/// uncovered edge; prune on the accumulated weight). Exponential and
+/// unlimited; refuses graphs with more than `max_nodes` nodes. It backs
+/// the exact reference (srepair/srepair_exact.h) and shares no search
+/// with any solver backend.
 StatusOr<std::vector<int>> MinWeightVertexCoverExact(
     const NodeWeightedGraph& graph, int max_nodes = 40);
-
-/// The same search with cooperative limits: expands nodes until done or a
-/// limit trips, then reports the incumbent with `optimal=false`. Unlike
-/// MinWeightVertexCoverExact it never refuses an instance — callers gate
-/// size via the limits. The search tree and tie-breaks are identical to
-/// MinWeightVertexCoverExact, so a completed run returns the same cover.
-/// The incumbent starts as the whole non-isolated node set, so `cover` is
-/// always valid even on immediate expiry.
-VcSearchResult MinWeightVertexCoverBnb(const NodeWeightedGraph& graph,
-                                       const VcSearchLimits& limits);
 
 /// Greedily removes redundant nodes from a valid cover (heaviest first);
 /// corresponds to turning a consistent subset into a ⊆-maximal S-repair with

@@ -13,21 +13,21 @@ namespace {
 constexpr double kEps = 1e-12;
 /// Pruning slack, matching the hard-side searches (solver_ilp.cc).
 constexpr double kPruneEps = 1e-9;
-/// The deadline clock read is amortized over a small node batch.
-constexpr long kDeadlineCheckInterval = 128;
 
 bool IsHardEdge(double penalty) { return penalty == kHardFdWeight; }
 
-/// Evaluates a deletion set: node weight, paid penalties, totals.
-void Score(const NodeWeightedGraph& graph, const std::vector<double>& penalties,
-           const std::vector<char>& deleted, SoftCoverResult* out) {
+/// Evaluates a deletion set into *out (cover, weight, paid penalties) and
+/// returns the objective.
+double Score(const NodeWeightedGraph& graph,
+             const std::vector<double>& penalties,
+             const std::vector<char>& deleted, SolverCover* out) {
   out->cover.clear();
-  out->node_weight = 0;
+  out->weight = 0;
   out->penalty = 0;
   for (int v = 0; v < graph.num_nodes(); ++v) {
     if (deleted[v]) {
       out->cover.push_back(v);
-      out->node_weight += graph.weight(v);
+      out->weight += graph.weight(v);
     }
   }
   const auto& edges = graph.edges();
@@ -36,7 +36,7 @@ void Score(const NodeWeightedGraph& graph, const std::vector<double>& penalties,
       out->penalty += penalties[e];
     }
   }
-  out->total = out->node_weight + out->penalty;
+  return out->weight + out->penalty;
 }
 
 /// Greedily un-deletes nodes (heaviest first) whose return is feasible
@@ -103,7 +103,11 @@ class SoftSearch {
     std::fill(state_.begin(), state_.end(), kUndecided);
     best_deleted_ = seed;
     best_ = seed_total;
-    if (!exec_.expired()) Search(0, 0);
+    if (exec_.expired()) {
+      stopped_ = true;  // expired before the first node: the seed stands
+    } else {
+      Search(0, 0);
+    }
   }
 
   const std::vector<char>& best_deleted() const { return best_deleted_; }
@@ -157,13 +161,7 @@ class SoftSearch {
   }
 
   void Search(int from, double cost) {
-    if (stopped_) return;
-    ++nodes_;
-    if (exec_.node_budget >= 0 && nodes_ > exec_.node_budget) {
-      stopped_ = true;
-      return;
-    }
-    if (nodes_ % kDeadlineCheckInterval == 0 && exec_.expired()) {
+    if (stopped_ || exec_.Exhausted(++nodes_)) {
       stopped_ = true;
       return;
     }
@@ -254,8 +252,8 @@ double HardSubgraphLpBound(const NodeWeightedGraph& graph,
 
 }  // namespace
 
-SoftCoverResult SoftCoverLocalRatio(const NodeWeightedGraph& graph,
-                                    const std::vector<double>& penalties) {
+SolverCover SoftCoverLocalRatio(const NodeWeightedGraph& graph,
+                                const std::vector<double>& penalties) {
   FDR_CHECK_MSG(static_cast<int>(penalties.size()) == graph.num_edges(),
                 "penalties misaligned with graph edges");
   const int n = graph.num_nodes();
@@ -280,21 +278,20 @@ SoftCoverResult SoftCoverLocalRatio(const NodeWeightedGraph& graph,
   }
   auto incident = BuildIncident(graph);
   ImproveByRestoring(graph, penalties, incident, &deleted);
-  SoftCoverResult out;
-  Score(graph, penalties, deleted, &out);
+  SolverCover out;
+  const double total = Score(graph, penalties, deleted, &out);
   out.lower_bound = burn;
-  out.optimal = out.total <= burn + kPruneEps;
+  out.optimal = total <= burn + kPruneEps;
   out.ratio_bound = out.optimal ? 1.0 : 3.0;
   return out;
 }
 
-SoftCoverResult SoftCoverBranchAndBound(const NodeWeightedGraph& graph,
-                                        const std::vector<double>& penalties,
-                                        const SolverExec& exec,
-                                        bool use_lp_bound) {
+SolverCover SoftCoverBranchAndBound(const NodeWeightedGraph& graph,
+                                    const std::vector<double>& penalties,
+                                    const SolverExec& exec, bool use_lp_bound) {
   FDR_CHECK_MSG(static_cast<int>(penalties.size()) == graph.num_edges(),
                 "penalties misaligned with graph edges");
-  SoftCoverResult seed = SoftCoverLocalRatio(graph, penalties);
+  SolverCover seed = SoftCoverLocalRatio(graph, penalties);
   if (seed.optimal) {
     // The primal-dual pass met its own lower bound; no search needed.
     return seed;
@@ -308,19 +305,19 @@ SoftCoverResult SoftCoverBranchAndBound(const NodeWeightedGraph& graph,
   if (use_lp_bound) {
     root_bound = std::max(root_bound, HardSubgraphLpBound(graph, penalties));
   }
-  search.Run(seed_deleted, seed.total);
+  search.Run(seed_deleted, seed.weight + seed.penalty);
 
-  SoftCoverResult out;
+  SolverCover out;
   std::vector<char> deleted = search.best_deleted();
   if (!search.completed()) {
     // Truncated: the incumbent may carry slack a restore pass removes.
     ImproveByRestoring(graph, penalties, incident, &deleted);
   }
-  Score(graph, penalties, deleted, &out);
+  const double total = Score(graph, penalties, deleted, &out);
   out.nodes = search.nodes();
   out.optimal = search.completed();
-  out.lower_bound = out.optimal ? out.total : std::max(root_bound,
-                                                       seed.lower_bound);
+  out.lower_bound =
+      out.optimal ? total : std::max(root_bound, seed.lower_bound);
   out.ratio_bound = out.optimal ? 1.0 : 3.0;
   return out;
 }

@@ -17,6 +17,12 @@
 // ε = min(residual_u, residual_v, residual_e) off its three items, the
 // total burn is a feasible dual packing (≤ OPT), and a solution whose
 // paid items are all residual-zero costs at most 3 · burn.
+//
+// Conversely, plain vertex cover is the instance whose penalties are all
+// ∞ (a hard FD is the ω = ∞ case of a soft one): its burn is the Bar-
+// Yehuda–Even edge packing and its bound tightens to 2 · burn. So the
+// keep/delete search below is also the "bnb" backend's exact search on
+// hard conflict graphs.
 
 #ifndef FDREPAIR_SREPAIR_SOFT_COVER_H_
 #define FDREPAIR_SREPAIR_SOFT_COVER_H_
@@ -28,25 +34,10 @@
 
 namespace fdrepair {
 
-/// A soft-cover solution with provenance. `cover` lists the deleted nodes;
-/// every edge not touched by it is uncovered and pays its penalty.
-struct SoftCoverResult {
-  std::vector<int> cover;
-  /// Σ node weights of `cover`.
-  double node_weight = 0;
-  /// Σ penalties of the uncovered (necessarily soft) edges.
-  double penalty = 0;
-  /// node_weight + penalty — the objective value.
-  double total = 0;
-  /// Proved lower bound on the optimal objective (burn / LP; equals
-  /// `total` when optimal).
-  double lower_bound = 0;
-  bool optimal = false;
-  /// A-priori guarantee: total <= ratio_bound · optimum.
-  double ratio_bound = 3.0;
-  /// Branch nodes expanded (0 for the primal-dual pass).
-  long nodes = 0;
-};
+// Both solvers return a SolverCover (solver_backend.h): `cover` lists the
+// deleted nodes, `weight` is their weight and `penalty` sums the
+// penalties of the edges `cover` leaves untouched; the objective is
+// weight + penalty, and `lower_bound` / `ratio_bound` refer to it.
 
 /// The local-ratio primal-dual 3-approximation: one pass over the edges in
 /// index order burning the 3-ary constraints, then a greedy improvement
@@ -54,24 +45,24 @@ struct SoftCoverResult {
 /// return would incur (never breaking a hard edge). Deterministic; O(n·m)
 /// worst case from the improvement pass. `penalties` aligns with
 /// graph.edges(); kHardFdWeight marks a hard edge.
-SoftCoverResult SoftCoverLocalRatio(const NodeWeightedGraph& graph,
-                                    const std::vector<double>& penalties);
+SolverCover SoftCoverLocalRatio(const NodeWeightedGraph& graph,
+                                const std::vector<double>& penalties);
 
 /// Exact branch and bound over per-node keep/delete decisions. Keeping a
 /// node force-deletes its undecided hard neighbors and prices its soft
 /// edges to already-kept neighbors; every search node is pruned against
 /// the incumbent with the residual-instance burn bound. The incumbent is
 /// seeded with SoftCoverLocalRatio, so a truncated run (deadline or
-/// exec.node_budget expiry) still returns a factor-3 solution with the
-/// root bound as `lower_bound`. With `use_lp_bound`, the root bound also
-/// takes the exact half-integral vertex-cover LP of the hard-edge
-/// subgraph (graph/vc_lp.h) — the "ilp" flavor, strictly stronger on
-/// hard-dominated instances. Exact (optimal = true) when the search
-/// completes.
-SoftCoverResult SoftCoverBranchAndBound(const NodeWeightedGraph& graph,
-                                        const std::vector<double>& penalties,
-                                        const SolverExec& exec,
-                                        bool use_lp_bound);
+/// exec.node_budget expiry, including a deadline already past on entry)
+/// still returns a factor-3 solution (factor 2 when every edge is hard)
+/// with the root bound as `lower_bound`. With `use_lp_bound`, the root
+/// bound also takes the exact half-integral vertex-cover LP of the
+/// hard-edge subgraph (graph/vc_lp.h) — the "ilp" flavor, strictly
+/// stronger on hard-dominated instances. Exact (optimal = true) when the
+/// search completes.
+SolverCover SoftCoverBranchAndBound(const NodeWeightedGraph& graph,
+                                    const std::vector<double>& penalties,
+                                    const SolverExec& exec, bool use_lp_bound);
 
 }  // namespace fdrepair
 

@@ -2,9 +2,9 @@
 
 #include <mutex>
 #include <utility>
+#include <vector>
 
 #include "catalog/fd.h"
-#include "graph/vc_lp.h"
 #include "graph/vertex_cover.h"
 #include "srepair/soft_cover.h"
 #include "srepair/srepair_vc_approx.h"
@@ -13,18 +13,6 @@ namespace fdrepair {
 namespace {
 
 constexpr double kEps = 1e-12;
-
-SolverCover FromSoftResult(SoftCoverResult result) {
-  SolverCover out;
-  out.cover = std::move(result.cover);
-  out.weight = result.node_weight;
-  out.penalty = result.penalty;
-  out.lower_bound = result.lower_bound;
-  out.optimal = result.optimal;
-  out.ratio_bound = result.ratio_bound;
-  out.nodes = result.nodes;
-  return out;
-}
 
 /// "local-ratio": Bar-Yehuda–Even on the explicit graph, or — preferred by
 /// the planner — the fused table-level route that never materializes the
@@ -54,7 +42,7 @@ class LocalRatioBackend : public SolverBackend {
       const NodeWeightedGraph& graph, const std::vector<double>& penalties,
       const SolverExec& exec) const override {
     (void)exec;  // one pass; nothing to interrupt
-    return FromSoftResult(SoftCoverLocalRatio(graph, penalties));
+    return SoftCoverLocalRatio(graph, penalties);
   }
 
   bool has_fused_rows() const override { return true; }
@@ -67,9 +55,9 @@ class LocalRatioBackend : public SolverBackend {
   }
 };
 
-/// "bnb": the classic prune-on-weight branch and bound, now cooperative.
-/// Exact when it completes; on deadline/budget expiry it returns the
-/// incumbent with the root dual-ascent packing as the proved lower bound.
+/// "bnb": the soft-cover keep/delete branch and bound. Plain vertex cover
+/// is the soft instance whose penalties are all infinite, so hard cores
+/// take the same search as soft ones.
 class BnbBackend : public SolverBackend {
  public:
   const char* name() const override { return kSolverBnb; }
@@ -77,26 +65,12 @@ class BnbBackend : public SolverBackend {
 
   StatusOr<SolverCover> SolveCover(const NodeWeightedGraph& graph,
                                    const SolverExec& exec) const override {
-    VcSearchLimits limits;
-    limits.deadline = exec.deadline;
-    limits.node_budget = exec.node_budget;
-    VcSearchResult search = MinWeightVertexCoverBnb(graph, limits);
-    SolverCover out;
-    out.cover = std::move(search.cover);
-    out.weight = search.weight;
-    out.nodes = search.nodes;
-    out.optimal = search.optimal;
-    if (search.optimal) {
-      out.lower_bound = search.weight;
-      out.ratio_bound = 1.0;
-    } else {
-      out.lower_bound = VcDualAscentBound(graph);
-      // The incumbent may be far from optimal (it starts at the trivial
-      // cover); the only proved guarantee is weight / lower_bound.
-      out.ratio_bound = out.lower_bound > kEps && out.weight > kEps
-                            ? out.weight / out.lower_bound
-                            : 1.0;
-    }
+    SolverCover out = SoftCoverBranchAndBound(
+        graph, std::vector<double>(graph.num_edges(), kHardFdWeight), exec,
+        /*use_lp_bound=*/false);
+    // With every edge hard the seed is a restored Bar-Yehuda–Even cover,
+    // so a truncated run keeps factor 2 (the soft bound is 3).
+    if (!out.optimal) out.ratio_bound = 2.0;
     return out;
   }
 
@@ -105,8 +79,8 @@ class BnbBackend : public SolverBackend {
   StatusOr<SolverCover> SolveSoftCover(
       const NodeWeightedGraph& graph, const std::vector<double>& penalties,
       const SolverExec& exec) const override {
-    return FromSoftResult(SoftCoverBranchAndBound(graph, penalties, exec,
-                                                  /*use_lp_bound=*/false));
+    return SoftCoverBranchAndBound(graph, penalties, exec,
+                                   /*use_lp_bound=*/false);
   }
 };
 

@@ -18,15 +18,19 @@
 //                  a fused table-level route (no Θ(n²) conflict-graph
 //                  materialization); reports the local-ratio burn as its
 //                  lower bound, so the achieved ratio is usually ≪ 2.
-//   "bnb"          The classic branch and bound (prune on accumulated
-//                  weight). Exact when it completes; cooperative deadline
-//                  and node budget return the incumbent otherwise.
+//   "bnb"          The soft-cover keep/delete branch and bound
+//                  (srepair/soft_cover.h) with every edge hard: a local-
+//                  ratio seed, restored to maximality, and the residual
+//                  burn bound at every search node. Exact when it
+//                  completes; on deadline or node-budget expiry it returns
+//                  the incumbent (factor 2) with the root burn as its
+//                  lower bound.
 //   "ilp"          ILP-style branch and bound over the edge-covering
 //                  constraints: Nemhauser–Trotter kernelization via the
 //                  exact half-integral LP (graph/vc_lp.h), degree-0/1 and
 //                  neighborhood-weight reduction rules, dual-ascent LP
 //                  lower bounds at every node, and a local-ratio incumbent
-//                  seed. Proves optimality far beyond what "bnb" reaches.
+//                  seed. Proves optimality on larger cores than "bnb".
 //   "lp-rounding"  Solves the LP exactly, keeps the x = 1 vertices, rounds
 //                  the half-integral kernel up, then greedily drops
 //                  redundant vertices. Factor 2 a priori; the reported LP
@@ -70,6 +74,14 @@ struct SolverExec {
   }
   bool expired() const {
     return has_deadline() && std::chrono::steady_clock::now() >= deadline;
+  }
+  /// The one limit check of the search backends, called with the number
+  /// of branch nodes expanded so far (the current one included): true once
+  /// that passes `node_budget`, or once `deadline` has passed — the clock
+  /// is read only every 128th node.
+  bool Exhausted(long nodes) const {
+    if (node_budget >= 0 && nodes > node_budget) return true;
+    return nodes % 128 == 0 && expired();
   }
 };
 

@@ -29,8 +29,6 @@ constexpr double kEps = 1e-12;
 /// Pruning slack: a branch is cut when its lower bound comes within this
 /// of the incumbent, so optimality claims carry the same tolerance.
 constexpr double kPruneEps = 1e-9;
-/// The deadline clock read is amortized over a small node batch.
-constexpr long kDeadlineCheckInterval = 128;
 
 /// Branch and bound confined to the NT kernel. Maintains the alive
 /// subgraph incrementally (degrees, alive-edge count) with an undo trail,
@@ -84,21 +82,6 @@ class KernelSearch {
     int node;
     char took;  // 1: node entered the cover; 0: node decided out
   };
-
-  bool Tripped() {
-    if (stopped_) return true;
-    ++nodes_;
-    if (exec_.node_budget >= 0 && nodes_ > exec_.node_budget) {
-      stopped_ = true;
-      return true;
-    }
-    if (exec_.has_deadline() && nodes_ % kDeadlineCheckInterval == 0 &&
-        exec_.expired()) {
-      stopped_ = true;
-      return true;
-    }
-    return false;
-  }
 
   void Remove(int v, char took) {
     alive_[v] = 0;
@@ -206,7 +189,10 @@ class KernelSearch {
   }
 
   void Search() {
-    if (Tripped()) return;
+    if (stopped_ || exec_.Exhausted(++nodes_)) {
+      stopped_ = true;
+      return;
+    }
     const size_t mark = trail_.size();
     Reduce();
     if (alive_edges_ == 0) {
@@ -317,17 +303,8 @@ class IlpBnbBackend : public SolverBackend {
   StatusOr<SolverCover> SolveSoftCover(
       const NodeWeightedGraph& graph, const std::vector<double>& penalties,
       const SolverExec& exec) const override {
-    SoftCoverResult result = SoftCoverBranchAndBound(graph, penalties, exec,
-                                                     /*use_lp_bound=*/true);
-    SolverCover out;
-    out.cover = std::move(result.cover);
-    out.weight = result.node_weight;
-    out.penalty = result.penalty;
-    out.lower_bound = result.lower_bound;
-    out.optimal = result.optimal;
-    out.ratio_bound = result.ratio_bound;
-    out.nodes = result.nodes;
-    return out;
+    return SoftCoverBranchAndBound(graph, penalties, exec,
+                                   /*use_lp_bound=*/true);
   }
 };
 

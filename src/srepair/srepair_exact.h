@@ -10,12 +10,14 @@
 //
 // It shares only BuildConflictedCore (graph/conflict_graph.h) with
 // the planner, never the solver registry or the routing: its cover comes
-// from graph/vertex_cover.h's MinWeightVertexCoverExact. That keeps it an
-// independent reference — the cross-backend property tests pin every
-// registry backend's distance to it, which would prove nothing if it ran
-// one of those backends. For the same reason CheckSubsetRepair
-// (verify/repair_check.h) takes its optimum from here rather than from the
-// planner's kExactOnly route, so it stays in the production tree.
+// from graph/vertex_cover.h's MinWeightVertexCoverExact, a search no
+// backend runs ("bnb" is the soft-cover keep/delete search, "ilp" its own
+// kernel search). That keeps it independent of every backend — the
+// cross-backend property tests pin every registry backend's distance to
+// it, which would prove nothing if it shared a search with one of them.
+// For the same reason CheckSubsetRepair (verify/repair_check.h) takes its
+// optimum from here rather than from the planner's kExactOnly route, so
+// it stays in the production tree.
 
 #ifndef FDREPAIR_SREPAIR_SREPAIR_EXACT_H_
 #define FDREPAIR_SREPAIR_SREPAIR_EXACT_H_

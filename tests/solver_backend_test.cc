@@ -7,14 +7,17 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <set>
 #include <string>
 
+#include "catalog/fd.h"
 #include "common/random.h"
 #include "graph/conflict_graph.h"
 #include "graph/vc_lp.h"
 #include "graph/vertex_cover.h"
 #include "srepair/planner.h"
+#include "srepair/soft_cover.h"
 #include "srepair/solver_backend.h"
 #include "srepair/srepair_exact.h"
 #include "storage/consistency.h"
@@ -29,9 +32,9 @@ namespace {
 SolverExec NoLimits() { return SolverExec{}; }
 
 double OptimalCoverWeight(const NodeWeightedGraph& graph) {
-  VcSearchResult result = MinWeightVertexCoverBnb(graph, VcSearchLimits{});
-  EXPECT_TRUE(result.optimal);
-  return result.weight;
+  auto cover = MinWeightVertexCoverExact(graph);
+  EXPECT_TRUE(cover.ok());
+  return graph.WeightOf(*cover);
 }
 
 int ConflictedCoreSize(const FdSet& fds, const Table& table) {
@@ -168,8 +171,12 @@ TEST(VcLpTest, BoundsSandwichOnRandomGraphs) {
     }
     const double optimum = OptimalCoverWeight(graph);
     const VcLpSolution lp = SolveVcLp(graph);
-    // dual ascent <= LP optimum <= integral optimum.
-    EXPECT_LE(VcDualAscentBound(graph), lp.value + 1e-9);
+    // local-ratio packing <= LP optimum <= integral optimum.
+    std::vector<int> order(graph.num_edges());
+    for (int i = 0; i < graph.num_edges(); ++i) order[i] = i;
+    double packing = 0;
+    VertexCoverLocalRatio(graph, order, &packing);
+    EXPECT_LE(packing, lp.value + 1e-9);
     EXPECT_LE(lp.value, optimum + 1e-9);
     // Half-integrality: every x is 0, 1/2 or 1 and covers each edge.
     for (double x : lp.x) {
@@ -236,6 +243,96 @@ TEST(SolverBackendTest, ExpiredDeadlineStillReturnsValidIncumbent) {
     EXPECT_FALSE(cover->optimal) << name;
     EXPECT_TRUE(IsVertexCover(graph, cover->cover)) << name;
     EXPECT_LE(cover->lower_bound, cover->weight + 1e-9) << name;
+  }
+}
+
+/// Minimum soft-cover objective (deleted weight + uncovered penalties) by
+/// enumerating every deletion set; an uncovered hard edge costs ∞.
+double BruteForceSoftCoverCost(const NodeWeightedGraph& graph,
+                               const std::vector<double>& penalties) {
+  const int n = graph.num_nodes();
+  double best = std::numeric_limits<double>::infinity();
+  for (uint32_t mask = 0; mask < (1u << n); ++mask) {
+    double cost = 0;
+    for (int v = 0; v < n; ++v) {
+      if ((mask >> v) & 1) cost += graph.weight(v);
+    }
+    const auto& edges = graph.edges();
+    for (size_t e = 0; e < edges.size(); ++e) {
+      if (((mask >> edges[e].first) & 1) || ((mask >> edges[e].second) & 1)) {
+        continue;
+      }
+      cost += penalties[e];
+    }
+    best = std::min(best, cost);
+  }
+  return best;
+}
+
+TEST(SolverBackendTest, ExpiredDeadlineOnSoftCoverIsNotProvedOptimal) {
+  // Mixed hard/soft instances whose primal-dual seed does not certify
+  // itself. With the deadline already past no search node runs, so the
+  // seed comes back unproved, bounded by what the root proves.
+  Rng rng(37);
+  SolverExec exec;
+  exec.deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1);
+  int checked = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    NodeWeightedGraph graph = RandomGraph(12, 24, &rng);
+    for (int v = 0; v < graph.num_nodes(); ++v) {
+      graph.set_weight(v, 1.0 + static_cast<double>(rng.UniformUint64(5)));
+    }
+    std::vector<double> penalties(graph.num_edges());
+    for (double& penalty : penalties) {
+      penalty = rng.Bernoulli(0.5)
+                    ? kHardFdWeight
+                    : 1.0 + static_cast<double>(rng.UniformUint64(4));
+    }
+    if (SoftCoverLocalRatio(graph, penalties).optimal) continue;
+    ++checked;
+    const double optimum = BruteForceSoftCoverCost(graph, penalties);
+    for (const char* name : {kSolverBnb, kSolverIlp}) {
+      auto cover =
+          FindSolverBackend(name)->SolveSoftCover(graph, penalties, exec);
+      ASSERT_TRUE(cover.ok()) << name;
+      EXPECT_FALSE(cover->optimal) << name << " trial " << trial;
+      EXPECT_LE(cover->lower_bound, optimum + 1e-9) << name;
+      EXPECT_GE(cover->weight + cover->penalty, optimum - 1e-9) << name;
+    }
+  }
+  EXPECT_GE(checked, 10);
+}
+
+TEST(SolverBackendTest, TruncatedBnbKeepsFactorTwo) {
+  // A unit-weight star K1,8, whose optimum is its center, plus random
+  // graphs, each cut off after a handful of branch nodes.
+  std::vector<NodeWeightedGraph> graphs;
+  NodeWeightedGraph star(9);
+  for (int leaf = 1; leaf <= 8; ++leaf) star.AddEdge(0, leaf);
+  graphs.push_back(star);
+  Rng rng(41);
+  for (int trial = 0; trial < 12; ++trial) {
+    NodeWeightedGraph graph = RandomGraph(16, 32, &rng);
+    for (int v = 0; v < graph.num_nodes(); ++v) {
+      graph.set_weight(v, 1.0 + static_cast<double>(rng.UniformUint64(5)));
+    }
+    graphs.push_back(graph);
+  }
+  for (const NodeWeightedGraph& graph : graphs) {
+    const double optimum = OptimalCoverWeight(graph);
+    for (long budget : {1L, 8L, 64L}) {
+      SolverExec exec;
+      exec.node_budget = budget;
+      auto cover = FindSolverBackend(kSolverBnb)->SolveCover(graph, exec);
+      ASSERT_TRUE(cover.ok()) << budget;
+      EXPECT_TRUE(IsVertexCover(graph, cover->cover)) << budget;
+      EXPECT_LE(cover->lower_bound, optimum + 1e-9) << budget;
+      EXPECT_LE(cover->ratio_bound, 2.0) << budget;
+      EXPECT_LE(cover->weight, 2.0 * optimum + 1e-9) << budget;
+      if (cover->optimal) {
+        EXPECT_NEAR(cover->weight, optimum, 1e-9) << budget;
+      }
+    }
   }
 }
 
