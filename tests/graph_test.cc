@@ -554,12 +554,20 @@ TEST(ConflictedCoreTest, PenaltiesAddAcrossSoftFdsAndHardAbsorbs) {
   EXPECT_EQ(core.penalties[1], kHardFdWeight);
 }
 
+// The FD sets the property test draws from. The test takes an index into
+// this list, not the text itself: a `const char*` parameter prints as its
+// address, which would make the test names differ from build to build.
+constexpr const char* kConflictedCoreFdTexts[] = {
+    "A -> B; B -> C", "A B -> C; C -> A; B -> D",
+    "A B C -> D; D -> A; {} -> B"};
+
 class ConflictedCorePropertyTest
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(ConflictedCorePropertyTest, MatchesAllPairsBruteForce) {
-  const auto [text, seed] = GetParam();
-  ParsedFdSet parsed = ParseFdSetInferSchemaOrDie(text);
+  const auto [set_index, seed] = GetParam();
+  ParsedFdSet parsed =
+      ParseFdSetInferSchemaOrDie(kConflictedCoreFdTexts[set_index]);
   Rng rng(seed);
   // A hard/soft mix: each FD hard with probability 1/4, else a soft
   // weight from {0.5, 1.25, 3}.
@@ -586,9 +594,7 @@ TEST_P(ConflictedCorePropertyTest, MatchesAllPairsBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(
     SetsAndSeeds, ConflictedCorePropertyTest,
-    ::testing::Combine(::testing::Values("A -> B; B -> C",
-                                         "A B -> C; C -> A; B -> D",
-                                         "A B C -> D; D -> A; {} -> B"),
+    ::testing::Combine(::testing::Values(0, 1, 2),
                        ::testing::Values(3, 11, 29)));
 
 }  // namespace
