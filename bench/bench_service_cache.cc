@@ -315,11 +315,10 @@ void ReportCaptureCost() {
 /// Incremental serving: chained 1%-mutation batches served through
 /// ApplyDelta (dirty-block splicing against the cached plan) vs a
 /// bypass-cache full re-plan of the identical mutated state. Both sides
-/// pay their own identity cost — O(|delta|) chain hash vs the O(table)
-/// content hash of the freshly mutated table — so the speedup is
-/// end-to-end, not planner-only. The content hash is a small share of a
-/// re-plan, and a 1% mutation of this chain dirties ~20% of the top-level
-/// blocks, so the ratio is modest; the splice's own latency
+/// key by the builder table's content hash, which its memo keeps current,
+/// so neither pays a hashing pass and the speedup is the splice's over
+/// the re-plan's. A 1% mutation of this chain dirties ~20% of the
+/// top-level blocks, so the ratio is modest; the splice's own latency
 /// (`service.delta_us_per_request`) is gated absolutely.
 void ReportDeltaSpeedup() {
   // Fixed size (no smoke cap): the tracked speedup compares an O(|delta|)
@@ -422,8 +421,8 @@ void ReportDeltaSpeedup() {
 /// The update-mode twin of ReportDeltaSpeedup: chained 1%-mutation batches
 /// served through ApplyDelta on kUpdate requests (cell-edit recipe
 /// splicing against the cached U-plan) vs a bypass-cache full update
-/// re-plan of the identical mutated state. Same fixed size, same
-/// both-sides-pay-identity framing.
+/// re-plan of the identical mutated state. Same fixed size, and again
+/// neither side pays a hashing pass.
 void ReportUDeltaSpeedup() {
   const int tuples = 8192;
   const int edits_per_round = std::max(1, tuples / 100);  // 1% mutation

@@ -99,13 +99,11 @@ StatusOr<FdSet> ResolveRequest(const RepairRequest& request) {
 
 /// The canonical request key: mode, canonical cover (as lhs-bitmask/rhs
 /// pairs — attribute names are bound to those positions by the table hash),
-/// the table state identity, and the solver knobs (backend, max_ratio) —
-/// two requests that may be answered by different solvers must never share
-/// an entry. `table_hash` is TableContentHash for ordinary requests and
-/// the delta chain hash for delta requests (see storage/table_delta.h for
-/// why the two identities deliberately differ); both flow through the same
-/// key structure, which is what lets a first delta's base_hash find the
-/// base table's cold entry.
+/// the table state's TableContentHash, and the solver knobs (backend,
+/// max_ratio) — two requests that may be answered by different solvers
+/// must never share an entry. Every request, delta or cold, keys by the
+/// content hash, so a delta's base_hash finds the base state's entry
+/// however that state arrived.
 uint64_t RequestKey(RepairMode mode, const RepairOptions& options,
                     const FdSet& cover, uint64_t table_hash) {
   StableHasher hasher;
@@ -408,18 +406,12 @@ StatusOr<RepairResponse> RepairService::Serve(const RepairRequest& request) {
   const std::optional<Clock::time_point> deadline =
       AbsoluteDeadline(options, admitted);
   if (request.delta != nullptr) {
-    // A stale or corrupted delta would poison the chain-keyed cache with a
-    // result attributed to the wrong state — reject it before keying.
+    // A delta that does not describe *request.table (stale or corrupted)
+    // must not steer a splice of its base plan — reject it up front.
     FDR_RETURN_IF_ERROR(ValidateDelta(*request.delta, *request.table));
   }
-  // Delta requests are identified by their O(|delta|) chain hash; everyone
-  // else pays the O(n) content hash. The two identities never alias (see
-  // storage/table_delta.h).
-  const uint64_t table_hash = request.delta != nullptr
-                                  ? request.delta->result_hash
-                                  : TableContentHash(*request.table);
-  const uint64_t key =
-      RequestKey(request.mode, options, cover, table_hash);
+  const uint64_t key = RequestKey(request.mode, options, cover,
+                                  TableContentHash(*request.table));
 
   {
     std::lock_guard<std::mutex> stats_lock(stats_mu_);

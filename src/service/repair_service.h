@@ -125,14 +125,14 @@ struct RepairRequest {
   RepairOptions options;
   /// The mutation taking a previously served table state to *table
   /// (borrowed, like the table; must validate against it — see
-  /// storage/table_delta.h). When set, the request is keyed by the delta's
-  /// result_hash chain instead of rehashing the table, and if the
-  /// pre-mutation state's entry (keyed by delta->base_hash) still holds a
-  /// spliceable plan, execution re-repairs only the blocks the mutation
-  /// dirtied — of the top-level S-plan in subset mode, of each component's
-  /// inner S-plan in update mode (urepair/opt_urepair.h) — and the response
-  /// is bit-identical to a cold full re-plan either way. Null: the ordinary
-  /// content-hash path.
+  /// storage/table_delta.h). The request is keyed like any other, by
+  /// TableContentHash(*table), so it is a plain hit when that state is
+  /// already cached, however it arrived. On a miss, if the pre-mutation
+  /// state's entry (keyed by delta->base_hash) still holds a spliceable
+  /// plan, execution re-repairs only the blocks the mutation dirtied — of
+  /// the top-level S-plan in subset mode, of each component's inner S-plan
+  /// in update mode (urepair/opt_urepair.h) — and the response is
+  /// bit-identical to a cold full re-plan either way. Null: no splice.
   const TableDelta* delta = nullptr;
 };
 
@@ -172,10 +172,12 @@ struct RepairServiceStats {
   uint64_t evictions = 0;
   uint64_t rejected_deadline = 0;
   uint64_t rejected_unavailable = 0;
-  /// Delta-path observability. A delta request that misses its own chain
-  /// key either splices (the pre-mutation entry still held a plan) or
-  /// falls back to a full re-plan; the block counters aggregate how much
-  /// cached work the splices replayed vs recomputed.
+  /// Delta-path observability. Every delta request counts in
+  /// delta_requests. One that misses its key either splices (the
+  /// pre-mutation entry still held a plan) or falls back to a full
+  /// re-plan; one answered from the cache counts in `hits` and in neither.
+  /// The block counters aggregate how much cached work the splices
+  /// replayed vs recomputed.
   uint64_t delta_requests = 0;
   uint64_t delta_splices = 0;
   uint64_t delta_full_replans = 0;
@@ -235,7 +237,7 @@ class RepairService {
   /// *request.table. Identical to Serve() on the same request — provided
   /// so call sites that *mean* incremental re-repair fail loudly
   /// (kInvalidArgument) when the delta is missing instead of silently
-  /// paying a full content hash + re-plan. Safe to call concurrently.
+  /// paying a full re-plan. Safe to call concurrently.
   StatusOr<RepairResponse> ApplyDelta(const RepairRequest& request);
 
   /// A point-in-time snapshot of the counters.

@@ -8,6 +8,7 @@
 #include <unordered_map>
 
 #include "common/strings.h"
+#include "storage/table_hash.h"
 
 namespace fdrepair {
 namespace {
@@ -82,7 +83,6 @@ Status Table::AppendRow(TupleId id, const Tuple& values, double weight) {
                                    std::to_string(id));
   }
   // All validation passed: no failure path leaves a partial row behind.
-  content_hash_.Clear();
   ids_.push_back(id);
   weights_.push_back(weight);
   for (int a = 0; a < schema_.arity(); ++a) columns_[a].push_back(values[a]);
@@ -92,6 +92,10 @@ Status Table::AppendRow(TupleId id, const Tuple& values, double weight) {
     row_slots_[ProbeSlot(id)] = num_tuples() - 1;
   }
   next_id_ = std::max(next_id_, id + 1);
+  if (std::optional<uint64_t> hash = content_hash_.Get()) {
+    content_hash_.Set(*hash +
+                      ContentHashRows(*this, num_tuples() - 1, num_tuples()));
+  }
   return Status::OK();
 }
 
@@ -204,25 +208,35 @@ Table Table::Clone() const {
   out.columns_ = columns_;
   out.row_slots_ = row_slots_;
   out.next_id_ = next_id_;
-  out.content_hash_ = content_hash_;  // same content, same hash
   return out;
 }
 
 void Table::SetValue(int row, AttrId attr, ValueId value) {
   FDR_CHECK_MSG(row >= 0 && row < num_tuples(), "row=" << row);
   FDR_CHECK_MSG(attr >= 0 && attr < schema_.arity(), "attr=" << attr);
-  content_hash_.Clear();
+  std::optional<uint64_t> hash = content_hash_.Get();
+  if (hash) *hash -= ContentHashRows(*this, row, row + 1);
   columns_[attr][row] = value;
+  if (hash) content_hash_.Set(*hash + ContentHashRows(*this, row, row + 1));
 }
 
 void Table::EraseRow(int row) {
   FDR_CHECK_MSG(row >= 0 && row < num_tuples(), "row=" << row);
-  content_hash_.Clear();
+  // The erased row's summand goes, and its successor's is re-linked to the
+  // row before the gap.
+  std::optional<uint64_t> hash = content_hash_.Get();
+  if (hash) {
+    *hash -= ContentHashRows(*this, row, std::min(row + 2, num_tuples()));
+  }
   ids_.erase(ids_.begin() + row);
   weights_.erase(weights_.begin() + row);
   for (auto& column : columns_) column.erase(column.begin() + row);
   // Every surviving row after the gap moved down one position.
   RebuildIndex();
+  if (hash) {
+    content_hash_.Set(
+        *hash + ContentHashRows(*this, row, std::min(row + 1, num_tuples())));
+  }
 }
 
 Status Table::EraseTuple(TupleId id) {

@@ -51,7 +51,8 @@ using ColumnSet = std::vector<std::vector<ValueId>>;
 /// (Table keeps its content hash in one). A reader that computes the value
 /// publishes it with release and later readers observe it with acquire;
 /// racing first readers compute and store the same value, so whichever
-/// store lands is correct. Copies carry the value; a moved-from memo is
+/// store lands is correct. The owner's mutators replace a published value
+/// with the updated one. Copies carry the value; a moved-from memo is
 /// cleared along with its owner's content.
 class HashMemo {
  public:
@@ -77,12 +78,13 @@ class HashMemo {
     return value_.load(std::memory_order_relaxed);
   }
   /// Publishes `value`. Const: filling the memo does not change content.
+  /// The owner's mutators also call it, never concurrently with readers.
   void Set(uint64_t value) const {
     value_.store(value, std::memory_order_relaxed);
     valid_.store(true, std::memory_order_release);
   }
-  /// Forgets the value. Called by the owner's mutators, which never run
-  /// concurrently with its readers, so no ordering is needed.
+  /// Forgets the value. Called on a moved-from owner, which no reader
+  /// shares, so no ordering is needed.
   void Clear() { valid_.store(false, std::memory_order_relaxed); }
 
  private:
@@ -182,7 +184,9 @@ class Table {
   const std::string& ValueText(int row, AttrId attr) const;
 
   /// The memo TableContentHash (storage/table_hash.h) fills on first use.
-  /// AddInternedTupleWithId, SetValue and EraseRow clear it; every other
+  /// Once filled, the row append behind AddTuple*, SetValue and EraseRow
+  /// keep it current in O(arity) each (they read cell digests under the
+  /// pool's shared lock), and an empty memo stays empty. Every other
   /// content mutator goes through one of those three, and a pool never
   /// changes the text behind an id, so a published value is never stale.
   const HashMemo& content_hash_memo() const { return content_hash_; }
@@ -199,10 +203,14 @@ class Table {
   Table SubsetByRows(const std::vector<int>& rows) const;
 
   /// A deep copy sharing the value pool; starting point for updates. Copies
-  /// the columns, ids, weights and id index as whole vectors.
+  /// the columns, ids, weights and id index as whole vectors. The clone's
+  /// content-hash memo starts empty, so the SetValue calls that turn it
+  /// into an update repair do no hash upkeep; a copy (Table(const
+  /// Table&)) carries the memo instead.
   Table Clone() const;
 
-  /// Overwrites one cell; the basis of update repairs. `attr` must be valid.
+  /// Overwrites one cell; the basis of update repairs. `attr` must be
+  /// valid, and so must `value` while the content-hash memo is filled.
   void SetValue(int row, AttrId attr, ValueId value);
 
   /// Removes the row at dense position `row`; later rows shift down one

@@ -1,6 +1,8 @@
 #include "storage/table_hash.h"
 
+#include <bit>
 #include <cstring>
+#include <limits>
 
 namespace fdrepair {
 namespace {
@@ -14,62 +16,47 @@ uint64_t DoubleBits(double value) {
   return bits;
 }
 
-/// Absorbs arrays of 64-bit words into eight independent Mix64 chains —
-/// word i of an array goes to lane i % 8 as lane = Mix64(lane ^ word) — so
-/// the multiplies of neighbouring words overlap instead of serializing.
-/// Each step is a bijection of the word for a fixed lane, and Finish folds
-/// the lanes bijectively, so two inputs that differ in a single word never
-/// collide.
-class WordHasher {
- public:
-  static constexpr int kLanes = 8;
+/// id(-1): the predecessor of row 0. INT64_MAX is reserved (see Table), so
+/// no row's id equals it.
+constexpr TupleId kNoPredecessor = std::numeric_limits<TupleId>::max();
+/// Odd, so absorbing the weight bits is a bijection of them.
+constexpr uint64_t kWeightMultiplier = 0x9e3779b97f4a7c15ULL;
 
-  explicit WordHasher(uint64_t seed) {
-    for (int l = 0; l < kLanes; ++l) lanes_[l] = Mix64(seed + l);
-  }
-
-  /// Absorbs word_at(0), ..., word_at(n - 1).
-  template <typename WordAt>
-  void Absorb(int n, WordAt word_at) {
-    int i = 0;
-    for (; i + kLanes <= n; i += kLanes) {
-      for (int l = 0; l < kLanes; ++l) {
-        lanes_[l] = Mix64(lanes_[l] ^ word_at(i + l));
-      }
-    }
-    for (int l = 0; i < n; ++i, ++l) lanes_[l] = Mix64(lanes_[l] ^ word_at(i));
-  }
-
-  uint64_t Finish() const {
-    uint64_t state = Mix64(lanes_[0]);
-    for (int l = 1; l < kLanes; ++l) state = Mix64(state ^ lanes_[l]);
-    return state;
-  }
-
- private:
-  uint64_t lanes_[kLanes] = {};
-};
-
-uint64_t ComputeContentHash(const Table& table) {
+uint64_t HeaderTerm(const Schema& schema) {
   StableHasher header;
-  const Schema& schema = table.schema();
   header.MixUint64(static_cast<uint64_t>(schema.arity()));
   for (AttrId a = 0; a < schema.arity(); ++a) {
     header.MixString(schema.AttributeName(a));
   }
-  const int rows = table.num_tuples();
-  header.MixUint64(static_cast<uint64_t>(rows));
+  return header.digest();
+}
 
-  // The header fixes every array's length, so the arrays need no framing.
-  WordHasher words(header.digest());
-  words.Absorb(rows, [&](int r) { return static_cast<uint64_t>(table.id(r)); });
-  words.Absorb(rows, [&](int r) { return DoubleBits(table.weight(r)); });
-  const ValuePool::ReadView values = table.pool()->read();
-  for (AttrId a = 0; a < schema.arity(); ++a) {
-    const ValueId* column = table.ColumnData(a);
-    words.Absorb(rows, [&](int r) { return values.digest(column[r]); });
+/// S(row) summed over rows [first, first + n), where `predecessor` is
+/// id(first - 1). The n chains advance one word at a time side by side, so
+/// their dependent Mix64 steps overlap instead of serializing.
+template <int n>
+uint64_t SumRows(const Table& table, const ValuePool::ReadView& values,
+                 int first, TupleId predecessor) {
+  uint64_t state[n];
+  for (int i = 0; i < n; ++i) {
+    const TupleId id = table.id(first + i);
+    state[i] = Mix64(std::rotl(static_cast<uint64_t>(predecessor), 32) ^
+                     static_cast<uint64_t>(id));
+    predecessor = id;
   }
-  return words.Finish();
+  for (int i = 0; i < n; ++i) {
+    state[i] = (state[i] ^ DoubleBits(table.weight(first + i))) *
+               kWeightMultiplier;
+  }
+  for (AttrId a = 0; a < table.schema().arity(); ++a) {
+    const ValueId* column = table.ColumnData(a) + first;
+    for (int i = 0; i < n; ++i) {
+      state[i] = Mix64(state[i] ^ values.digest(column[i]));
+    }
+  }
+  uint64_t sum = 0;
+  for (int i = 0; i < n; ++i) sum += state[i];
+  return sum;
 }
 
 }  // namespace
@@ -91,11 +78,29 @@ void StableHasher::MixString(std::string_view text) {
   }
 }
 
+uint64_t ContentHashRows(const Table& table, int begin, int end) {
+  constexpr int kTile = 8;
+  const ValuePool::ReadView values = table.pool()->read();
+  uint64_t sum = 0;
+  int row = begin;
+  auto predecessor = [&] {
+    return row == 0 ? kNoPredecessor : table.id(row - 1);
+  };
+  for (; row + kTile <= end; row += kTile) {
+    sum += SumRows<kTile>(table, values, row, predecessor());
+  }
+  for (; row < end; ++row) {
+    sum += SumRows<1>(table, values, row, predecessor());
+  }
+  return sum;
+}
+
 uint64_t TableContentHash(const Table& table) {
   if (std::optional<uint64_t> memo = table.content_hash_memo().Get()) {
     return *memo;
   }
-  const uint64_t hash = ComputeContentHash(table);
+  const uint64_t hash = HeaderTerm(table.schema()) +
+                        ContentHashRows(table, 0, table.num_tuples());
   table.content_hash_memo().Set(hash);
   return hash;
 }

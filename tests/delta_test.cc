@@ -1,12 +1,13 @@
-// Incremental repair under mutation: TableDelta chain hashes and
-// DeltaBuilder collapse semantics, Table::EraseRow invariants,
-// BaseBlockIndex clean/dirty classification, plan capture + dirty-block
-// splicing in OptSRepair, and the end-to-end property that
+// Incremental repair under mutation: TableDelta content-hash identities,
+// ValidateDelta and DeltaBuilder collapse semantics, Table::EraseRow
+// invariants, BaseBlockIndex clean/dirty classification, plan capture +
+// dirty-block splicing in OptSRepair, and the end-to-end property that
 // RepairService::ApplyDelta is bit-identical to a cold full re-plan over
 // random mutation sequences, across thread counts and solver backends.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <set>
@@ -120,17 +121,13 @@ TEST(TableDeltaTest, BuilderChainsOffBaseContentHash) {
   TableDelta delta = builder.Finish();
 
   EXPECT_EQ(delta.base_hash, TableContentHash(base));
-  EXPECT_EQ(delta.inserted, std::vector<TupleId>{});
   EXPECT_EQ(delta.updated, std::vector<TupleId>{2});
-  EXPECT_EQ(delta.deleted, std::vector<TupleId>{});
-
-  auto hash = DeltaChainHash(delta, builder.table());
-  ASSERT_TRUE(hash.ok()) << hash.status();
-  EXPECT_EQ(*hash, delta.result_hash);
+  EXPECT_EQ(delta.result_hash, TableContentHash(builder.table()));
+  EXPECT_EQ(delta.result_hash, TableContentHash(CopyContent(builder.table())));
   EXPECT_TRUE(ValidateDelta(delta, builder.table()).ok());
 }
 
-TEST(TableDeltaTest, ChainComposesAndDiffersFromContentHash) {
+TEST(TableDeltaTest, ChainComposesThroughContentHashes) {
   Table base = SmallTable(5);
   DeltaBuilder builder(base);
   ASSERT_TRUE(builder.Update(1, 0, "m0").ok());
@@ -140,99 +137,122 @@ TEST(TableDeltaTest, ChainComposesAndDiffersFromContentHash) {
 
   EXPECT_EQ(second.base_hash, first.result_hash);
   EXPECT_NE(first.result_hash, second.result_hash);
-  // Chain identity is deliberately distinct from the mutated state's
-  // content identity (delta-keyed and cold-keyed entries never alias).
-  EXPECT_NE(second.result_hash, TableContentHash(builder.table()));
+  // Each state's one identity is its content hash: a delta-reached state
+  // and a cold copy of it name the same cache entry.
+  EXPECT_EQ(second.result_hash, TableContentHash(builder.table()));
+  EXPECT_EQ(second.result_hash, TableContentHash(CopyContent(builder.table())));
   EXPECT_TRUE(ValidateDelta(second, builder.table()).ok());
 }
 
 TEST(TableDeltaTest, EditsCollapseToNetEffect) {
   Table base = SmallTable(4);
 
-  {  // insert + update stays an insert.
+  {  // an update of a row inserted by the same delta is not listed.
     DeltaBuilder builder(base);
     TupleId id = builder.Insert({"x7", "y7"});
     ASSERT_TRUE(builder.Update(id, 0, "x8").ok());
     TableDelta delta = builder.Finish();
-    EXPECT_EQ(delta.inserted, std::vector<TupleId>{id});
     EXPECT_TRUE(delta.updated.empty());
+    EXPECT_NE(delta.result_hash, delta.base_hash);
+    EXPECT_TRUE(ValidateDelta(delta, builder.table()).ok());
   }
   {  // insert + erase nets out to nothing.
     DeltaBuilder builder(base);
     TupleId id = builder.Insert({"x7", "y7"});
     ASSERT_TRUE(builder.Erase(id).ok());
     TableDelta delta = builder.Finish();
-    EXPECT_TRUE(delta.empty());
-    // An empty delta still advances nothing: its chain hash is a pure
-    // function of the base hash, and the state really is the base state.
+    EXPECT_TRUE(delta.updated.empty());
+    // The state really is the base state, and its hash says so.
+    EXPECT_EQ(delta.result_hash, delta.base_hash);
     EXPECT_TRUE(ValidateDelta(delta, builder.table()).ok());
   }
-  {  // update + erase is an erase.
+  {  // update + erase is an erase: the id is not listed.
     DeltaBuilder builder(base);
     ASSERT_TRUE(builder.Update(1, 1, "gone").ok());
+    ASSERT_TRUE(builder.Update(2, 1, "kept").ok());
     ASSERT_TRUE(builder.Erase(1).ok());
     TableDelta delta = builder.Finish();
-    EXPECT_TRUE(delta.updated.empty());
-    EXPECT_EQ(delta.deleted, std::vector<TupleId>{1});
+    EXPECT_EQ(delta.updated, std::vector<TupleId>{2});
     EXPECT_TRUE(ValidateDelta(delta, builder.table()).ok());
   }
 }
 
-TEST(TableDeltaTest, HashBindsContentAndSectionFraming) {
+TEST(TableDeltaTest, ResultHashBindsNewContent) {
   Table base = SmallTable(4);
 
-  // Same edit shape, different new content: different chains.
+  // Same edit shape, different new content: different result hashes.
   DeltaBuilder a(base);
   ASSERT_TRUE(a.Update(1, 0, "left").ok());
   DeltaBuilder b(base);
   ASSERT_TRUE(b.Update(1, 0, "right").ok());
   EXPECT_NE(a.Finish().result_hash, b.Finish().result_hash);
-
-  // The same row reported as inserted vs updated must hash differently,
-  // even though the mixed row bytes are identical (section framing).
-  Table mutated = SmallTable(4);
-  TableDelta as_inserted;
-  as_inserted.base_hash = 42;
-  as_inserted.inserted = {2};
-  TableDelta as_updated;
-  as_updated.base_hash = 42;
-  as_updated.updated = {2};
-  auto ih = DeltaChainHash(as_inserted, mutated);
-  auto uh = DeltaChainHash(as_updated, mutated);
-  ASSERT_TRUE(ih.ok() && uh.ok());
-  EXPECT_NE(*ih, *uh);
 }
 
+/// Seeded corruptions of DeltaBuilder chains at random sizes: each one
+/// alone makes ValidateDelta return kInvalidArgument (never abort), and
+/// the uncorrupted delta validates.
 TEST(TableDeltaTest, ValidationRejectsMalformedDeltas) {
-  Table mutated = SmallTable(4);
-
-  TableDelta unsorted;
-  unsorted.updated = {3, 1};
-  EXPECT_EQ(DeltaChainHash(unsorted, mutated).status().code(),
-            StatusCode::kInvalidArgument);
-
-  TableDelta overlapping;
-  overlapping.inserted = {1};
-  overlapping.updated = {1};
-  EXPECT_EQ(ValidateDelta(overlapping, mutated).code(),
-            StatusCode::kInvalidArgument);
-
-  TableDelta still_present;
-  still_present.deleted = {2};  // id 2 exists in `mutated`
-  EXPECT_EQ(ValidateDelta(still_present, mutated).code(),
-            StatusCode::kInvalidArgument);
-
-  TableDelta unknown;
-  unknown.updated = {99};
-  EXPECT_EQ(DeltaChainHash(unknown, mutated).status().code(),
-            StatusCode::kInvalidArgument);
-
-  DeltaBuilder builder(mutated);
-  ASSERT_TRUE(builder.Update(1, 0, "zz").ok());
-  TableDelta stale = builder.Finish();
-  stale.result_hash ^= 1;  // corrupt the chain
-  EXPECT_EQ(ValidateDelta(stale, builder.table()).code(),
-            StatusCode::kInvalidArgument);
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed);
+    const Table base = SmallTable(static_cast<int>(rng.UniformInt(2, 60)));
+    DeltaBuilder builder(base);
+    for (int step = 0; step < 6; ++step) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                   std::to_string(step));
+      RandomBatch(&builder, static_cast<int>(rng.UniformInt(0, 6)),
+                  static_cast<int>(rng.UniformInt(0, 2)),
+                  static_cast<int>(rng.UniformInt(0, 2)), /*domain=*/9, &rng);
+      const TableDelta delta = builder.Finish();
+      const Table& mutated = builder.table();
+      ASSERT_TRUE(ValidateDelta(delta, mutated).ok());
+      auto expect_rejected = [&](const TableDelta& bad, const char* what) {
+        EXPECT_EQ(ValidateDelta(bad, mutated).code(),
+                  StatusCode::kInvalidArgument)
+            << what;
+      };
+      // Listed ids out of order, or twice.
+      const TupleId present = mutated.id(
+          static_cast<int>(rng.UniformIndex(mutated.num_tuples())));
+      TableDelta duplicated = delta;
+      if (duplicated.updated.empty()) duplicated.updated = {present};
+      const size_t k = rng.UniformIndex(duplicated.updated.size());
+      const TupleId repeated = duplicated.updated[k];
+      duplicated.updated.insert(duplicated.updated.begin() + k, repeated);
+      expect_rejected(duplicated, "duplicated");
+      if (delta.updated.size() >= 2) {
+        TableDelta unsorted = delta;
+        std::swap(unsorted.updated.front(), unsorted.updated.back());
+        expect_rejected(unsorted, "unsorted");
+      }
+      // An id the mutated table does not hold (past every id, so the list
+      // stays sorted).
+      TableDelta absent = delta;
+      absent.updated.push_back(INT64_MAX - 1);
+      expect_rejected(absent, "absent id");
+      // A flipped result_hash bit.
+      TableDelta flipped = delta;
+      flipped.result_hash ^= uint64_t{1} << rng.UniformIndex(64);
+      expect_rejected(flipped, "flipped result_hash");
+      // A later edit to the table, to a row the delta may not list.
+      switch (rng.UniformIndex(3)) {
+        case 0:
+          ASSERT_TRUE(
+              builder.Update(present, 0, "later" + std::to_string(step)).ok());
+          break;
+        case 1:
+          builder.Insert({"later", "later"});
+          break;
+        default:
+          if (mutated.num_tuples() > 1) {
+            ASSERT_TRUE(builder.Erase(mutated.id(0)).ok());
+          } else {
+            builder.Insert({"later", "later"});
+          }
+      }
+      expect_rejected(delta, "later edit");
+      builder.Finish();
+    }
+  }
 }
 
 // --------------------------------------------------------------------------
@@ -869,14 +889,73 @@ TEST(ServiceDeltaTest, ApplyDeltaValidatesItsDeltaRequest) {
   EXPECT_EQ(service.stats().udelta_full_replans, 1u);
 
   // A stale delta (a listed row mutated past it) is rejected, not
-  // mis-served. Staleness of *unlisted* rows is intentionally not caught —
-  // that is the O(|delta|) validation tradeoff.
+  // mis-served.
   RepairRequest stale =
       Request(RepairMode::kSubset, parsed.fds, &builder.table());
   stale.delta = &delta;
   ASSERT_TRUE(builder.Update(victim, 1, "later").ok());
   EXPECT_EQ(service.ApplyDelta(stale).status().code(),
             StatusCode::kInvalidArgument);
+
+  // So is one whose table changed, after Finish(), in a row it does not
+  // list: the result hash names the whole table's content.
+  TableDelta next = builder.Finish();
+  ASSERT_EQ(next.updated, std::vector<TupleId>{victim});
+  stale.delta = &next;
+  ASSERT_TRUE(service.ApplyDelta(stale).ok());
+  ASSERT_TRUE(builder.Update(table.id(1), 1, "unlisted").ok());
+  EXPECT_EQ(service.ApplyDelta(stale).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+/// A state has one identity, its content hash, whichever way it arrives.
+TEST(ServiceDeltaTest, DeltaAndColdArrivalsShareOneEntry) {
+  ParsedFdSet parsed = OfficeFds();
+  Table base = ScalingFamilyTable(parsed, 300, 5);
+  RepairService service;
+  ASSERT_TRUE(
+      service.Serve(Request(RepairMode::kSubset, parsed.fds, &base)).ok());
+
+  // (a) A state reached by a delta answers a later plain request for it.
+  Rng rng(8);
+  DeltaBuilder builder(base);
+  RandomBatch(&builder, /*updates=*/3, /*inserts=*/1, /*erases=*/1,
+              /*domain=*/37, &rng);
+  TableDelta delta = builder.Finish();
+  RepairRequest incremental =
+      Request(RepairMode::kSubset, parsed.fds, &builder.table());
+  incremental.delta = &delta;
+  auto spliced = service.ApplyDelta(incremental);
+  ASSERT_TRUE(spliced.ok()) << spliced.status();
+  EXPECT_FALSE(spliced->cache_hit);
+  auto plain = service.Serve(
+      Request(RepairMode::kSubset, parsed.fds, &builder.table()));
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  EXPECT_TRUE(plain->cache_hit);
+  EXPECT_EQ(plain->cache_key, spliced->cache_key);
+  ExpectSameRepair(spliced->repair, plain->repair);
+
+  // (b) A state first served cold answers a later delta that reaches it:
+  // a hit, counted as a delta request but neither a splice nor a re-plan.
+  RandomBatch(&builder, /*updates=*/3, /*inserts=*/1, /*erases=*/1,
+              /*domain=*/37, &rng);
+  const Table copy = CopyContent(builder.table());
+  auto cold = service.Serve(Request(RepairMode::kSubset, parsed.fds, &copy));
+  ASSERT_TRUE(cold.ok()) << cold.status();
+  EXPECT_FALSE(cold->cache_hit);
+  const RepairServiceStats before = service.stats();
+  TableDelta next = builder.Finish();
+  incremental.delta = &next;
+  auto hit = service.ApplyDelta(incremental);
+  ASSERT_TRUE(hit.ok()) << hit.status();
+  EXPECT_TRUE(hit->cache_hit);
+  EXPECT_EQ(hit->cache_key, cold->cache_key);
+  ExpectSameRepair(cold->repair, hit->repair);
+  const RepairServiceStats after = service.stats();
+  EXPECT_EQ(after.hits, before.hits + 1);
+  EXPECT_EQ(after.delta_requests, before.delta_requests + 1);
+  EXPECT_EQ(after.delta_splices, before.delta_splices);
+  EXPECT_EQ(after.delta_full_replans, before.delta_full_replans);
 }
 
 TEST(ServiceDeltaTest, SpliceServesBitIdenticalAndCountsBlocks) {

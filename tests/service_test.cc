@@ -100,6 +100,20 @@ TEST(TableHashTest, ValueWeightAndIdChangesChangeTheHash) {
   Table framing(Schema::MakeOrDie("T", {"a", "b"}));
   framing.AddTuple({"xy", ""}, 1.0);
   EXPECT_NE(TableContentHash(framing), h0);
+
+  // A value moved to another column.
+  Table moved(Schema::MakeOrDie("T", {"a", "b"}));
+  moved.AddTuple({"y", "x"}, 1.0);
+  EXPECT_NE(TableContentHash(moved), h0);
+
+  // Two rows swapped: row order is part of the content.
+  Table two(Schema::MakeOrDie("T", {"a", "b"}));
+  ASSERT_TRUE(two.AddTupleWithId(1, {"x", "y"}, 1.0).ok());
+  ASSERT_TRUE(two.AddTupleWithId(2, {"x", "z"}, 1.0).ok());
+  Table swapped(Schema::MakeOrDie("T", {"a", "b"}));
+  ASSERT_TRUE(swapped.AddTupleWithId(2, {"x", "z"}, 1.0).ok());
+  ASSERT_TRUE(swapped.AddTupleWithId(1, {"x", "y"}, 1.0).ok());
+  EXPECT_NE(TableContentHash(swapped), TableContentHash(two));
 }
 
 TEST(CanonicalCoverTest, NormalizesPhrasingsAndStaysEquivalent) {

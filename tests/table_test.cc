@@ -186,17 +186,78 @@ TEST(TableHashTest, MemoMatchesAFreshCopyAfterEveryMutator) {
   EXPECT_FALSE(table.EraseTuple(999).ok());
   EXPECT_EQ(TableContentHash(table), previous);
   ExpectHashIsFresh(table);
+
+  // A seeded random sequence of every mutator, on a table whose memo is
+  // filled: each step must keep the memo filled and equal to a fresh
+  // copy's hash.
+  Rng rng(17);
+  // Explicit ids count down from -1, clear of the auto ids (max id + 1).
+  TupleId next_explicit_id = -1;
+  for (int step = 0; step < 300; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    auto text = [&] { return "v" + std::to_string(rng.UniformInt(0, 7)); };
+    const int rows = table.num_tuples();
+    const int row = rows > 0 ? static_cast<int>(rng.UniformIndex(rows)) : 0;
+    const AttrId attr = static_cast<AttrId>(rng.UniformIndex(4));
+    switch (rows < 2 ? rng.UniformIndex(4) : rng.UniformIndex(10)) {
+      case 0:
+        table.AddTuple({text(), text(), text(), text()});
+        break;
+      case 1:
+        table.AddTuple({text(), text(), text(), text()},
+                       0.5 * static_cast<double>(rng.UniformInt(1, 4)));
+        break;
+      case 2:
+        ASSERT_TRUE(table
+                        .AddTupleWithId(next_explicit_id--,
+                                        {text(), text(), text(), text()}, 1)
+                        .ok());
+        break;
+      case 3:
+        ASSERT_TRUE(table
+                        .AddInternedTupleWithId(
+                            next_explicit_id--,
+                            rows > 0 ? table.tuple(row)
+                                     : Tuple{0, 0, 0, 0},
+                            2)
+                        .ok());
+        break;
+      case 4:
+        table.SetValue(row, attr, table.Intern(text()));
+        break;
+      case 5:  // to the value the cell already holds
+        table.SetValue(row, attr, table.value(row, attr));
+        break;
+      case 6:
+        table.EraseRow(0);
+        break;
+      case 7:
+        table.EraseRow(rows / 2);
+        break;
+      case 8:
+        table.EraseRow(rows - 1);
+        break;
+      default:
+        ASSERT_TRUE(table.EraseTuple(table.id(row)).ok());
+    }
+    ASSERT_TRUE(table.content_hash_memo().Get().has_value());
+    ExpectHashIsFresh(table);
+  }
 }
 
 TEST(TableHashTest, CloneCopyMoveAndSubsetHashCorrectly) {
   Table table = MakeOfficeT();
   const uint64_t hash = TableContentHash(table);  // memo filled
 
+  // A clone starts with an empty memo, and SetValue does not fill it.
   Table clone = table.Clone();
-  EXPECT_EQ(TableContentHash(clone), hash);
+  EXPECT_FALSE(clone.content_hash_memo().Get().has_value());
   clone.SetValue(0, 3, clone.Intern("Rome"));
+  EXPECT_FALSE(clone.content_hash_memo().Get().has_value());
   EXPECT_NE(TableContentHash(clone), hash);
   ExpectHashIsFresh(clone);
+  clone.SetValue(0, 3, clone.Intern("Paris"));  // back to the source
+  EXPECT_EQ(TableContentHash(clone), hash);
   EXPECT_EQ(TableContentHash(table), hash);  // the source keeps its memo
 
   Table copy(table);
