@@ -15,7 +15,6 @@
 
 #include "report_util.h"
 #include "catalog/fd_parser.h"
-#include "common/simd.h"
 #include "graph/bipartite_matching.h"
 #include "oracles/block_partition.h"
 #include "srepair/opt_srepair.h"
@@ -208,17 +207,14 @@ void Report() {
   std::cout << "span rows bit-identical to the legacy recursion on every "
                "workload (FDR_CHECKed)\n";
 
-  // --- Grouping-bound span recursion under automatic SIMD dispatch.
+  // --- Grouping-bound span recursion.
   //
-  // Instances where grouping dominates the recursion: the column sweeps
-  // and SIMD gathers of storage/row_span.h are most of the time here.
+  // Instances where grouping dominates the recursion: the fused column
+  // sweeps of storage/row_span.h are most of the time here.
   // Marriage instances are left out — their matching step does no
   // grouping. Outputs are FDR_CHECKed bit-identical to the legacy
   // recursion.
-  Banner("hotpath.columnar",
-         "Grouping-bound span recursion (columnar + SIMD dispatch)");
-  std::cout << "active SIMD dispatch: "
-            << simd::SimdModeName(simd::ActiveSimdMode()) << "\n";
+  Banner("hotpath.columnar", "Grouping-bound span recursion (columnar)");
   ReportTable columnar_table({"workload", "n", "span (ms)", "us/tuple"});
   struct GroupingWorkload {
     std::string label;

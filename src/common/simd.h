@@ -1,90 +1,22 @@
-// SIMD kernels for the columnar grouping hot path.
-//
-// The OptSRepair recursion (and everything else built on GroupScratch)
-// spends its time sweeping one attribute's ValueIds for a window of rows.
-// With the column store (storage/table.h) those sweeps are gathers from one
-// contiguous int32 array, which AVX2 turns into 8-lane vpgatherdd loops.
-// This header is the single dispatch point:
-//
-//   - compile-time gate: the FDREPAIR_SIMD CMake option (default ON)
-//     defines FDREPAIR_SIMD_DISABLED when OFF, compiling the AVX2 kernels
-//     out entirely — the portable scalar loops are all that remains;
-//   - runtime gate: even when compiled in, the AVX2 kernels only run when
-//     the CPU reports AVX2 support AND the FDREPAIR_SIMD environment
-//     variable does not force the scalar path ("off"/"scalar"/"0");
-//   - test/bench override: ForceSimdMode pins one path for A/B timing and
-//     for the bit-identity property tests.
-//
-// Every kernel is pure integer arithmetic, so the AVX2 and scalar paths
-// produce bit-identical outputs by construction; tests/simd_test.cc and the
-// grouping oracle in tests/row_span_test.cc pin that, and bench_hotpath
-// FDR_CHECKs full repair outputs across dispatch modes.
-//
-// The AVX2 bodies carry __attribute__((target("avx2"))), so no global
-// -mavx2 flag is needed: default builds include both paths and choose at
-// runtime. (Building with -mavx2 anyway is fine and exercises the
-// compile-time side of the dispatch; CI's simd-matrix leg does both.)
+// A header-only stub kept for one reader: the served-request benchmark
+// (perfbench/served_bench.cc) prints SimdModeName(ActiveSimdMode()) in its
+// run fingerprint. Every grouping and Satisfies sweep runs one portable
+// scalar pass (storage/row_span.cc), so the only mode is kScalar. Nothing
+// else in the tree includes this header.
 
 #ifndef FDREPAIR_COMMON_SIMD_H_
 #define FDREPAIR_COMMON_SIMD_H_
-
-#include <cstdint>
-
-// The AVX2 kernels are available when the build did not disable them, the
-// target is x86-64, and the compiler understands the target attribute
-// (GCC/Clang — the only compilers the build configures flags for).
-#if !defined(FDREPAIR_SIMD_DISABLED) && defined(__x86_64__) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define FDREPAIR_SIMD_AVX2_KERNELS 1
-#else
-#define FDREPAIR_SIMD_AVX2_KERNELS 0
-#endif
 
 namespace fdrepair {
 namespace simd {
 
 enum class SimdMode {
   kScalar,
-  kAvx2,
 };
 
-/// True iff the running CPU supports AVX2 (independent of build flags).
-bool CpuSupportsAvx2();
+inline SimdMode ActiveSimdMode() { return SimdMode::kScalar; }
 
-/// The mode the kernels below actually dispatch to: kAvx2 iff the kernels
-/// were compiled in, the CPU supports them, and neither ForceSimdMode nor
-/// the FDREPAIR_SIMD environment variable ("off"/"scalar"/"0") pinned the
-/// scalar path. The environment decision is made once and cached.
-SimdMode ActiveSimdMode();
-
-/// Pins dispatch for tests/benches (kScalar is always honored; kAvx2 only
-/// when compiled in and CPU-supported). Not thread-safe against concurrent
-/// kernel calls — flip only from single-threaded test/bench setup code.
-void ForceSimdMode(SimdMode mode);
-/// Returns dispatch to the automatic (CPU + environment) decision.
-void ClearForcedSimdMode();
-
-const char* SimdModeName(SimdMode mode);
-
-/// out[i] = column[rows[i]] for i in [0, n); returns the maximum gathered
-/// value (INT32_MIN when n == 0). The gather and the max are fused so the
-/// single-attribute grouping path reads the column exactly once.
-int32_t GatherWithMax(const int32_t* column, const int* rows, int n,
-                      int32_t* out);
-
-/// The packed two-attribute grouping key: v1 in the high 32 bits. The ONE
-/// definition of the packing — the scalar kernel, the AVX2 tail loop and
-/// the fused small-window grouping path all call this, so the
-/// scalar/AVX2/fused bit-identity contract cannot drift.
-inline uint64_t PackPair(int32_t v1, int32_t v2) {
-  return (static_cast<uint64_t>(static_cast<uint32_t>(v1)) << 32) |
-         static_cast<uint32_t>(v2);
-}
-
-/// out[i] = PackPair(c1[rows[i]], c2[rows[i]]): the packed two-attribute
-/// grouping key, 8 rows per AVX2 iteration.
-void GatherPackPairs(const int32_t* c1, const int32_t* c2, const int* rows,
-                     int n, uint64_t* out);
+inline const char* SimdModeName(SimdMode) { return "scalar"; }
 
 }  // namespace simd
 }  // namespace fdrepair

@@ -4,11 +4,6 @@
 
 namespace fdrepair {
 
-void PartitionSpanByAttrs(RowSpan span, AttrSet attrs, GroupScratch* scratch,
-                          std::vector<int>* group_ends) {
-  scratch->GroupInPlace(span, attrs, group_ends);
-}
-
 void BaseBlockIndex::Add(const TupleId* ids, int n) {
   const int block = num_blocks();
   blocks_.emplace_back(ids, n);

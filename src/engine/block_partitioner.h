@@ -2,12 +2,13 @@
 //
 // Every simplification step solves independent sub-instances: σ_{A=a}T
 // groups for common-lhs/consensus steps and σ_{X1=a1,X2=a2}T blocks for an
-// lhs marriage. This module partitions a step's rows in place — each block
-// a contiguous window of one shared row-index buffer, in first-appearance
-// order, tagged (for marriages) with its bipartite endpoints — so the
-// recursion can hand the blocks to a ThreadPool without re-deriving group
-// membership, and it matches a mutated table's top-level blocks against a
-// captured plan's (BaseBlockIndex, the delta path).
+// lhs marriage. The σ_{A=a}T groups are one GroupScratch::GroupInPlace call
+// (storage/row_span.h), which the recursion makes directly. This module
+// adds the marriage blocks — each a contiguous window of one shared
+// row-index buffer, in first-appearance order, tagged with its bipartite
+// endpoints — so the recursion can hand the blocks to a ThreadPool without
+// re-deriving group membership, and it matches a mutated table's top-level
+// blocks against a captured plan's (BaseBlockIndex, the delta path).
 //
 // Blocks only *read* the parent table (see storage/table.h for the
 // concurrent-reader contract), so no copies are made. The materializing
@@ -27,18 +28,12 @@
 namespace fdrepair {
 
 // Span-based in-place partitioning — the OptSRepair hot path. Instead of
-// materializing per-block index vectors, these permute the caller's shared
+// materializing per-block index vectors, this permutes the caller's shared
 // row-index buffer so each block becomes a contiguous sub-window, and only
-// report block boundaries. Block order (first-appearance of the
+// reports block boundaries. Block order (first-appearance of the
 // projection) and within-block row order are identical to
 // TableView::GroupRows; `scratch` supplies the reusable grouping buffers
 // (one per concurrent caller — see storage/row_span.h).
-
-/// Permutes `span` in place into the σ_{attrs=·} groups; clears and fills
-/// *group_ends with each group's end offset (group g occupies
-/// [g == 0 ? 0 : ends[g-1], ends[g])).
-void PartitionSpanByAttrs(RowSpan span, AttrSet attrs, GroupScratch* scratch,
-                          std::vector<int>* group_ends);
 
 /// Permutes `span` in place into the σ_{X1=a1,X2=a2} marriage blocks
 /// (grouping by X1 ∪ X2) and assigns every block its dense left (π_X1) and

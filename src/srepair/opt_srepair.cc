@@ -373,7 +373,7 @@ Status Recurse(const RecursionContext& ctx, int depth, RowSpan span,
       // groups disagree on A ∈ lhs of every FD, so the union is consistent.
       RecursionScratch& scratch = LocalScratch();
       ScopedIntBuffer group_ends(&scratch.groups);
-      PartitionSpanByAttrs(span, step.removed, &scratch.groups, &*group_ends);
+      scratch.groups.GroupInPlace(span, step.removed, &*group_ends);
       const int num_blocks = static_cast<int>(group_ends->size());
       if (num_blocks == span.num_tuples() &&
           (depth > 0 || ctx.capture == nullptr)) {
@@ -401,7 +401,7 @@ Status Recurse(const RecursionContext& ctx, int depth, RowSpan span,
       // A-group independently and keep only the heaviest repair.
       RecursionScratch& scratch = LocalScratch();
       ScopedIntBuffer group_ends(&scratch.groups);
-      PartitionSpanByAttrs(span, step.removed, &scratch.groups, &*group_ends);
+      scratch.groups.GroupInPlace(span, step.removed, &*group_ends);
       const int num_blocks = static_cast<int>(group_ends->size());
       if (num_blocks == span.num_tuples() &&
           (depth > 0 || ctx.capture == nullptr)) {

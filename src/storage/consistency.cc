@@ -6,13 +6,12 @@ bool Satisfies(const TableView& view, const FdSet& fds) {
   // Hash-plus-witness lhs grouping (ProjectionIndex, storage/row_span.h):
   // no per-row ProjectionKey is ever materialized. Satisfies sits on the
   // verify and serving paths, where it runs once per candidate repair.
-  // Single-attribute lhs (the common FD shape) takes a fast path: one SIMD
-  // gather per column and an epoch-stamped DenseValueIndex sweep instead
+  // Single-attribute lhs (the common FD shape) takes a fast path: an
+  // epoch-stamped DenseValueIndex sweep straight off the lhs column instead
   // of projection hashing.
   const int n = view.num_tuples();
   const int* rows = view.rows().data();
   DenseValueIndex lhs_values;
-  std::vector<ValueId> lhs_staged;  // gathered lhs values, dense by view row
   ProjectionIndex lhs_index;
   std::vector<ValueId> rhs;  // entry -> the rhs value the group must share
   for (const Fd& fd : fds.fds()) {
@@ -20,8 +19,8 @@ bool Satisfies(const TableView& view, const FdSet& fds) {
     const ValueId* rhs_column = view.table().ColumnData(fd.rhs);
     // One row-by-row sweep with an early exit at the first violation,
     // instantiated once per way of finding a row's lhs group. rhs values
-    // are read straight from their column — staging them would cost a
-    // full pass before the first violation check.
+    // and lhs values are read straight from their columns — staging them
+    // would cost a full pass before the first violation check.
     auto sweep = [&](auto group_of) {
       rhs.clear();
       for (int i = 0; i < n; ++i) {
@@ -41,19 +40,6 @@ bool Satisfies(const TableView& view, const FdSet& fds) {
       lhs_index.Clear();
       ok = sweep([&](int i, bool* created) {
         return lhs_index.FindOrCreate(view.table(), rows[i], fd.lhs, created);
-      });
-    } else if (n >= kSimdStagingMinRows &&
-               simd::ActiveSimdMode() == simd::SimdMode::kAvx2) {
-      // Same size dispatch as the grouping core: large views stage the
-      // lhs column through the SIMD gather first; small views read it
-      // straight off the column.
-      const ValueId* lhs_column = view.table().ColumnData(fd.lhs.First());
-      lhs_staged.resize(n);
-      lhs_values.Clear();
-      lhs_values.Reserve(
-          simd::GatherWithMax(lhs_column, rows, n, lhs_staged.data()));
-      ok = sweep([&](int i, bool* created) {
-        return lhs_values.FindOrCreate(lhs_staged[i], created);
       });
     } else {
       const ValueId* lhs_column = view.table().ColumnData(fd.lhs.First());

@@ -44,34 +44,25 @@ int GroupScratch::AssignGroupsSingleAttr(RowSpan span, AttrId attr) {
   const ValueId* column = span.table().ColumnData(attr);
   const int* rows = span.data();
   value_index_.Clear();
+  // One fused pass straight off the contiguous column: no staging, no max
+  // prescan (the slot table grows on demand and retains its high-water
+  // capacity across calls).
   bool created = false;
-  if (n >= kSimdStagingMinRows &&
-      simd::ActiveSimdMode() == simd::SimdMode::kAvx2) {
-    // Large windows: one 8-lane gather+max pass stages the key values into
-    // a dense buffer (sizing the slot table in the same pass); the dedup
-    // loop then streams the staging buffer sequentially. Group ids come
-    // out in first-appearance order on both paths, so the staged and fused
-    // variants are bit-identical.
-    if (static_cast<int>(gathered_values_.size()) < n) {
-      gathered_values_.resize(n);
-    }
-    const ValueId max_value =
-        simd::GatherWithMax(column, rows, n, gathered_values_.data());
-    value_index_.Reserve(max_value);
-    for (int i = 0; i < n; ++i) {
-      group_of_row_[i] =
-          value_index_.FindOrCreate(gathered_values_[i], &created);
-    }
-    return value_index_.size();
-  }
-  // Small windows (or scalar dispatch): a fused single pass straight off
-  // the contiguous column — no staging, no max prescan (the slot table
-  // grows on demand and retains its high-water capacity across calls).
   for (int i = 0; i < n; ++i) {
     group_of_row_[i] = value_index_.FindOrCreate(column[rows[i]], &created);
   }
   return value_index_.size();
 }
+
+namespace {
+
+/// The exact two-attribute grouping key: v1 in the high 32 bits.
+uint64_t PackPair(ValueId v1, ValueId v2) {
+  return (static_cast<uint64_t>(static_cast<uint32_t>(v1)) << 32) |
+         static_cast<uint32_t>(v2);
+}
+
+}  // namespace
 
 int GroupScratch::AssignGroupsPackedPair(RowSpan span, AttrId a1, AttrId a2) {
   const int n = span.num_tuples();
@@ -79,30 +70,13 @@ int GroupScratch::AssignGroupsPackedPair(RowSpan span, AttrId a1, AttrId a2) {
   const ValueId* c2 = span.table().ColumnData(a2);
   const int* rows = span.data();
   packed_group_.clear();
+  // One fused pass: pack each row's key straight off the two contiguous
+  // columns and deduplicate it in the same step.
   int num_groups = 0;
-  if (n >= kSimdStagingMinRows &&
-      simd::ActiveSimdMode() == simd::SimdMode::kAvx2) {
-    // Large windows: gather both key columns and pack the exact 64-bit
-    // keys 8 rows per iteration; the hash-map dedup then streams a dense
-    // buffer.
-    if (static_cast<int>(gathered_pairs_.size()) < n) {
-      gathered_pairs_.resize(n);
-    }
-    simd::GatherPackPairs(c1, c2, rows, n, gathered_pairs_.data());
-    for (int i = 0; i < n; ++i) {
-      auto [it, inserted] =
-          packed_group_.emplace(gathered_pairs_[i], num_groups);
-      if (inserted) ++num_groups;
-      group_of_row_[i] = it->second;
-    }
-    return num_groups;
-  }
-  // Small windows (or scalar dispatch): fused pack straight off the two
-  // contiguous columns.
   for (int i = 0; i < n; ++i) {
     const int row = rows[i];
     auto [it, inserted] =
-        packed_group_.emplace(simd::PackPair(c1[row], c2[row]), num_groups);
+        packed_group_.emplace(PackPair(c1[row], c2[row]), num_groups);
     if (inserted) ++num_groups;
     group_of_row_[i] = it->second;
   }

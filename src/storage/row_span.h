@@ -19,10 +19,9 @@
 //     (the 2-set marriage case), and hash-plus-witness verification beyond
 //     that — never a heap-allocated projection key;
 //   - every path reads the Table's contiguous per-attribute columns
-//     (storage/table.h); on large windows the 1- and 2-attribute paths
-//     first pull the window's key values into a dense scratch buffer with
-//     one SIMD gather (common/simd.h — AVX2 with a bit-identical scalar
-//     fallback), and the dedup loop runs over that buffer.
+//     (storage/table.h) in one fused pass per window: each row's key is
+//     read off its column and deduplicated in the same step, with no
+//     staging buffer in between.
 //
 // Distinct spans cover disjoint buffer ranges, so concurrent recursions may
 // permute their own spans without synchronization (each worker additionally
@@ -41,16 +40,9 @@
 #include <vector>
 
 #include "catalog/attrset.h"
-#include "common/simd.h"
 #include "storage/table.h"
 
 namespace fdrepair {
-
-/// Below this window size a SIMD staging pass costs more than it saves
-/// (kernel call + staging write/read per row vs a handful of scalar
-/// loads); measured crossover is around a few hundred rows. Shared by the
-/// grouping fast paths and Satisfies' columnar sweep.
-inline constexpr int kSimdStagingMinRows = 256;
 
 /// A non-owning window over a contiguous range of a shared row-index
 /// buffer. The Table and the buffer must outlive the span. Reads go through
@@ -199,8 +191,7 @@ class DenseValueIndex {
   }
 
   /// Pre-grows slot storage so FindOrCreate never resizes mid-loop.
-  /// Negative maxima (e.g. the gather kernel's INT32_MIN on an empty
-  /// window) are no-ops.
+  /// Negative maxima (e.g. an empty pool's size - 1) are no-ops.
   void Reserve(ValueId max_value) {
     if (max_value >= 0 && static_cast<size_t>(max_value) >= slots_.size()) {
       slots_.resize(static_cast<size_t>(max_value) + 1);
@@ -298,10 +289,6 @@ class GroupScratch {
   /// Single-attribute fast path: ValueId -> dense group id (epoch-stamped,
   /// O(1) clear); also resolves marriage endpoints for 1-attribute sides.
   DenseValueIndex value_index_;
-  /// Columnar staging: the gathered key values / packed pair keys of the
-  /// span's window, dense and contiguous for the dedup loop.
-  std::vector<ValueId> gathered_values_;
-  std::vector<uint64_t> gathered_pairs_;
   /// Two-attribute fast path: exact packed (v1, v2) key.
   std::unordered_map<uint64_t, int> packed_group_;
   /// Generic path: hash-plus-witness projection index.

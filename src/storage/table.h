@@ -105,8 +105,8 @@ class HashMemo {
 /// Tuples are stored column-major: one contiguous ValueId vector per
 /// attribute, plus the parallel id and weight vectors, all indexed by dense
 /// row position. Single-attribute scans — the grouping hot path — are
-/// contiguous sweeps that feed the SIMD gather kernels (common/simd.h), and
-/// a row is read cell by cell through value(). The ValuePool is shared via
+/// contiguous sweeps over one column (storage/row_span.h), and a row is
+/// read cell by cell through value(). The ValuePool is shared via
 /// shared_ptr so repairs (subsets, updates) of the same table can intern
 /// new values — in particular fresh constants — without copying the
 /// dictionary.

@@ -1,5 +1,6 @@
 #include "storage/table_hash.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <limits>
@@ -31,34 +32,6 @@ uint64_t HeaderTerm(const Schema& schema) {
   return header.digest();
 }
 
-/// S(row) summed over rows [first, first + n), where `predecessor` is
-/// id(first - 1). The n chains advance one word at a time side by side, so
-/// their dependent Mix64 steps overlap instead of serializing.
-template <int n>
-uint64_t SumRows(const Table& table, const ValuePool::ReadView& values,
-                 int first, TupleId predecessor) {
-  uint64_t state[n];
-  for (int i = 0; i < n; ++i) {
-    const TupleId id = table.id(first + i);
-    state[i] = Mix64(std::rotl(static_cast<uint64_t>(predecessor), 32) ^
-                     static_cast<uint64_t>(id));
-    predecessor = id;
-  }
-  for (int i = 0; i < n; ++i) {
-    state[i] = (state[i] ^ DoubleBits(table.weight(first + i))) *
-               kWeightMultiplier;
-  }
-  for (AttrId a = 0; a < table.schema().arity(); ++a) {
-    const ValueId* column = table.ColumnData(a) + first;
-    for (int i = 0; i < n; ++i) {
-      state[i] = Mix64(state[i] ^ values.digest(column[i]));
-    }
-  }
-  uint64_t sum = 0;
-  for (int i = 0; i < n; ++i) sum += state[i];
-  return sum;
-}
-
 }  // namespace
 
 void StableHasher::MixUint64(uint64_t value) {
@@ -79,18 +52,35 @@ void StableHasher::MixString(std::string_view text) {
 }
 
 uint64_t ContentHashRows(const Table& table, int begin, int end) {
-  constexpr int kTile = 8;
+  // S(row) for a chunk of rows at a time, swept column by column: the
+  // chunk's chains advance one word at a time side by side, so their
+  // dependent Mix64 steps overlap instead of serializing. The chunk lives
+  // on the stack, so the one-row calls of the memo upkeep never allocate.
+  // Unrolling the cell loop by 8 amortizes its per-cell digest bounds
+  // check; without it GCC 12 runs this pass about 1.15x slower.
+  constexpr int kChunk = 256;
+  uint64_t state[kChunk];
   const ValuePool::ReadView values = table.pool()->read();
   uint64_t sum = 0;
-  int row = begin;
-  auto predecessor = [&] {
-    return row == 0 ? kNoPredecessor : table.id(row - 1);
-  };
-  for (; row + kTile <= end; row += kTile) {
-    sum += SumRows<kTile>(table, values, row, predecessor());
-  }
-  for (; row < end; ++row) {
-    sum += SumRows<1>(table, values, row, predecessor());
+  for (int first = begin; first < end; first += kChunk) {
+    const int n = std::min(kChunk, end - first);
+    TupleId predecessor = first == 0 ? kNoPredecessor : table.id(first - 1);
+    for (int i = 0; i < n; ++i) {
+      const TupleId id = table.id(first + i);
+      state[i] = Mix64(std::rotl(static_cast<uint64_t>(predecessor), 32) ^
+                       static_cast<uint64_t>(id));
+      state[i] = (state[i] ^ DoubleBits(table.weight(first + i))) *
+                 kWeightMultiplier;
+      predecessor = id;
+    }
+    for (AttrId a = 0; a < table.schema().arity(); ++a) {
+      const ValueId* column = table.ColumnData(a) + first;
+#pragma GCC unroll 8
+      for (int i = 0; i < n; ++i) {
+        state[i] = Mix64(state[i] ^ values.digest(column[i]));
+      }
+    }
+    for (int i = 0; i < n; ++i) sum += state[i];
   }
   return sum;
 }

@@ -11,8 +11,7 @@
 // the convenient interface for everything off the hot path, and the oracle
 // the span core is tested against: GroupRows keys a plain hash map by
 // materialized projections, with none of the grouping core's fast paths,
-// and tests/row_span_test.cc pins GroupScratch (scalar and SIMD dispatch)
-// to it.
+// and tests/row_span_test.cc pins GroupScratch to it.
 
 #ifndef FDREPAIR_STORAGE_TABLE_VIEW_H_
 #define FDREPAIR_STORAGE_TABLE_VIEW_H_

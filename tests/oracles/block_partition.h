@@ -5,10 +5,11 @@
 // order: σ_{A=a}T groups for common-lhs/consensus steps and
 // σ_{X1=a1,X2=a2}T blocks, tagged with their bipartite endpoints, for an
 // lhs marriage. The production recursion partitions in place instead
-// (PartitionSpanByAttrs / PartitionSpanForMarriage in
-// engine/block_partitioner.h); these materializing forms are the oracle
-// the span forms and the span recursion are pinned against, and the
-// denominator bench/bench_hotpath.cc times them by.
+// (GroupScratch::GroupInPlace in storage/row_span.h and
+// PartitionSpanForMarriage in engine/block_partitioner.h); these
+// materializing forms are the oracle the span forms and the span recursion
+// are pinned against, and the denominator bench/bench_hotpath.cc times
+// them by.
 
 #ifndef FDREPAIR_TESTS_ORACLES_BLOCK_PARTITION_H_
 #define FDREPAIR_TESTS_ORACLES_BLOCK_PARTITION_H_

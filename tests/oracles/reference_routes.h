@@ -13,7 +13,7 @@
 // and benches link and the production libraries never do.
 //
 // tests/urepair_routes_test.cc pins the live routes bit-identical to these
-// across all named FD sets, thread counts and SIMD dispatch modes;
+// across all named FD sets and thread counts;
 // bench/bench_sec4_urepair_routes.cc measures the live routes against them
 // (the tracked `urepair.span_speedup` floor).
 

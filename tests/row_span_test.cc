@@ -5,11 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
 #include "common/random.h"
-#include "common/simd.h"
 #include "engine/block_partitioner.h"
 #include "oracles/block_partition.h"
 #include "storage/row_span.h"
@@ -195,24 +195,18 @@ TEST(GroupScratchTest, WindowIsPermutedInPlaceOnly) {
   }
 }
 
-/// Restores the default SIMD dispatch on scope exit, so test order cannot
-/// leak a pinned configuration.
-struct DispatchGuard {
-  ~DispatchGuard() { simd::ClearForcedSimdMode(); }
-};
-
 // The grouping oracle: on random tables and 1/2/3+ attribute keys, the
-// grouping core (under both SIMD and forced scalar dispatch) must produce
-// exactly the grouping of TableView::GroupRows — same permutation, same
-// group boundaries. This is what keeps the fast paths from ever drifting
-// from GroupRows.
-TEST(GroupScratchTest, MatchesGroupRowsOnRandomTablesAcrossDispatch) {
-  DispatchGuard guard;
+// grouping core must produce exactly the grouping of TableView::GroupRows —
+// same permutation, same group boundaries. Windows run from a single row to
+// about 2,000 rows, and every other trial groups the rows in reverse order,
+// so the window is not the identity. This is what keeps the fast paths from
+// ever drifting from GroupRows.
+TEST(GroupScratchTest, MatchesGroupRowsOnRandomTables) {
   Rng rng(97);
   ParsedFdSet parsed = Example31Ssn();  // 7 attributes
   GroupScratch scratch;
-  for (int trial = 0; trial < 12; ++trial) {
-    const int n = 40 + static_cast<int>(rng.UniformUint64(400));
+  for (int trial = 0; trial < 16; ++trial) {
+    const int n = 1 + static_cast<int>(rng.UniformUint64(2000));
     const int family = 3 + static_cast<int>(rng.UniformUint64(40));
     Table table = ScalingFamilyTable(parsed, n, family, 3);
     // Random key width 1..4 over random attributes.
@@ -222,56 +216,46 @@ TEST(GroupScratchTest, MatchesGroupRowsOnRandomTablesAcrossDispatch) {
       attrs = attrs.With(static_cast<AttrId>(
           rng.UniformUint64(table.schema().arity())));
     }
-    GroupedRows expected = TableView(table).GroupRows(attrs);
-    for (simd::SimdMode mode :
-         {simd::SimdMode::kScalar, simd::SimdMode::kAvx2}) {
-      simd::ForceSimdMode(mode);
-      std::vector<int> buffer = AllRows(table);
-      RowSpan span(table, buffer.data(), static_cast<int>(buffer.size()));
-      std::vector<int> group_ends;
-      scratch.GroupInPlace(span, attrs, &group_ends);
-      std::vector<std::vector<int>> groups = GroupsOf(buffer, group_ends);
-      ASSERT_EQ(groups.size(), expected.rows.size())
-          << "trial " << trial << " attrs " << attrs.ToString() << " mode "
-          << simd::SimdModeName(mode);
-      for (size_t g = 0; g < groups.size(); ++g) {
-        ASSERT_EQ(groups[g], expected.rows[g])
-            << "trial " << trial << " attrs " << attrs.ToString() << " mode "
-            << simd::SimdModeName(mode) << " group " << g;
-      }
+    std::vector<int> buffer = AllRows(table);
+    if (trial % 2 == 1) std::reverse(buffer.begin(), buffer.end());
+    GroupedRows expected = TableView(table, buffer).GroupRows(attrs);
+    RowSpan span(table, buffer.data(), static_cast<int>(buffer.size()));
+    std::vector<int> group_ends;
+    scratch.GroupInPlace(span, attrs, &group_ends);
+    std::vector<std::vector<int>> groups = GroupsOf(buffer, group_ends);
+    ASSERT_EQ(groups.size(), expected.rows.size())
+        << "trial " << trial << " n " << n << " attrs " << attrs.ToString();
+    for (size_t g = 0; g < groups.size(); ++g) {
+      ASSERT_EQ(groups[g], expected.rows[g])
+          << "trial " << trial << " n " << n << " attrs " << attrs.ToString()
+          << " group " << g;
     }
   }
 }
 
 // Marriage endpoint assignment must also match the materializing
-// partition under both dispatch modes (the single-attribute endpoint path
-// reads the column directly).
-TEST(GroupScratchTest, MarriageEndpointsMatchPartitionAcrossDispatch) {
-  DispatchGuard guard;
+// partition (the single-attribute endpoint path reads the column directly).
+TEST(GroupScratchTest, MarriageEndpointsMatchPartition) {
   ParsedFdSet parsed = DeltaAKeyBToC();
   Table table = ScalingFamilyTable(parsed, 500, 11);
   AttrSet x1 = AttrSet::Singleton(0);
   AttrSet x2 = AttrSet::Singleton(1);
   BlockPartition expected = PartitionForMarriage(TableView(table), x1, x2);
-  for (simd::SimdMode mode :
-       {simd::SimdMode::kScalar, simd::SimdMode::kAvx2}) {
-    simd::ForceSimdMode(mode);
-    std::vector<int> buffer = AllRows(table);
-    RowSpan span(table, buffer.data(), static_cast<int>(buffer.size()));
-    GroupScratch scratch;
-    std::vector<int> group_ends, left, right;
-    int num_left = 0, num_right = 0;
-    PartitionSpanForMarriage(span, x1, x2, &scratch, &group_ends, &left,
-                             &right, &num_left, &num_right);
-    ASSERT_EQ(group_ends.size(), expected.blocks.size());
-    EXPECT_EQ(num_left, expected.num_left);
-    EXPECT_EQ(num_right, expected.num_right);
-    std::vector<std::vector<int>> blocks = GroupsOf(buffer, group_ends);
-    for (size_t b = 0; b < blocks.size(); ++b) {
-      EXPECT_EQ(blocks[b], expected.blocks[b].view.rows()) << b;
-      EXPECT_EQ(left[b], expected.blocks[b].left) << b;
-      EXPECT_EQ(right[b], expected.blocks[b].right) << b;
-    }
+  std::vector<int> buffer = AllRows(table);
+  RowSpan span(table, buffer.data(), static_cast<int>(buffer.size()));
+  GroupScratch scratch;
+  std::vector<int> group_ends, left, right;
+  int num_left = 0, num_right = 0;
+  PartitionSpanForMarriage(span, x1, x2, &scratch, &group_ends, &left, &right,
+                           &num_left, &num_right);
+  ASSERT_EQ(group_ends.size(), expected.blocks.size());
+  EXPECT_EQ(num_left, expected.num_left);
+  EXPECT_EQ(num_right, expected.num_right);
+  std::vector<std::vector<int>> blocks = GroupsOf(buffer, group_ends);
+  for (size_t b = 0; b < blocks.size(); ++b) {
+    EXPECT_EQ(blocks[b], expected.blocks[b].view.rows()) << b;
+    EXPECT_EQ(left[b], expected.blocks[b].left) << b;
+    EXPECT_EQ(right[b], expected.blocks[b].right) << b;
   }
 }
 

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "common/simd.h"
 #include "engine/thread_pool.h"
 #include "graph/bipartite_matching.h"
 #include "oracles/block_partition.h"
@@ -185,39 +184,6 @@ INSTANTIATE_TEST_SUITE_P(
     SetsAndSeeds, SpanRecursionPropertyTest,
     ::testing::Combine(::testing::ValuesIn(TractableSetIndices()),
                        ::testing::Values(uint64_t{1009}, uint64_t{1013})));
-
-// The SIMD dispatch matrix: whole-recursion outputs must be bit-identical
-// under forced scalar and AVX2 dispatch on every tractable named set. This
-// is the end-to-end companion of the grouping-level oracle in
-// row_span_test.cc — if a kernel or fast path ever drifts, the kept-row
-// sets diverge here.
-TEST(SpanRecursionTest, BitIdenticalAcrossSimdDispatch) {
-  struct DispatchGuard {
-    ~DispatchGuard() { simd::ClearForcedSimdMode(); }
-  } guard;
-  Rng rng(5150);
-  for (const NamedFdSet& named : AllNamedFdSets()) {
-    if (!OsrSucceeds(named.parsed.fds)) continue;
-    RandomTableOptions options;
-    options.num_tuples = 150 + static_cast<int>(rng.UniformUint64(150));
-    options.domain_size = 2 + static_cast<int>(rng.UniformUint64(4));
-    options.heavy_fraction = 0.5;
-    Rng table_rng = rng.Fork();
-    Table table = RandomTable(named.parsed.schema, options, &table_rng);
-    TableView view(table);
-
-    simd::ForceSimdMode(simd::SimdMode::kScalar);
-    auto scalar = OptSRepairRows(named.parsed.fds, view);
-    ASSERT_TRUE(scalar.ok()) << named.name << ": " << scalar.status();
-
-    simd::ForceSimdMode(simd::SimdMode::kAvx2);
-    auto simd_rows = OptSRepairRows(named.parsed.fds, view);
-    ASSERT_TRUE(simd_rows.ok()) << named.name;
-    EXPECT_EQ(*simd_rows, *scalar)
-        << named.name << ": " << simd::SimdModeName(simd::ActiveSimdMode())
-        << " diverged from scalar";
-  }
-}
 
 // Small instances: the span core is optimal (against brute force), per
 // subroutine family.

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -670,6 +671,55 @@ TEST(ConsistencyTest, PairConsistent) {
   EXPECT_FALSE(PairConsistent(table.tuple(0), table.tuple(1), fds));
   EXPECT_TRUE(PairConsistent(table.tuple(1), table.tuple(2), fds));
   EXPECT_TRUE(PairConsistent(table.tuple(0), table.tuple(3), fds));
+}
+
+// Satisfies against the violation-enumeration oracle, on seeded tables
+// whose rhs is a function of the lhs except at a few corrupted rows. Each
+// trial checks the whole table and a reversed sub-view, over 0- to
+// 3-attribute lhs and 1 to 1,500 rows, so single-attribute lhs sweeps run
+// on small and large views alike; both outcomes must come up.
+TEST(ConsistencyTest, SatisfiesMatchesFindViolations) {
+  Schema schema = Schema::MakeOrDie("R", {"A", "B", "C", "D", "E"});
+  const char* const kFds[] = {"{} -> E", "A -> E", "A B -> E", "A B C -> E"};
+  Rng rng(1931);
+  int satisfied = 0, violated = 0;
+  for (int trial = 0; trial < 48; ++trial) {
+    const int width = trial % 4;
+    FdSet fds = ParseFdSetOrDie(schema, kFds[width]);
+    const int n = 1 + static_cast<int>(rng.UniformUint64(1500));
+    const uint64_t domain = 2 + rng.UniformUint64(6);
+    const int corrupted = static_cast<int>(rng.UniformUint64(3));
+    Table table(schema);
+    for (int row = 0; row < n; ++row) {
+      std::vector<std::string> values;
+      uint64_t key = 0;
+      for (int attr = 0; attr < 4; ++attr) {
+        const uint64_t v = rng.UniformUint64(domain);
+        if (attr < width) key = key * 31 + v;
+        values.push_back("v" + std::to_string(v));
+      }
+      values.push_back("r" + std::to_string(key % 5));
+      table.AddTuple(values);
+    }
+    for (int c = 0; c < corrupted; ++c) {
+      const int row = static_cast<int>(rng.UniformUint64(n));
+      table.SetValue(row, 4, table.Intern("x" + std::to_string(c)));
+    }
+    const int begin = static_cast<int>(rng.UniformUint64(n));
+    const int end = begin + 1 + static_cast<int>(rng.UniformUint64(n - begin));
+    std::vector<int> reversed;
+    for (int row = end - 1; row >= begin; --row) reversed.push_back(row);
+    for (const TableView& view :
+         {TableView(table), TableView(table, std::move(reversed))}) {
+      const bool expected = FindViolations(view, fds).empty();
+      EXPECT_EQ(Satisfies(view, fds), expected)
+          << "trial " << trial << " fds " << kFds[width] << " rows "
+          << view.num_tuples();
+      ++(expected ? satisfied : violated);
+    }
+  }
+  EXPECT_GT(satisfied, 0);
+  EXPECT_GT(violated, 0);
 }
 
 TEST(DistanceTest, DistSubMatchesExample23) {

@@ -5,8 +5,7 @@
 // Since the routes were ported onto the span/columnar grouping core, this
 // file also pins them bit-identical to the preserved pre-port reference
 // implementations (oracles/reference_routes.h) across every named FD set,
-// thread counts 1/2/8, and the SIMD dispatch matrix — the §4 companion of
-// span_recursion_test.cc.
+// and thread counts 1/2/8 — the §4 companion of span_recursion_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +13,6 @@
 #include <tuple>
 
 #include "common/random.h"
-#include "common/simd.h"
 #include "engine/thread_pool.h"
 #include "oracles/reference_routes.h"
 #include "srepair/opt_srepair.h"
@@ -380,38 +378,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Range(0, static_cast<int>(AllNamedFdSets().size())),
         ::testing::Values(uint64_t{2027}, uint64_t{2029})));
-
-// The SIMD dispatch matrix on the full U-planner: bit-identical outputs
-// under forced scalar and AVX2 dispatch — the §4 companion of
-// SpanRecursionTest.BitIdenticalAcrossSimdDispatch.
-TEST(URepairSpanDispatchTest, BitIdenticalAcrossSimd) {
-  struct DispatchGuard {
-    ~DispatchGuard() { simd::ClearForcedSimdMode(); }
-  } guard;
-  URepairOptions options;
-  options.allow_exact_search = false;
-  Rng rng(6007);
-  for (const NamedFdSet& named : AllNamedFdSets()) {
-    RandomTableOptions topt;
-    topt.num_tuples = 100 + static_cast<int>(rng.UniformUint64(120));
-    topt.domain_size = 2 + static_cast<int>(rng.UniformUint64(4));
-    topt.heavy_fraction = 0.5;
-    Rng table_rng = rng.Fork();
-    Table table = RandomTable(named.parsed.schema, topt, &table_rng);
-
-    simd::ForceSimdMode(simd::SimdMode::kScalar);
-    auto scalar = ComputeURepair(named.parsed.fds, table, options);
-    ASSERT_TRUE(scalar.ok()) << named.name << ": " << scalar.status();
-
-    simd::ForceSimdMode(simd::SimdMode::kAvx2);
-    auto simd_update = ComputeURepair(named.parsed.fds, table, options);
-    ASSERT_TRUE(simd_update.ok()) << named.name;
-    ExpectSameUpdate(scalar->update, simd_update->update,
-                     named.name + " " +
-                         simd::SimdModeName(simd::ActiveSimdMode()));
-    EXPECT_EQ(scalar->distance, simd_update->distance) << named.name;
-  }
-}
 
 }  // namespace
 }  // namespace fdrepair
