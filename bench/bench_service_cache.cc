@@ -15,10 +15,12 @@
 // mutation rate, in both repair modes — kept-id recipe splicing for subset
 // repairs (`service.delta_us_per_request`, and `service.delta_speedup`,
 // never below 1x) and cell-edit recipe splicing for update repairs
-// (`service.udelta_speedup`, floor 2x).
+// (`service.udelta_speedup`, floor 2x), and what an update splice costs
+// over the subset splice inside it (`service.udelta_over_delta`).
 
 #include <algorithm>
 #include <chrono>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -312,44 +314,55 @@ void ReportCaptureCost() {
   std::cout << "  (median of " << reps << " sequential runs each)\n";
 }
 
-/// Incremental serving: chained 1%-mutation batches served through
-/// ApplyDelta (dirty-block splicing against the cached plan) vs a
-/// bypass-cache full re-plan of the identical mutated state. Both sides
-/// key by the builder table's content hash, which its memo keeps current,
-/// so neither pays a hashing pass and the speedup is the splice's over
-/// the re-plan's. A 1% mutation of this chain dirties ~20% of the
-/// top-level blocks, so the ratio is modest; the splice's own latency
-/// (`service.delta_us_per_request`) is gated absolutely.
-void ReportDeltaSpeedup() {
-  // Fixed size (no smoke cap): the tracked speedup compares an O(|delta|)
-  // path against an O(table) one, so shrinking the table in smoke runs
-  // would change the metric's meaning — and a single 8K instance is cheap
-  // enough for CI either way.
+/// Incremental serving, in both repair modes on one service and one delta
+/// stream: chained 1%-mutation batches served through ApplyDelta
+/// (dirty-block splicing against the cached plan — kept-id recipes in
+/// subset mode, cell-edit recipes in update mode) vs a bypass-cache full
+/// re-plan of the identical mutated state. Every side keys by the builder
+/// table's content hash, which its memo keeps current, so none pays a
+/// hashing pass and each speedup is the splice's over the re-plan's. A 1%
+/// mutation of this chain dirties ~20% of the top-level blocks, so the
+/// subset ratio is modest; the splices' own latencies
+/// (`service.delta_us_per_request`, `service.udelta_us_per_request`) are
+/// gated absolutely. What an update splice adds to the subset splice it
+/// runs inside (Corollary 4.6: freshening and emitting one edit per deleted
+/// row) is gated as `service.udelta_over_delta`, the median over rounds of
+/// update-splice over subset-splice time on the same delta, so a slow host
+/// phase hits both sides of each ratio alike.
+void ReportDeltaSplices() {
+  // Fixed size (no smoke cap): the tracked speedups compare an
+  // O(|delta|) path against an O(table) one, so shrinking the table in
+  // smoke runs would change the metrics' meaning — and a single 8K
+  // instance is cheap enough for CI either way.
   const int tuples = 8192;
   const int edits_per_round = std::max(1, tuples / 100);  // 1% mutation
   // Enough rounds to average out scheduler noise on small CI runners; each
   // round is a few ms, so this stays cheap even in smoke mode.
-  const int rounds = 16;
+  const int rounds = 32;
   Population population = MakePopulation(1, tuples);
   const Table& base = population.tables[0];
   // Update values draw from the generator's own domain so mutated tables
   // stay structurally similar to cold ones.
   const int domain = std::max(4, tuples / 16);
+  const RepairMode modes[] = {RepairMode::kSubset, RepairMode::kUpdate};
 
   RepairService service;
-  RepairRequest prime;
-  prime.mode = RepairMode::kSubset;
-  prime.fds = population.parsed.fds;
-  prime.table = &base;
-  if (auto response = service.Serve(prime); !response.ok()) {
-    std::cerr << "prime failed: " << response.status() << "\n";
-    std::exit(1);
+  for (RepairMode mode : modes) {
+    RepairRequest prime;
+    prime.mode = mode;
+    prime.fds = population.parsed.fds;
+    prime.table = &base;
+    if (auto response = service.Serve(prime); !response.ok()) {
+      std::cerr << "prime failed: " << response.status() << "\n";
+      std::exit(1);
+    }
   }
 
   Rng rng(4242);
   DeltaBuilder builder(base);
-  double delta_us = 0;
-  double full_us = 0;
+  double splice_us[2] = {0, 0};
+  double full_us[2] = {0, 0};
+  std::vector<double> update_over_subset;
   for (int round = 0; round < rounds; ++round) {
     for (int e = 0; e < edits_per_round; ++e) {
       const int row =
@@ -363,155 +376,84 @@ void ReportDeltaSpeedup() {
     }
     TableDelta delta = builder.Finish();
 
-    RepairRequest incremental = prime;
-    incremental.table = &builder.table();
-    incremental.delta = &delta;
-    Clock::time_point start = Clock::now();
-    auto spliced = service.ApplyDelta(incremental);
-    std::chrono::duration<double, std::micro> elapsed = Clock::now() - start;
-    if (!spliced.ok()) {
-      std::cerr << "delta serve failed: " << spliced.status() << "\n";
-      std::exit(1);
-    }
-    delta_us += elapsed.count();
+    double round_splice_us[2];
+    for (int m = 0; m < 2; ++m) {
+      RepairRequest incremental;
+      incremental.mode = modes[m];
+      incremental.fds = population.parsed.fds;
+      incremental.table = &builder.table();
+      incremental.delta = &delta;
+      Clock::time_point start = Clock::now();
+      auto spliced = service.ApplyDelta(incremental);
+      std::chrono::duration<double, std::micro> elapsed =
+          Clock::now() - start;
+      if (!spliced.ok()) {
+        std::cerr << RepairModeToString(modes[m])
+                  << " delta serve failed: " << spliced.status() << "\n";
+        std::exit(1);
+      }
+      round_splice_us[m] = elapsed.count();
+      splice_us[m] += elapsed.count();
 
-    RepairRequest cold = prime;
-    cold.table = &builder.table();
-    cold.options.bypass_cache = true;
-    start = Clock::now();
-    auto replanned = service.Serve(cold);
-    elapsed = Clock::now() - start;
-    if (!replanned.ok()) {
-      std::cerr << "cold replan failed: " << replanned.status() << "\n";
-      std::exit(1);
+      RepairRequest cold = incremental;
+      cold.delta = nullptr;
+      cold.options.bypass_cache = true;
+      start = Clock::now();
+      auto replanned = service.Serve(cold);
+      elapsed = Clock::now() - start;
+      if (!replanned.ok()) {
+        std::cerr << RepairModeToString(modes[m])
+                  << " replan failed: " << replanned.status() << "\n";
+        std::exit(1);
+      }
+      full_us[m] += elapsed.count();
     }
-    full_us += elapsed.count();
+    update_over_subset.push_back(round_splice_us[1] / round_splice_us[0]);
   }
-  delta_us /= rounds;
-  full_us /= rounds;
-  const double speedup = delta_us > 0 ? full_us / delta_us : 0;
-
-  RepairServiceStats stats = service.stats();
-  const double splice_ratio =
-      stats.delta_requests > 0
-          ? static_cast<double>(stats.delta_splices) /
-                static_cast<double>(stats.delta_requests)
-          : 0;
-  const uint64_t blocks =
-      stats.delta_blocks_clean + stats.delta_blocks_dirty;
-  const double clean_ratio =
-      blocks > 0 ? static_cast<double>(stats.delta_blocks_clean) /
-                       static_cast<double>(blocks)
-                 : 0;
+  const RepairServiceStats stats = service.stats();
+  const uint64_t requests[2] = {stats.delta_requests, stats.udelta_requests};
+  const uint64_t splices[2] = {stats.delta_splices, stats.udelta_splices};
+  const uint64_t clean[2] = {stats.delta_blocks_clean,
+                             stats.udelta_blocks_clean};
+  const uint64_t dirty[2] = {stats.delta_blocks_dirty,
+                             stats.udelta_blocks_dirty};
+  const char* prefix[2] = {"service.delta", "service.udelta"};
 
   ReportTable table({"path", "rounds", "us/request"});
-  table.AddRow({"delta (splice)", std::to_string(rounds), Num(delta_us)});
-  table.AddRow({"full re-plan", std::to_string(rounds), Num(full_us)});
-  table.Print();
-  std::cout << "  delta-over-full speedup: " << Num(speedup)
+  std::ostringstream summary;
+  for (int m = 0; m < 2; ++m) {
+    splice_us[m] /= rounds;
+    full_us[m] /= rounds;
+    const double speedup = splice_us[m] > 0 ? full_us[m] / splice_us[m] : 0;
+    const double splice_ratio =
+        requests[m] > 0 ? static_cast<double>(splices[m]) /
+                              static_cast<double>(requests[m])
+                        : 0;
+    const uint64_t blocks = clean[m] + dirty[m];
+    const double clean_ratio =
+        blocks > 0 ? static_cast<double>(clean[m]) /
+                         static_cast<double>(blocks)
+                   : 0;
+    const std::string mode = RepairModeToString(modes[m]);
+    table.AddRow({mode + " delta (splice)", std::to_string(rounds),
+                  Num(splice_us[m])});
+    table.AddRow(
+        {mode + " full re-plan", std::to_string(rounds), Num(full_us[m])});
+    summary << "  " << mode << " delta-over-full speedup: " << Num(speedup)
             << "x  (splice ratio " << Num(splice_ratio)
             << ", clean-block ratio " << Num(clean_ratio) << ")\n";
-
-  JsonReport::Get().Add("service.delta_us_per_request", delta_us, "us");
-  JsonReport::Get().Add("service.delta_full_us_per_request", full_us, "us");
-  JsonReport::Get().Add("service.delta_speedup", speedup, "x");
-  JsonReport::Get().Add("service.delta_clean_block_ratio", clean_ratio, "");
-}
-
-/// The update-mode twin of ReportDeltaSpeedup: chained 1%-mutation batches
-/// served through ApplyDelta on kUpdate requests (cell-edit recipe
-/// splicing against the cached U-plan) vs a bypass-cache full update
-/// re-plan of the identical mutated state. Same fixed size, and again
-/// neither side pays a hashing pass.
-void ReportUDeltaSpeedup() {
-  const int tuples = 8192;
-  const int edits_per_round = std::max(1, tuples / 100);  // 1% mutation
-  const int rounds = 16;
-  Population population = MakePopulation(1, tuples);
-  const Table& base = population.tables[0];
-  const int domain = std::max(4, tuples / 16);
-
-  RepairService service;
-  RepairRequest prime;
-  prime.mode = RepairMode::kUpdate;
-  prime.fds = population.parsed.fds;
-  prime.table = &base;
-  if (auto response = service.Serve(prime); !response.ok()) {
-    std::cerr << "prime failed: " << response.status() << "\n";
-    std::exit(1);
+    const std::string name = prefix[m];
+    JsonReport::Get().Add(name + "_us_per_request", splice_us[m], "us");
+    JsonReport::Get().Add(name + "_full_us_per_request", full_us[m], "us");
+    JsonReport::Get().Add(name + "_speedup", speedup, "x");
+    JsonReport::Get().Add(name + "_clean_block_ratio", clean_ratio, "");
   }
-
-  Rng rng(4242);
-  DeltaBuilder builder(base);
-  double delta_us = 0;
-  double full_us = 0;
-  for (int round = 0; round < rounds; ++round) {
-    for (int e = 0; e < edits_per_round; ++e) {
-      const int row =
-          static_cast<int>(rng.UniformIndex(builder.table().num_tuples()));
-      const TupleId id = builder.table().id(row);
-      const AttrId attr = static_cast<AttrId>(
-          rng.UniformIndex(builder.table().schema().arity()));
-      const std::string text =
-          "v" + std::to_string(rng.UniformInt(0, domain - 1));
-      if (!builder.Update(id, attr, text).ok()) std::exit(1);
-    }
-    TableDelta delta = builder.Finish();
-
-    RepairRequest incremental = prime;
-    incremental.table = &builder.table();
-    incremental.delta = &delta;
-    Clock::time_point start = Clock::now();
-    auto spliced = service.ApplyDelta(incremental);
-    std::chrono::duration<double, std::micro> elapsed = Clock::now() - start;
-    if (!spliced.ok()) {
-      std::cerr << "update delta serve failed: " << spliced.status() << "\n";
-      std::exit(1);
-    }
-    delta_us += elapsed.count();
-
-    RepairRequest cold = prime;
-    cold.table = &builder.table();
-    cold.options.bypass_cache = true;
-    start = Clock::now();
-    auto replanned = service.Serve(cold);
-    elapsed = Clock::now() - start;
-    if (!replanned.ok()) {
-      std::cerr << "cold update replan failed: " << replanned.status()
-                << "\n";
-      std::exit(1);
-    }
-    full_us += elapsed.count();
-  }
-  delta_us /= rounds;
-  full_us /= rounds;
-  const double speedup = delta_us > 0 ? full_us / delta_us : 0;
-
-  RepairServiceStats stats = service.stats();
-  const double splice_ratio =
-      stats.udelta_requests > 0
-          ? static_cast<double>(stats.udelta_splices) /
-                static_cast<double>(stats.udelta_requests)
-          : 0;
-  const uint64_t blocks =
-      stats.udelta_blocks_clean + stats.udelta_blocks_dirty;
-  const double clean_ratio =
-      blocks > 0 ? static_cast<double>(stats.udelta_blocks_clean) /
-                       static_cast<double>(blocks)
-                 : 0;
-
-  ReportTable table({"path", "rounds", "us/request"});
-  table.AddRow({"udelta (splice)", std::to_string(rounds), Num(delta_us)});
-  table.AddRow({"full update re-plan", std::to_string(rounds), Num(full_us)});
   table.Print();
-  std::cout << "  udelta-over-full speedup: " << Num(speedup)
-            << "x  (splice ratio " << Num(splice_ratio)
-            << ", clean-block ratio " << Num(clean_ratio) << ")\n";
-
-  JsonReport::Get().Add("service.udelta_us_per_request", delta_us, "us");
-  JsonReport::Get().Add("service.udelta_full_us_per_request", full_us, "us");
-  JsonReport::Get().Add("service.udelta_speedup", speedup, "x");
-  JsonReport::Get().Add("service.udelta_clean_block_ratio", clean_ratio, "");
+  std::cout << summary.str();
+  const double udelta_over_delta = MedianOf(update_over_subset);
+  std::cout << "  update splice / subset splice: " << Num(udelta_over_delta)
+            << "  (median of " << rounds << " rounds)\n";
+  JsonReport::Get().Add("service.udelta_over_delta", udelta_over_delta, "");
 }
 
 void Report() {
@@ -524,9 +466,7 @@ void Report() {
   std::cout << "\n";
   ReportCaptureCost();
   std::cout << "\n";
-  ReportDeltaSpeedup();
-  std::cout << "\n";
-  ReportUDeltaSpeedup();
+  ReportDeltaSplices();
 }
 
 void BM_ServeCold(benchmark::State& state) {

@@ -353,6 +353,16 @@ def self_test():
     assert udelta_us is not None, "baselines.json must track the update " \
         "delta latency"
     assert udelta_us.get("direction") == "lower", udelta_us
+    # Beyond the subset splice inside it, an update splice costs one
+    # freshened edit per deleted row (Corollary 4.6): measured against that
+    # subset splice on the same delta, its gate limit must stay <= 2.5.
+    udelta_ratio = tracked.get("service.udelta_over_delta")
+    assert udelta_ratio is not None, "baselines.json must track the " \
+        "update splice over subset splice ratio"
+    assert udelta_ratio.get("direction") == "lower", udelta_ratio
+    assert udelta_ratio["baseline"] * (
+        1 + udelta_ratio.get("threshold", default_threshold)) <= 2.5 + 1e-9, \
+        udelta_ratio
     span = tracked.get("urepair.span_speedup")
     assert span is not None, "baselines.json must track the urepair " \
         "span speedup"

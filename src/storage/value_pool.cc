@@ -1,12 +1,17 @@
 #include "storage/value_pool.h"
 
 #include <algorithm>
+#include <bit>
 #include <mutex>
+#include <utility>
 
 namespace fdrepair {
 namespace {
 
 constexpr uint64_t kDigestSeed = 0x9e3779b97f4a7c15ULL;
+
+/// How many cells ahead FreshCellValues prefetches memo slots.
+constexpr size_t kCellPrefetch = 16;
 
 /// `n` <= 8 bytes at `p` as a little-endian word, zero-padded — written
 /// byte by byte so the result is the same on every host.
@@ -91,16 +96,51 @@ std::string FreshCellName(int64_t id, int32_t attr) {
   return "⊥t" + std::to_string(id) + "." + std::to_string(attr);
 }
 
+size_t ValuePool::HomeCellSlot(const FreshCell& cell) const {
+  // Fibonacci hashing, as in Table's id index: runs of sequential ids
+  // spread over distinct slots.
+  const int shift = 64 - std::countr_zero(cell_slots_.size());
+  const uint64_t key = static_cast<uint64_t>(cell.id) ^
+                       (static_cast<uint64_t>(cell.attr) << 56);
+  return (key * 0x9e3779b97f4a7c15ULL) >> shift;
+}
+
+size_t ValuePool::ProbeCellSlot(const FreshCell& cell) const {
+  const size_t mask = cell_slots_.size() - 1;
+  for (size_t slot = HomeCellSlot(cell);; slot = (slot + 1) & mask) {
+    const CellSlot& s = cell_slots_[slot];
+    if (s.value < 0 || (s.id == cell.id && s.attr == cell.attr)) return slot;
+  }
+}
+
 void ValuePool::FreshCellValues(std::span<const FreshCell> cells,
                                 ValueId* out) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   for (size_t i = 0; i < cells.size(); ++i) {
-    auto [it, inserted] = cell_values_.try_emplace(cells[i], 0);
-    if (inserted) {
-      it->second =
-          FreshValueNamedLocked(FreshCellName(cells[i].id, cells[i].attr));
+    // Room for one more cell, made before the probe so the slot it finds
+    // stays put. Growing one cell at a time, not by the batch's size up
+    // front, keeps a batch of hits (a re-run's) from doubling the memo.
+    if (2 * (cell_count_ + 1) > cell_slots_.size()) {
+      std::vector<CellSlot> old = std::exchange(
+          cell_slots_,
+          std::vector<CellSlot>(std::max<size_t>(16, 2 * cell_slots_.size())));
+      for (const CellSlot& s : old) {
+        if (s.value >= 0) cell_slots_[ProbeCellSlot({s.id, s.attr})] = s;
+      }
     }
-    out[i] = it->second;
+    // A request usually finds this pool's memo cold in cache: fetching a
+    // later cell's slot now overlaps the misses instead of serializing them.
+    if (i + kCellPrefetch < cells.size()) {
+      __builtin_prefetch(&cell_slots_[HomeCellSlot(cells[i + kCellPrefetch])]);
+    }
+    CellSlot& slot = cell_slots_[ProbeCellSlot(cells[i])];
+    if (slot.value < 0) {
+      slot = CellSlot{
+          cells[i].id, cells[i].attr,
+          FreshValueNamedLocked(FreshCellName(cells[i].id, cells[i].attr))};
+      ++cell_count_;
+    }
+    out[i] = slot.value;
   }
 }
 

@@ -68,7 +68,6 @@ inline uint64_t Mix64(uint64_t x) {
 struct FreshCell {
   int64_t id = 0;
   int32_t attr = 0;
-  bool operator==(const FreshCell&) const = default;
 };
 
 /// The deterministic name of the fresh value for cell (id, attr): "⊥t" then
@@ -154,7 +153,8 @@ class ValuePool {
   /// exact because the pool is append-only: a name that resolved to a fresh
   /// value once resolves to it for the pool's lifetime. A memo hit builds
   /// no name and probes no text index, so re-freshening a table whose cells
-  /// this pool already freshened costs one integer-keyed probe per cell.
+  /// this pool already freshened costs one probe of a flat integer table
+  /// per cell.
   void FreshCellValues(std::span<const FreshCell> cells, ValueId* out);
 
  private:
@@ -172,14 +172,21 @@ class ValuePool {
   std::vector<bool> fresh_;
   int64_t fresh_counter_ = 0;
 
-  /// FreshCellValues' memo: each cell it resolved, with the value.
-  struct FreshCellHash {
-    size_t operator()(const FreshCell& cell) const {
-      return Mix64(static_cast<uint64_t>(cell.id) ^
-                   (static_cast<uint64_t>(cell.attr) << 56));
-    }
+  /// FreshCellValues' memo: each cell it resolved, with the value, in
+  /// open-addressing slots — the layout of Table's id index: a power-of-two
+  /// capacity at least twice the cells held, linear probing from the
+  /// cell's Fibonacci hash, value -1 for an empty slot.
+  struct CellSlot {
+    int64_t id = 0;
+    int32_t attr = 0;
+    ValueId value = -1;
   };
-  std::unordered_map<FreshCell, ValueId, FreshCellHash> cell_values_;
+  /// Where `cell`'s probe starts, and the slot holding it or the empty
+  /// slot where it belongs.
+  size_t HomeCellSlot(const FreshCell& cell) const;
+  size_t ProbeCellSlot(const FreshCell& cell) const;
+  std::vector<CellSlot> cell_slots_;
+  size_t cell_count_ = 0;
 };
 
 }  // namespace fdrepair

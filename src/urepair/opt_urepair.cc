@@ -17,68 +17,79 @@
 namespace fdrepair {
 namespace {
 
-/// One cell of the update, addressed by dense row position, with the value
-/// written there and whether the repair manufactured it (see
-/// URepairCellEdit::fresh).
-struct PosEdit {
-  int row = 0;
-  AttrId attr = 0;
-  ValueId value = 0;
-  bool fresh = false;
-};
+/// The cells of the update as the component loop emits them, addressed by
+/// dense row position, each with the value written there and whether the
+/// repair manufactured it (see URepairCellEdit::fresh). Every source emits
+/// in (row, attr) order — FreshenDeletedRows row by row, a consensus column
+/// or a diffed column top to bottom — so `in_order` stays true for a run
+/// with one source, and only a run that emits from several pays a sort.
+struct EditList {
+  struct Cell {
+    int row = 0;
+    AttrId attr = 0;
+    ValueId value = 0;
+    bool fresh = false;
+  };
+  std::vector<Cell> cells;
+  bool in_order = true;
 
-/// Puts the edits into canonical (row, attr) order — one counting pass by
-/// row, then each row's few edits by attribute — and replays DistUpd's
-/// exact expression tree: per row in row order, distance += weight * edit
-/// count (rows without edits contribute an exact +0.0 there, so skipping
-/// them is bit-identical).
-OptURepairResult AssembleResult(const Table& table, Table update,
-                                const std::vector<PosEdit>& edits,
-                                bool all_exact, double achieved_bound,
-                                URepairPlan plan) {
-  const int n = table.num_tuples();
-  // start[row] counts, then ends, then (after the backward placement)
-  // begins row's edits; start[n] is the total.
-  std::vector<int> start(n + 1, 0);
-  for (const PosEdit& edit : edits) ++start[edit.row];
-  int total = 0;
-  for (int row = 0; row <= n; ++row) {
-    total += start[row];
-    start[row] = total;
+  void Add(int row, AttrId attr, ValueId value, bool fresh) {
+    in_order &= cells.empty() || cells.back().row < row ||
+                (cells.back().row == row && cells.back().attr < attr);
+    cells.push_back(Cell{row, attr, value, fresh});
   }
-  std::vector<const PosEdit*> by_row(edits.size());
-  for (auto it = edits.rbegin(); it != edits.rend(); ++it) {
-    by_row[--start[it->row]] = &*it;
-  }
-  OptURepairResult result{std::move(update), {}, {}, 0, all_exact,
-                          all_exact ? 1.0 : achieved_bound, std::move(plan)};
-  // Both lists usually outlive the request (the service caches them), and
-  // their length drifts as a table mutates. Sized exactly, each evicted
-  // list left a free chunk slightly too small for the next one, and under
-  // glibc malloc the heap of a mutating workload kept growing; power-of-two
-  // capacities let lists of similar length reuse each other's chunks.
-  // Tuned for glibc's allocator: revisit if the allocator changes.
-  result.edits.reserve(std::bit_ceil(edits.size()));
-  result.values.reserve(std::bit_ceil(edits.size()));
-  const ValuePool::ReadView texts = table.pool()->read();
-  double distance = 0;
-  for (int row = 0; row < n; ++row) {
-    const auto first = by_row.begin() + start[row];
-    const auto last = by_row.begin() + start[row + 1];
-    if (first == last) continue;
-    std::sort(first, last, [](const PosEdit* a, const PosEdit* b) {
-      return a->attr < b->attr;
-    });
-    distance += table.weight(row) * static_cast<int>(last - first);
-    for (auto it = first; it != last; ++it) {
-      result.edits.push_back(URepairCellEdit{
-          table.id(row), (*it)->attr, (*it)->fresh, texts.text((*it)->value)});
-      result.values.push_back((*it)->value);
+
+  /// Puts the cells into canonical (row, attr) order if the sources
+  /// interleaved, then builds each URepairCellEdit once, in place, and
+  /// replays DistUpd's exact expression tree: per row in row order,
+  /// distance += weight * edit count (rows without edits contribute an
+  /// exact +0.0 there, so skipping them is bit-identical).
+  void Finish(const Table& table, OptURepairResult* result) {
+    if (!in_order) {
+      // A counting sort whose buckets are the table's cells: sources are
+      // attribute-disjoint, so each cell holds at most one edit. One pass
+      // places every edit at its cell, one walk over the cells reads them
+      // back in order: O(rows · arity), as each extra source is.
+      const int arity = table.schema().arity();
+      std::vector<int> at(static_cast<size_t>(table.num_tuples()) * arity,
+                          -1);
+      for (size_t i = 0; i < cells.size(); ++i) {
+        int& slot =
+            at[static_cast<size_t>(cells[i].row) * arity + cells[i].attr];
+        FDR_DCHECK(slot < 0);
+        slot = static_cast<int>(i);
+      }
+      std::vector<Cell> sorted;
+      sorted.reserve(cells.size());
+      for (int i : at) {
+        if (i >= 0) sorted.push_back(cells[i]);
+      }
+      cells = std::move(sorted);
     }
+    // Both lists usually outlive the request (the service caches them),
+    // and their length drifts as a table mutates. Sized exactly, each
+    // evicted list left a free chunk slightly too small for the next one,
+    // and under glibc malloc the heap of a mutating workload kept growing;
+    // power-of-two capacities let lists of similar length reuse each
+    // other's chunks. Tuned for glibc's allocator: revisit if the
+    // allocator changes.
+    result->edits.reserve(std::bit_ceil(cells.size()));
+    result->values.reserve(std::bit_ceil(cells.size()));
+    const ValuePool::ReadView texts = table.pool()->read();
+    double distance = 0;
+    for (size_t i = 0; i < cells.size();) {
+      const int row = cells[i].row;
+      const size_t first = i;
+      for (; i < cells.size() && cells[i].row == row; ++i) {
+        result->edits.emplace_back(table.id(row), cells[i].attr,
+                                   cells[i].fresh, texts.text(cells[i].value));
+        result->values.push_back(cells[i].value);
+      }
+      distance += table.weight(row) * static_cast<int>(i - first);
+    }
+    result->distance = distance;
   }
-  result.distance = distance;
-  return result;
-}
+};
 
 }  // namespace
 
@@ -102,10 +113,10 @@ StatusOr<OptURepairResult> OptURepairCells(const FdSet& fds,
   }
 
   // Every edit is written to the update as it is emitted.
-  std::vector<PosEdit> edits;
+  EditList edits;
   Table update = table.Clone();
   auto emit = [&](int row, AttrId attr, ValueId value, bool fresh) {
-    edits.push_back(PosEdit{row, attr, value, fresh});
+    edits.Add(row, attr, value, fresh);
     update.SetValue(row, attr, value);
   };
   // Emits every cell of `attrs` where a component's sub-update differs from
@@ -115,10 +126,14 @@ StatusOr<OptURepairResult> OptURepairCells(const FdSet& fds,
   // pool marks it fresh and the input column does not already hold it (the
   // exact search draws candidates from the column, so it may copy a ⊥ an
   // earlier repair left there).
-  auto emit_diff = [&](const Table& sub, AttrSet attrs, bool may_freshen) {
-    FDR_CHECK(sub.num_tuples() == table.num_tuples());
-    for (int row = 0; row < sub.num_tuples(); ++row) {
-      FDR_CHECK(sub.id(row) == table.id(row));
+  auto emit_diff = [&](const Table& sub, AttrSet attrs,
+                       bool may_freshen) -> Status {
+    bool aligned = sub.num_tuples() == table.num_tuples();
+    for (int row = 0; aligned && row < sub.num_tuples(); ++row) {
+      aligned = sub.id(row) == table.id(row);
+    }
+    if (!aligned) {
+      return Status::Internal("a component's update is not row-aligned");
     }
     ForEachAttr(attrs, [&](AttrId attr) {
       const ColumnView before = table.Column(attr);
@@ -134,6 +149,7 @@ StatusOr<OptURepairResult> OptURepairCells(const FdSet& fds,
         emit(row, attr, after[row], fresh);
       }
     });
+    return Status::OK();
   };
 
   // Consensus columns: one contiguous plurality sweep per attribute —
@@ -199,7 +215,11 @@ StatusOr<OptURepairResult> OptURepairCells(const FdSet& fds,
             std::vector<int> kept_rows,
             OptSRepairRows(delta, TableView(table), row_options, splan));
         // Cold or spliced, the freshening is the one row-order pass over
-        // the kept set, resolved against this table's pool.
+        // the kept set, resolved against this table's pool; its edit count
+        // is known here, so the list grows once.
+        edits.cells.reserve(edits.cells.size() +
+                            cache.cover.size() *
+                                (table.num_tuples() - kept_rows.size()));
         FDR_RETURN_IF_ERROR(FreshenDeletedRows(
             table, kept_rows, cache.cover,
             [&](int row, AttrId attr, ValueId value) {
@@ -217,7 +237,10 @@ StatusOr<OptURepairResult> OptURepairCells(const FdSet& fds,
               "captured U-plan is missing its inner S-plan");
         }
         cache.cycle = bc != nullptr ? bc->cycle : DetectKeyCycle(component.fds);
-        FDR_CHECK(cache.cycle.has_value());
+        if (!cache.cycle.has_value()) {
+          return Status::Internal("no key cycle in " +
+                                  component.fds.ToString());
+        }
         FdSet delta = component.fds.WithoutTrivial();
         FDR_ASSIGN_OR_RETURN(
             std::vector<int> kept_rows,
@@ -226,9 +249,10 @@ StatusOr<OptURepairResult> OptURepairCells(const FdSet& fds,
         // (its partial bijection is built first-kept-wins across blocks),
         // so a splice recomputes it over the spliced kept set — one O(n)
         // column sweep; only the S-repair recursion is worth caching.
-        emit_diff(KeyCycleAlignRows(cache.cycle->first, cache.cycle->second,
-                                    table, kept_rows),
-                  attrs, false);
+        FDR_RETURN_IF_ERROR(
+            emit_diff(KeyCycleAlignRows(cache.cycle->first,
+                                        cache.cycle->second, table, kept_rows),
+                      attrs, false));
         if (splan != nullptr && !cache.splan.spliceable) {
           fresh.spliceable = false;
         }
@@ -248,7 +272,7 @@ StatusOr<OptURepairResult> OptURepairCells(const FdSet& fds,
           exact_options.mutable_attrs = attrs;
           auto exact = OptURepairExact(component.fds, table, exact_options);
           if (exact.ok()) {
-            emit_diff(*exact, attrs, true);
+            FDR_RETURN_IF_ERROR(emit_diff(*exact, attrs, true));
             component.route = URepairRoute::kExactSearch;
             component.ratio_bound = 1.0;
             break;
@@ -259,7 +283,7 @@ StatusOr<OptURepairResult> OptURepairCells(const FdSet& fds,
         }
         FDR_ASSIGN_OR_RETURN(Table sub,
                              CombinedApproxURepair(component.fds, table));
-        emit_diff(sub, attrs, true);
+        FDR_RETURN_IF_ERROR(emit_diff(sub, attrs, true));
         component.route = URepairRoute::kCombinedApprox;
         all_exact = false;
         break;
@@ -277,18 +301,19 @@ StatusOr<OptURepairResult> OptURepairCells(const FdSet& fds,
     // and the consensus part is separated by Theorem 4.3). Splices skip
     // this O(n · arity) audit: their bit-identity with the cold run is
     // property-tested in tests/delta_test.cc.
-    FDR_CHECK_MSG(Satisfies(update, fds),
-                  "planner produced an inconsistent update for " +
-                      fds.ToString());
+    if (!Satisfies(update, fds)) {
+      return Status::Internal("planner produced an inconsistent update for " +
+                              fds.ToString());
+    }
   }
   if (options.splice_stats != nullptr) {
     options.splice_stats->blocks_total += total.blocks_total;
     options.splice_stats->blocks_clean += total.blocks_clean;
     options.splice_stats->blocks_dirty += total.blocks_dirty;
   }
-  OptURepairResult result =
-      AssembleResult(table, std::move(update), edits, all_exact,
-                     achieved_bound, std::move(plan));
+  OptURepairResult result{std::move(update), {}, {}, 0, all_exact,
+                          all_exact ? 1.0 : achieved_bound, std::move(plan)};
+  edits.Finish(table, &result);
   if (capture != nullptr) *capture = std::move(fresh);
   return result;
 }
@@ -307,7 +332,9 @@ StatusOr<URepairResult> ComputeURepair(const FdSet& fds, const Table& table,
 StatusOr<Table> ApplyCellEdits(const Table& table,
                                const std::vector<URepairCellEdit>& edits,
                                const std::vector<ValueId>* values) {
-  FDR_CHECK(values == nullptr || values->size() == edits.size());
+  if (values != nullptr && values->size() != edits.size()) {
+    return Status::InvalidArgument("one value per cell edit expected");
+  }
   Table update = table.Clone();
   for (size_t i = 0; i < edits.size(); ++i) {
     const URepairCellEdit& edit = edits[i];

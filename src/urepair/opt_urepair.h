@@ -12,8 +12,11 @@
 //
 // One component loop serves cold runs and delta splices alike: every
 // route emits position-addressed edits, each with the ValueId it writes,
-// into one clone of the table and one assembly (a counting pass by row,
-// then DistUpd's row-order sum). Per route:
+// into one clone of the table and one staging list. Each source emits in
+// (row, attribute) order, so a one-source run is already canonical and
+// only a run with several sources pays a counting sort; a last pass builds
+// each URepairCellEdit once, in place, and sums DistUpd's row-order
+// expression tree. Per route:
 //
 //   - consensus attributes: one plurality sweep per column — already O(n),
 //     so splices recompute it too;
@@ -23,8 +26,9 @@
 //     splice sets the inner delta_base to the component's captured S-plan,
 //     so only dirty blocks are re-solved; the freshening is derived, never
 //     stored, and runs the same pass over the spliced kept set (its ⊥
-//     values come from one ValuePool::FreshCellValues batch, memoized per
-//     cell in the pool, so a re-run on the same pool probes integers);
+//     values come from ValuePool::FreshCellValues a stack chunk at a
+//     time, memoized per cell in a flat table in the pool, so a re-run on
+//     the same pool probes integers);
 //   - key-cycle (Proposition 4.9): the inner S-repair (cold or spliced),
 //     then the alignment pass over the kept set — a single O(n) column
 //     sweep whose bijection depends on the *global* kept order, so it is
@@ -38,7 +42,8 @@
 // edit, so no caller applies the edits a second time: ComputeURepair
 // (urepair/planner.h), defined next to OptURepairCells, returns that
 // update, and the service answers its leader with it. A cold run also
-// FDR_CHECKs Satisfies on the update; splices skip the audit.
+// audits Satisfies on the update (an inconsistent one fails with
+// kInternal); splices skip the audit.
 //
 // Bit-identity of the splice with a cold OptURepairCells run on the same
 // pool follows from the S-repair splice guarantee (opt_srepair.h): every
@@ -157,7 +162,10 @@ struct URepairPlanCache {
 /// for every thread count, and `capture` then receives the refreshed plan
 /// (so delta runs chain). Fails with kFailedPrecondition when the base
 /// plan is not spliceable (or an inner S-plan refuses to splice) —
-/// callers fall back to a full re-plan.
+/// callers fall back to a full re-plan. Fails with kInternal, rather than
+/// aborting, when a route breaks its own contract: a component update that
+/// is not row-aligned with `table`, a key-cycle component without a cycle,
+/// or a cold run whose update does not satisfy `fds`.
 StatusOr<OptURepairResult> OptURepairCells(const FdSet& fds,
                                            const Table& table,
                                            const OptURepairOptions& options = {},
@@ -170,7 +178,8 @@ StatusOr<OptURepairResult> OptURepairCells(const FdSet& fds,
 /// that pool returned — and otherwise its text resolved in the shared pool:
 /// FreshValueNamed on its base name (FreshBaseName) for a fresh edit,
 /// Intern for any other. Fails with kNotFound when an edit names a tuple id
-/// `table` does not hold.
+/// `table` does not hold, and with kInvalidArgument when `values` does not
+/// hold exactly one id per edit.
 StatusOr<Table> ApplyCellEdits(const Table& table,
                                const std::vector<URepairCellEdit>& edits,
                                const std::vector<ValueId>* values = nullptr);

@@ -26,13 +26,16 @@ namespace fdrepair {
 /// The freshening of Proposition 4.4 (2), in row order: calls
 /// emit(row, attr, value) for each attribute of `cover` in every row of
 /// `table` outside `kept_rows` (dense positions), `value` being the cell's
-/// deterministic ⊥ constant in the table's pool, resolved for all cells in
-/// one ValuePool::FreshCellValues batch. A fresh constant per cell
-/// makes the deleted tuple inert — the cover hits every lhs, so it agrees
-/// with nothing on any lhs — and its name derives from (TupleId, attr), so
-/// a cell freshens to the same symbol in every run and on every pool with
-/// the same user content. Fails with kInvalidArgument, before emitting,
-/// when a kept row is outside [0, num_tuples).
+/// deterministic ⊥ constant in the table's pool. One walk over the rows
+/// gathers cells into a stack chunk, resolves each full chunk with one
+/// ValuePool::FreshCellValues call and emits its cells at once, so the
+/// pass allocates nothing per cell and `emit` runs outside the pool's lock.
+/// A fresh constant per cell makes the deleted tuple inert — the cover hits
+/// every lhs, so it agrees with nothing on any lhs — and its name derives
+/// from (TupleId, attr), so a cell freshens to the same symbol in every run
+/// and on every pool with the same user content. Fails with
+/// kInvalidArgument, before emitting, when a kept row is outside
+/// [0, num_tuples).
 template <typename Emit>
 Status FreshenDeletedRows(const Table& table, const std::vector<int>& kept_rows,
                           AttrSet cover, Emit emit) {
@@ -46,20 +49,25 @@ Status FreshenDeletedRows(const Table& table, const std::vector<int>& kept_rows,
     }
     kept[row] = 1;
   }
-  std::vector<FreshCell> cells;
+  constexpr int kChunk = 256;
+  FreshCell cells[kChunk];
+  int rows[kChunk] = {};
+  ValueId values[kChunk] = {};
+  int size = 0;
+  auto flush = [&] {
+    table.pool()->FreshCellValues({cells, static_cast<size_t>(size)}, values);
+    for (int i = 0; i < size; ++i) emit(rows[i], cells[i].attr, values[i]);
+    size = 0;
+  };
   for (int row = 0; row < n; ++row) {
     if (kept[row]) continue;
     ForEachAttr(cover, [&](AttrId attr) {
-      cells.push_back(FreshCell{table.id(row), attr});
+      if (size == kChunk) flush();
+      cells[size] = FreshCell{table.id(row), attr};
+      rows[size++] = row;
     });
   }
-  std::vector<ValueId> values(cells.size());
-  table.pool()->FreshCellValues(cells, values.data());
-  size_t i = 0;
-  for (int row = 0; row < n; ++row) {
-    if (kept[row]) continue;
-    ForEachAttr(cover, [&](AttrId attr) { emit(row, attr, values[i++]); });
-  }
+  flush();
   return Status::OK();
 }
 

@@ -132,6 +132,33 @@ TEST(ValuePoolTest, FreshCellValuesMatchFreshValueNamed) {
   ValueId value = -1;
   memo.FreshCellValues({&taken, 1}, &value);
   EXPECT_EQ(memo.Text(value), FreshCellName(5, 1) + "''");
+  oracle.FreshValueNamed(FreshCellName(5, 1));
+
+  // The served shape: about 100k cells in runs of sequential ids, one to
+  // three attributes per id, so the memo grows several times within one
+  // batch; then the same batch again, every cell now a memo hit.
+  std::vector<FreshCell> runs;
+  while (runs.size() < 100000) {
+    const int64_t start = rng.UniformInt(-50000, 200000);
+    const int length = static_cast<int>(rng.UniformInt(1, 2000));
+    const int attrs = static_cast<int>(rng.UniformInt(1, 3));
+    for (int64_t id = start; id < start + length; ++id) {
+      for (int32_t attr = 0; attr < attrs; ++attr) {
+        runs.push_back(FreshCell{id, attr});
+      }
+    }
+  }
+  for (int pass = 0; pass < 2; ++pass) {
+    std::vector<ValueId> values(runs.size(), -1);
+    memo.FreshCellValues(runs, values.data());
+    for (size_t i = 0; i < runs.size(); ++i) {
+      const ValueId expected =
+          oracle.FreshValueNamed(FreshCellName(runs[i].id, runs[i].attr));
+      ASSERT_EQ(values[i], expected) << pass << ":" << i;
+      ASSERT_EQ(memo.Text(values[i]), oracle.Text(expected));
+    }
+    EXPECT_EQ(memo.size(), oracle.size()) << pass;
+  }
 }
 
 TEST(ValuePoolTest, DigestDependsOnlyOnText) {

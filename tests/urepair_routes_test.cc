@@ -11,6 +11,8 @@
 
 #include <string>
 #include <tuple>
+#include <unordered_set>
+#include <utility>
 
 #include "common/random.h"
 #include "engine/thread_pool.h"
@@ -20,6 +22,7 @@
 #include "storage/consistency.h"
 #include "storage/distance.h"
 #include "storage/row_span.h"
+#include "storage/table_delta.h"
 #include "urepair/covers.h"
 #include "urepair/opt_urepair.h"
 #include "urepair/planner.h"
@@ -378,6 +381,130 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Range(0, static_cast<int>(AllNamedFdSets().size())),
         ::testing::Values(uint64_t{2027}, uint64_t{2029})));
+
+// OptURepairResult's emission contract, on every named FD set: edits
+// strictly ascending by (row, attr), each one a real change whose value and
+// text are the update's cell, `fresh` exactly when the pool marks the
+// value fresh and the input column does not hold it, no changed cell left
+// out, and `distance` bit-equal to DistUpd. Sets whose edits come from
+// several sources (consensus columns plus components, several components,
+// diffs of multi-attribute components) take the assembly's re-sort; Office
+// (one common-lhs component) and the other one-source sets emit in order.
+class URepairEmissionContractTest
+    : public ::testing::TestWithParam<std::tuple<int, uint64_t>> {};
+
+void ExpectEmissionContract(const Table& table, const OptURepairResult& cells,
+                            const std::string& context) {
+  const ValuePool& pool = *table.pool();
+  ASSERT_EQ(cells.values.size(), cells.edits.size()) << context;
+  std::vector<std::unordered_set<ValueId>> held(table.schema().arity());
+  for (AttrId attr = 0; attr < table.schema().arity(); ++attr) {
+    const ColumnView column = table.Column(attr);
+    held[attr].insert(column.data(), column.data() + column.size());
+  }
+  int changed = 0;
+  for (int row = 0; row < table.num_tuples(); ++row) {
+    for (AttrId attr = 0; attr < table.schema().arity(); ++attr) {
+      changed += table.Column(attr)[row] != cells.update.Column(attr)[row];
+    }
+  }
+  EXPECT_EQ(changed, static_cast<int>(cells.edits.size())) << context;
+  std::pair<int, AttrId> previous{-1, -1};
+  for (size_t i = 0; i < cells.edits.size(); ++i) {
+    const URepairCellEdit& edit = cells.edits[i];
+    const std::string at = context + " edit " + std::to_string(i);
+    auto row = table.RowOf(edit.id);
+    ASSERT_TRUE(row.ok()) << at;
+    const std::pair<int, AttrId> cell{*row, edit.attr};
+    EXPECT_LT(previous, cell) << at;
+    previous = cell;
+    const ValueId value = cells.values[i];
+    EXPECT_NE(table.Column(edit.attr)[*row], value) << at;
+    EXPECT_EQ(cells.update.Column(edit.attr)[*row], value) << at;
+    EXPECT_EQ(edit.text, pool.Text(value)) << at;
+    EXPECT_EQ(edit.fresh,
+              pool.IsFresh(value) && !held[edit.attr].contains(value))
+        << at;
+  }
+  EXPECT_EQ(cells.distance, DistUpdOrDie(cells.update, table)) << context;
+}
+
+TEST_P(URepairEmissionContractTest, EditsAreCanonicalAndMatchTheUpdate) {
+  const auto& [set_index, seed] = GetParam();
+  const NamedFdSet named = AllNamedFdSets()[set_index];
+  Rng rng(seed);
+  for (int trial = 0; trial < 4; ++trial) {
+    RandomTableOptions topt;
+    topt.num_tuples = 20 + static_cast<int>(rng.UniformUint64(180));
+    topt.domain_size = 2 + static_cast<int>(rng.UniformUint64(4));
+    topt.heavy_fraction = (trial % 2 == 0) ? 0.5 : 0.0;
+    Rng table_rng = rng.Fork();
+    const Table table = RandomTable(named.parsed.schema, topt, &table_rng);
+    // Odd trials keep the exact search, whose multi-attribute diffs emit
+    // column by column.
+    OptURepairOptions options;
+    options.planner.allow_exact_search = trial % 2 == 1;
+    auto cells = OptURepairCells(named.parsed.fds, table, options);
+    ASSERT_TRUE(cells.ok()) << named.name << ": " << cells.status();
+    ExpectEmissionContract(table, *cells,
+                           named.name + " trial " + std::to_string(trial));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SetsAndSeeds, URepairEmissionContractTest,
+    ::testing::Combine(
+        ::testing::Range(0, static_cast<int>(AllNamedFdSets().size())),
+        ::testing::Values(uint64_t{2027}, uint64_t{2029})));
+
+// The in-order path at the served size: an Office table whose repair
+// freshens thousands of deleted rows, cold and then spliced after a 1%
+// mutation.
+TEST(URepairEmissionContractTest, OfficeSpliceAtServedSize) {
+  const ParsedFdSet parsed = OfficeFds();
+  const Table base = ScalingFamilyTable(parsed, 2048, 5);
+  URepairPlanCache plan;
+  auto cold = OptURepairCells(parsed.fds, base, {}, &plan);
+  ASSERT_TRUE(cold.ok()) << cold.status();
+  ASSERT_GT(cold->edits.size(), 1000u);
+  ExpectEmissionContract(base, *cold, "office cold");
+  DeltaBuilder builder(base);
+  Rng rng(17);
+  for (int e = 0; e < 20; ++e) {
+    const int row = static_cast<int>(rng.UniformIndex(base.num_tuples()));
+    const AttrId attr =
+        static_cast<AttrId>(rng.UniformIndex(base.schema().arity()));
+    ASSERT_TRUE(builder
+                    .Update(base.id(row), attr,
+                            "v" + std::to_string(rng.UniformInt(0, 127)))
+                    .ok());
+  }
+  const TableDelta delta = builder.Finish();
+  OptURepairOptions options;
+  options.delta_base = &plan;
+  options.delta_updated_ids = &delta.updated;
+  auto spliced = OptURepairCells(parsed.fds, builder.table(), options);
+  ASSERT_TRUE(spliced.ok()) << spliced.status();
+  ExpectEmissionContract(builder.table(), *spliced, "office splice");
+}
+
+// A values list that does not pair one id with each edit is the caller's
+// error, reported rather than aborted on.
+TEST(ApplyCellEditsTest, RejectsValuesOfAnotherLength) {
+  const OfficeExample office = MakeOfficeExample();
+  auto cells = OptURepairCells(office.fds, office.table);
+  ASSERT_TRUE(cells.ok()) << cells.status();
+  ASSERT_FALSE(cells->edits.empty());
+  std::vector<ValueId> values = cells->values;
+  values.pop_back();
+  EXPECT_EQ(ApplyCellEdits(office.table, cells->edits, &values).status().code(),
+            StatusCode::kInvalidArgument);
+  values.push_back(cells->values.back());
+  values.push_back(cells->values.back());
+  EXPECT_EQ(ApplyCellEdits(office.table, cells->edits, &values).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(ApplyCellEdits(office.table, cells->edits, &cells->values).ok());
+}
 
 }  // namespace
 }  // namespace fdrepair
