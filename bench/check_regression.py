@@ -409,6 +409,16 @@ def self_test():
     assert content_hash.get("direction") == "lower", content_hash
     checks += 1
 
+    # The audit every cold update run ends with: Satisfies on the 8192-row
+    # Office update (bench_hotpath), whose two-attribute lhs groups over
+    # thousands of fresh values, must stay gated by its per-row cost.
+    satisfies = tracked.get("storage.satisfies_us_per_row")
+    assert satisfies is not None, "baselines.json must track the " \
+        "Satisfies audit cost"
+    assert satisfies.get("direction") == "lower", satisfies
+    assert satisfies.get("file") == "BENCH_hotpath.json", satisfies
+    checks += 1
+
     # Plan capture rides on every cold subset miss, so what it adds to the
     # plan is gated on both top-level routes the served benchmark sends
     # (lhs marriage and common lhs): the gate limit baseline*(1+threshold)

@@ -3,7 +3,8 @@
 // Every simplification step solves independent sub-instances: σ_{A=a}T
 // groups for common-lhs/consensus steps and σ_{X1=a1,X2=a2}T blocks for an
 // lhs marriage. The σ_{A=a}T groups are one GroupScratch::GroupInPlace call
-// (storage/row_span.h), which the recursion makes directly. This module
+// (storage/row_span.h), which the recursion makes directly; both resolve
+// group ids through the one GroupIndex of storage/row_span.h. This module
 // adds the marriage blocks — each a contiguous window of one shared
 // row-index buffer, in first-appearance order, tagged with its bipartite
 // endpoints — so the recursion can hand the blocks to a ThreadPool without
@@ -31,9 +32,11 @@ namespace fdrepair {
 // materializing per-block index vectors, this permutes the caller's shared
 // row-index buffer so each block becomes a contiguous sub-window, and only
 // reports block boundaries. Block order (first-appearance of the
-// projection) and within-block row order are identical to
-// TableView::GroupRows; `scratch` supplies the reusable grouping buffers
-// (one per concurrent caller — see storage/row_span.h).
+// projection) and within-block row order are identical to the
+// TableView::GroupRows oracle; `scratch` supplies the reusable grouping
+// buffers and the index that also numbers each side's distinct π_X1 / π_X2
+// projections (one scratch per concurrent caller — see
+// storage/row_span.h).
 
 /// Permutes `span` in place into the σ_{X1=a1,X2=a2} marriage blocks
 /// (grouping by X1 ∪ X2) and assigns every block its dense left (π_X1) and

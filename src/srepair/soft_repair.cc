@@ -77,8 +77,17 @@ Status SolveSoftView(const FdSet& fds, const TableView& view,
   if (std::optional<AttrId> attr = active.FindCommonLhsAttr()) {
     ++agg->peels;
     const FdSet reduced = active.MinusAttrs(AttrSet().With(*attr));
-    for (const TableView& block : view.GroupBy(AttrSet().With(*attr))) {
-      FDR_RETURN_IF_ERROR(SolveSoftView(reduced, block, options, agg, kept));
+    LhsGroups blocks;
+    blocks.Build(view, AttrSet().With(*attr));
+    for (int b = 0; b < blocks.size(); ++b) {
+      std::vector<int> rows;
+      rows.reserve(blocks.group_size(b));
+      for (const int* m = blocks.begin(b); m != blocks.end(b); ++m) {
+        rows.push_back(view.row(*m));
+      }
+      FDR_RETURN_IF_ERROR(SolveSoftView(
+          reduced, TableView(view.table(), std::move(rows)), options, agg,
+          kept));
     }
     return Status::OK();
   }

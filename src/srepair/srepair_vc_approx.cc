@@ -1,7 +1,6 @@
 #include "srepair/srepair_vc_approx.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "graph/conflict_graph.h"
 #include "graph/vertex_cover.h"
@@ -12,29 +11,29 @@ namespace fdrepair {
 namespace {
 constexpr double kEps = 1e-12;
 
-/// Incremental lhs-projection -> rhs-value index for one FD, built on the
-/// shared hash-plus-witness ProjectionIndex (storage/row_span.h) — no
-/// per-row ProjectionKey allocation. Entries are only ever added (the
-/// restore loop admits tuples one at a time).
+/// Incremental lhs-projection -> rhs-value index for one FD, over one
+/// GroupIndex (storage/row_span.h) that grows as the restore loop admits
+/// tuples one at a time; entries are only ever added.
 class FdRhsIndex {
  public:
+  FdRhsIndex(const Table& table, AttrSet lhs) { index_.Reset(table, lhs, 0); }
+
   /// The rhs value recorded for row `row`'s lhs projection, or kNoValue.
   static constexpr ValueId kNoValue = -1;
-  ValueId Find(const Table& table, int row, AttrSet lhs) const {
-    const int g = index_.Find(table, row, lhs);
+  ValueId Find(int row) const {
+    const int g = index_.Find(row);
     return g == -1 ? kNoValue : rhs_[g];
   }
 
-  /// Records `rhs` for row `row`'s lhs projection (first writer wins,
-  /// matching the emplace semantics of the map-based implementation).
-  void Insert(const Table& table, int row, AttrSet lhs, ValueId rhs) {
+  /// Records `rhs` for row `row`'s lhs projection (first writer wins).
+  void Insert(int row, ValueId rhs) {
     bool created = false;
-    index_.FindOrCreate(table, row, lhs, &created);
+    index_.FindOrCreate(row, &created);
     if (created) rhs_.push_back(rhs);
   }
 
  private:
-  ProjectionIndex index_;
+  GroupIndex index_;
   std::vector<ValueId> rhs_;
 };
 
@@ -44,7 +43,9 @@ std::vector<int> RestoreConsistentRows(const FdSet& fds, const TableView& view,
                                        std::vector<int> kept_rows) {
   // Per-FD index: lhs projection -> the unique rhs value of the kept set.
   const Table& table = view.table();
-  std::vector<FdRhsIndex> rhs_of(fds.size());
+  std::vector<FdRhsIndex> rhs_of;
+  rhs_of.reserve(fds.size());
+  for (const Fd& fd : fds.fds()) rhs_of.emplace_back(table, fd.lhs);
   std::vector<char> kept(table.num_tuples(), 0);
   for (int row : kept_rows) kept[row] = 1;
 
@@ -52,7 +53,7 @@ std::vector<int> RestoreConsistentRows(const FdSet& fds, const TableView& view,
     for (int f = 0; f < fds.size(); ++f) {
       const Fd& fd = fds.fds()[f];
       if (fd.IsTrivial()) continue;
-      ValueId recorded = rhs_of[f].Find(table, row, fd.lhs);
+      ValueId recorded = rhs_of[f].Find(row);
       if (recorded != FdRhsIndex::kNoValue &&
           recorded != table.value(row, fd.rhs)) {
         return false;
@@ -64,7 +65,7 @@ std::vector<int> RestoreConsistentRows(const FdSet& fds, const TableView& view,
     for (int f = 0; f < fds.size(); ++f) {
       const Fd& fd = fds.fds()[f];
       if (fd.IsTrivial()) continue;
-      rhs_of[f].Insert(table, row, fd.lhs, table.value(row, fd.rhs));
+      rhs_of[f].Insert(row, table.value(row, fd.rhs));
     }
   };
 
@@ -109,7 +110,7 @@ std::vector<int> SRepairVcApproxRows(const FdSet& fds, const TableView& view,
   // deterministic per standard-library implementation.
   LhsGroups groups;
   // Per-group rhs partition scratch (counting scatter into runs).
-  std::unordered_map<ValueId, int> rhs_index;
+  DenseValueIndex rhs_index;
   std::vector<int> sub_of;
   std::vector<int> run_start;
   std::vector<int> run_end;
@@ -124,15 +125,14 @@ std::vector<int> SRepairVcApproxRows(const FdSet& fds, const TableView& view,
       const int group_size = groups.group_size(g);
       // Partition the group's members into rhs-value runs (stable, runs in
       // first-appearance order of the rhs value).
-      rhs_index.clear();
+      rhs_index.Clear();
       sub_of.clear();
-      int num_sub = 0;
       for (int m = 0; m < group_size; ++m) {
-        auto [it, inserted] =
-            rhs_index.emplace(view.value(group_members[m], fd.rhs), num_sub);
-        if (inserted) ++num_sub;
-        sub_of.push_back(it->second);
+        bool created = false;
+        sub_of.push_back(rhs_index.FindOrCreate(
+            view.value(group_members[m], fd.rhs), &created));
       }
+      const int num_sub = rhs_index.size();
       if (num_sub < 2) continue;
       run_start.assign(num_sub, 0);
       for (int s : sub_of) ++run_start[s];

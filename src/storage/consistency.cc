@@ -3,52 +3,27 @@
 namespace fdrepair {
 
 bool Satisfies(const TableView& view, const FdSet& fds) {
-  // Hash-plus-witness lhs grouping (ProjectionIndex, storage/row_span.h):
-  // no per-row ProjectionKey is ever materialized. Satisfies sits on the
-  // verify and serving paths, where it runs once per candidate repair.
-  // Single-attribute lhs (the common FD shape) takes a fast path: an
-  // epoch-stamped DenseValueIndex sweep straight off the lhs column instead
-  // of projection hashing.
   const int n = view.num_tuples();
   const int* rows = view.rows().data();
-  DenseValueIndex lhs_values;
-  ProjectionIndex lhs_index;
-  std::vector<ValueId> rhs;  // entry -> the rhs value the group must share
+  GroupIndex lhs_index;
+  std::vector<ValueId> rhs;  // group -> the rhs value the group must share
   for (const Fd& fd : fds.fds()) {
     if (fd.IsTrivial()) continue;
+    // rhs values are read straight off their column: staging them would
+    // cost a full pass before the first violation check.
     const ValueId* rhs_column = view.table().ColumnData(fd.rhs);
-    // One row-by-row sweep with an early exit at the first violation,
-    // instantiated once per way of finding a row's lhs group. rhs values
-    // and lhs values are read straight from their columns — staging them
-    // would cost a full pass before the first violation check.
-    auto sweep = [&](auto group_of) {
-      rhs.clear();
-      for (int i = 0; i < n; ++i) {
-        bool created = false;
-        const int g = group_of(i, &created);
-        const ValueId r = rhs_column[rows[i]];
-        if (created) {
-          rhs.push_back(r);
-        } else if (rhs[g] != r) {
-          return false;
-        }
+    lhs_index.Reset(view.table(), fd.lhs, n);
+    rhs.clear();
+    for (int i = 0; i < n; ++i) {
+      bool created = false;
+      const int g = lhs_index.FindOrCreate(rows[i], &created);
+      const ValueId r = rhs_column[rows[i]];
+      if (created) {
+        rhs.push_back(r);
+      } else if (rhs[g] != r) {
+        return false;
       }
-      return true;
-    };
-    bool ok = true;
-    if (fd.lhs.size() != 1) {
-      lhs_index.Clear();
-      ok = sweep([&](int i, bool* created) {
-        return lhs_index.FindOrCreate(view.table(), rows[i], fd.lhs, created);
-      });
-    } else {
-      const ValueId* lhs_column = view.table().ColumnData(fd.lhs.First());
-      lhs_values.Clear();
-      ok = sweep([&](int i, bool* created) {
-        return lhs_values.FindOrCreate(lhs_column[rows[i]], created);
-      });
     }
-    if (!ok) return false;
   }
   return true;
 }

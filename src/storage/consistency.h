@@ -17,15 +17,16 @@
 
 namespace fdrepair {
 
-/// True iff the view satisfies every FD of ∆. Runs in O(|∆| · |T|) expected
-/// time via hashing on lhs projections.
+/// True iff the view satisfies every FD of ∆: per FD, one sweep over the
+/// rows that groups each by its lhs (GroupIndex, storage/row_span.h) and
+/// stops at the first row whose rhs differs from its group's. O(|∆| · |T|)
+/// expected time.
 bool Satisfies(const TableView& view, const FdSet& fds);
 bool Satisfies(const Table& table, const FdSet& fds);
 
-/// The rows of a view grouped by one lhs, over the indexes Satisfies uses
-/// (DenseValueIndex for a one-attribute lhs, ProjectionIndex otherwise):
-/// groups in first-appearance order, each group's members as view indices
-/// in ascending order. Within a group, members with different rhs values
+/// The rows of a view grouped by one lhs through GroupIndex: groups in
+/// first-appearance order, each group's members as view indices in
+/// ascending order. Within a group, members with different rhs values
 /// pairwise violate lhs → rhs. Reusable: Build keeps every buffer's
 /// capacity. Not thread-safe.
 class LhsGroups {
@@ -49,8 +50,7 @@ class LhsGroups {
   int64_t ViolatingPairs(const TableView& view, int g, AttrId rhs);
 
  private:
-  DenseValueIndex values_;
-  ProjectionIndex projections_;
+  GroupIndex index_;
   std::vector<int> group_of_;  // view index -> group, -1 when not kept
   std::vector<int> start_;     // group -> first offset into order_
   std::vector<int> order_;     // kept view indices, grouped
@@ -61,25 +61,18 @@ class LhsGroups {
 template <typename Keep>
 void LhsGroups::Build(const TableView& view, AttrSet lhs, Keep keep) {
   const int n = view.num_tuples();
-  const ValueId* column =
-      lhs.size() == 1 ? view.table().ColumnData(lhs.First()) : nullptr;
-  values_.Clear();
-  projections_.Clear();
+  index_.Reset(view.table(), lhs, n);
   group_of_.assign(n, -1);
   int kept = 0;
   for (int i = 0; i < n; ++i) {
     if (!keep(i)) continue;
     ++kept;
     bool created = false;
-    group_of_[i] = column != nullptr
-                       ? values_.FindOrCreate(column[view.row(i)], &created)
-                       : projections_.FindOrCreate(view.table(), view.row(i),
-                                                   lhs, &created);
+    group_of_[i] = index_.FindOrCreate(view.row(i), &created);
   }
   // Counting scatter, filled back to front so members come out ascending
   // and each start_[g] ends on its group's first offset.
-  start_.assign((column != nullptr ? values_.size() : projections_.size()) + 1,
-                0);
+  start_.assign(index_.size() + 1, 0);
   for (int g : group_of_) {
     if (g >= 0) ++start_[g];
   }

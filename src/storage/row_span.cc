@@ -1,30 +1,84 @@
 #include "storage/row_span.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace fdrepair {
+
+void GroupIndex::Reset(const Table& table, AttrSet attrs, int expected_rows) {
+  table_ = &table;
+  attrs_ = attrs;
+  witness_.clear();
+  column_ = attrs.size() == 1 ? table.ColumnData(attrs.First()) : nullptr;
+  if (column_ != nullptr) {
+    values_.Clear();
+    return;
+  }
+  first_ = second_ = nullptr;
+  if (attrs.size() == 2) {
+    const AttrId a1 = attrs.First();
+    first_ = table.ColumnData(a1);
+    second_ = table.ColumnData(attrs.Minus(AttrSet::Singleton(a1)).First());
+  }
+  Rehash(std::bit_ceil(2 * static_cast<size_t>(std::max(expected_rows, 8))));
+}
+
+void GroupIndex::FindOrCreateAll(const int* rows, int n, int* groups) {
+  bool created = false;
+  if (column_ != nullptr) {
+    // The S-splices group thousands of small windows per write through
+    // this loop: keep it a bare column read and slot lookup per row.
+    const ValueId* column = column_;
+    for (int i = 0; i < n; ++i) {
+      groups[i] = values_.FindOrCreate(column[rows[i]], &created);
+    }
+    return;
+  }
+  for (int i = 0; i < n; ++i) groups[i] = FindOrCreate(rows[i], &created);
+}
+
+int GroupIndex::Find(int row) const {
+  if (column_ != nullptr) return values_.Find(column_[row]);
+  const Slot& slot = slots_[ProbeSlot(row, KeyOf(row))];
+  return slot.epoch == epoch_ ? slot.group : -1;
+}
+
+int GroupIndex::Insert(int row, uint64_t key) {
+  // Keep at least half the slots empty, so every probe ends early.
+  if (2 * (witness_.size() + 1) > mask_ + 1) Rehash(2 * (mask_ + 1));
+  const int group = size();
+  slots_[ProbeSlot(row, key)] = Slot{key, group, epoch_};
+  witness_.push_back(row);
+  return group;
+}
+
+void GroupIndex::Rehash(size_t capacity) {
+  if (slots_.size() < capacity) slots_.resize(capacity);
+  if (++epoch_ == 0) {
+    // Wrapped: no slot may keep a stamp the new epochs will reuse.
+    std::fill(slots_.begin(), slots_.end(), Slot{});
+    epoch_ = 1;
+  }
+  mask_ = capacity - 1;
+  shift_ = 64 - std::countr_zero(capacity);
+  for (int group = 0; group < size(); ++group) {
+    const int row = witness_[group];
+    const uint64_t key = KeyOf(row);
+    slots_[ProbeSlot(row, key)] = Slot{key, group, epoch_};
+  }
+}
 
 void GroupScratch::GroupInPlace(RowSpan span, AttrSet attrs,
                                 std::vector<int>* group_ends) {
   group_ends->clear();
   const int n = span.num_tuples();
   if (n == 0) return;
-  if (attrs.empty()) {
-    // π_∅ puts every row in one trivial group; nothing to permute.
-    group_ends->push_back(n);
-    return;
-  }
   if (static_cast<int>(group_of_row_.size()) < n) group_of_row_.resize(n);
-  int num_groups;
-  if (attrs.size() == 1) {
-    num_groups = AssignGroupsSingleAttr(span, attrs.First());
-  } else if (attrs.size() == 2) {
-    const AttrId a1 = attrs.First();
-    const AttrId a2 = attrs.Minus(AttrSet::Singleton(a1)).First();
-    num_groups = AssignGroupsPackedPair(span, a1, a2);
-  } else {
-    num_groups = AssignGroupsGeneric(span, attrs);
-  }
+  // One fused pass straight off the table's columns: each row's key is
+  // read and deduplicated in the same step, with no staging buffer.
+  index_.Reset(span.table(), attrs, n);
+  index_.FindOrCreateAll(span.data(), n, group_of_row_.data());
+  const int num_groups = index_.size();
   if (num_groups == 1) {
     // Already contiguous; skip the scatter.
     group_ends->push_back(n);
@@ -37,61 +91,6 @@ void GroupScratch::GroupInPlace(RowSpan span, AttrSet attrs,
     return;
   }
   ScatterByGroup(span, num_groups, group_ends);
-}
-
-int GroupScratch::AssignGroupsSingleAttr(RowSpan span, AttrId attr) {
-  const int n = span.num_tuples();
-  const ValueId* column = span.table().ColumnData(attr);
-  const int* rows = span.data();
-  value_index_.Clear();
-  // One fused pass straight off the contiguous column: no staging, no max
-  // prescan (the slot table grows on demand and retains its high-water
-  // capacity across calls).
-  bool created = false;
-  for (int i = 0; i < n; ++i) {
-    group_of_row_[i] = value_index_.FindOrCreate(column[rows[i]], &created);
-  }
-  return value_index_.size();
-}
-
-namespace {
-
-/// The exact two-attribute grouping key: v1 in the high 32 bits.
-uint64_t PackPair(ValueId v1, ValueId v2) {
-  return (static_cast<uint64_t>(static_cast<uint32_t>(v1)) << 32) |
-         static_cast<uint32_t>(v2);
-}
-
-}  // namespace
-
-int GroupScratch::AssignGroupsPackedPair(RowSpan span, AttrId a1, AttrId a2) {
-  const int n = span.num_tuples();
-  const ValueId* c1 = span.table().ColumnData(a1);
-  const ValueId* c2 = span.table().ColumnData(a2);
-  const int* rows = span.data();
-  packed_group_.clear();
-  // One fused pass: pack each row's key straight off the two contiguous
-  // columns and deduplicate it in the same step.
-  int num_groups = 0;
-  for (int i = 0; i < n; ++i) {
-    const int row = rows[i];
-    auto [it, inserted] =
-        packed_group_.emplace(PackPair(c1[row], c2[row]), num_groups);
-    if (inserted) ++num_groups;
-    group_of_row_[i] = it->second;
-  }
-  return num_groups;
-}
-
-int GroupScratch::AssignGroupsGeneric(RowSpan span, AttrSet attrs) {
-  const int n = span.num_tuples();
-  projection_index_.Clear();
-  for (int i = 0; i < n; ++i) {
-    bool created = false;
-    group_of_row_[i] = projection_index_.FindOrCreate(span.table(), span.row(i),
-                                                      attrs, &created);
-  }
-  return projection_index_.size();
 }
 
 void GroupScratch::ScatterByGroup(RowSpan span, int num_groups,
@@ -122,29 +121,14 @@ int GroupScratch::AssignDistinctIndices(RowSpan span,
   index_of_group->clear();
   const int num_groups = static_cast<int>(group_ends.size());
   index_of_group->reserve(num_groups);
-  if (attrs.size() == 1) {
-    // Single-attribute side (the common marriage shape): resolve each
-    // group's witness value straight out of the column store.
-    const ValueId* column = span.table().ColumnData(attrs.First());
-    value_index_.Clear();
-    int begin = 0;
-    for (int g = 0; g < num_groups; ++g) {
-      bool created = false;
-      index_of_group->push_back(
-          value_index_.FindOrCreate(column[span.row(begin)], &created));
-      begin = group_ends[g];
-    }
-    return value_index_.size();
-  }
-  projection_index_.Clear();
+  index_.Reset(span.table(), attrs, num_groups);
   int begin = 0;
   for (int g = 0; g < num_groups; ++g) {
     bool created = false;
-    index_of_group->push_back(projection_index_.FindOrCreate(
-        span.table(), span.row(begin), attrs, &created));
+    index_of_group->push_back(index_.FindOrCreate(span.row(begin), &created));
     begin = group_ends[g];
   }
-  return projection_index_.size();
+  return index_.size();
 }
 
 std::vector<int> GroupScratch::AcquireIntBuffer() {

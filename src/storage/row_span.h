@@ -1,5 +1,5 @@
-// RowSpan + GroupScratch: the zero-allocation grouping core behind the
-// OptSRepair recursion.
+// RowSpan + GroupIndex + GroupScratch: the zero-allocation grouping core
+// behind the OptSRepair recursion and every other lhs grouping.
 //
 // Algorithm 1 spends essentially all of its time partitioning tuples into
 // σ-blocks and recursing on them. The TableView-based recursion materialized
@@ -13,12 +13,13 @@
 //     contiguous — groups in first-appearance order, rows within a group in
 //     original order (a stable counting scatter, not a comparison sort) —
 //     and only reports the group boundaries;
-//   - group identity is resolved over interned ValueIds: a dense
-//     epoch-stamped slot table for single attributes (the common-lhs /
-//     consensus fast path), an exact packed 64-bit key for two attributes
-//     (the 2-set marriage case), and hash-plus-witness verification beyond
-//     that — never a heap-allocated projection key;
-//   - every path reads the Table's contiguous per-attribute columns
+//   - group identity is resolved over interned ValueIds by one GroupIndex,
+//     the only place that picks a key by width: a dense epoch-stamped slot
+//     table for one attribute (the common-lhs / consensus fast path), and
+//     one flat open-addressing table otherwise — exact packed 64-bit keys
+//     for two attributes (the 2-set marriage case), hash plus witness row
+//     beyond that — never a heap-allocated projection key;
+//   - every grouping reads the Table's contiguous per-attribute columns
 //     (storage/table.h) in one fused pass per window: each row's key is
 //     read off its column and deduplicated in the same step, with no
 //     staging buffer in between.
@@ -36,7 +37,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
 #include <vector>
 
 #include "catalog/attrset.h"
@@ -85,100 +85,12 @@ class RowSpan {
   int size_ = 0;
 };
 
-/// FNV-1a over row `row`'s projection onto `attrs`, read through the
-/// table's columns without materializing it. Matches ProjectionKeyHash on
-/// the equivalent ProjectionKey.
-inline uint64_t ProjectionHash(const Table& table, int row, AttrSet attrs) {
-  uint64_t h = 1469598103934665603ULL;
-  ForEachAttr(attrs, [&](AttrId attr) {
-    h ^= static_cast<uint64_t>(static_cast<uint32_t>(table.value(row, attr)));
-    h *= 1099511628211ULL;
-  });
-  return h;
-}
-
-/// True iff rows `a` and `b` of `table` agree on every attribute of `attrs`.
-inline bool ProjectionEquals(const Table& table, int a, int b, AttrSet attrs) {
-  uint64_t bits = attrs.bits();
-  while (bits != 0) {
-    AttrId attr = __builtin_ctzll(bits);
-    if (table.value(a, attr) != table.value(b, attr)) return false;
-    bits &= bits - 1;
-  }
-  return true;
-}
-
-/// A dense first-appearance index over row projections of one table:
-/// entry i is the i-th distinct π_attrs projection encountered, witnessed
-/// by the first table row that produced it. Keyed by ProjectionHash;
-/// same-hash entries form a chain resolved by comparing against each
-/// entry's witness row, so no projection is ever materialized, and callers
-/// keep their payloads (rhs values, member lists) in plain parallel
-/// vectors. One shared implementation for every hash-plus-witness grouping
-/// in the tree (GroupScratch's generic paths, Satisfies, the vc-approx
-/// route). Every call between two Clear()s must pass the same table and
-/// attrs.
-class ProjectionIndex {
- public:
-  void Clear() {
-    first_of_hash_.clear();  // keeps bucket capacity
-    next_same_hash_.clear();
-    witness_.clear();
-  }
-
-  int size() const { return static_cast<int>(witness_.size()); }
-
-  /// The entry whose projection equals row `row`'s, or -1.
-  int Find(const Table& table, int row, AttrSet attrs) const {
-    auto it = first_of_hash_.find(ProjectionHash(table, row, attrs));
-    if (it == first_of_hash_.end()) return -1;
-    for (int e = it->second; e != -1; e = next_same_hash_[e]) {
-      if (ProjectionEquals(table, row, witness_[e], attrs)) return e;
-    }
-    return -1;
-  }
-
-  /// Find, creating a new entry witnessed by `row` (dense, in
-  /// first-appearance order) when absent; *created reports which.
-  int FindOrCreate(const Table& table, int row, AttrSet attrs, bool* created) {
-    const uint64_t h = ProjectionHash(table, row, attrs);
-    auto it = first_of_hash_.find(h);
-    if (it != first_of_hash_.end()) {
-      for (int e = it->second; e != -1; e = next_same_hash_[e]) {
-        if (ProjectionEquals(table, row, witness_[e], attrs)) {
-          *created = false;
-          return e;
-        }
-      }
-    }
-    const int e = size();
-    // New same-hash entries are prepended to the chain; entry ids (and so
-    // first-appearance order) never depend on the chain order.
-    next_same_hash_.push_back(it != first_of_hash_.end() ? it->second : -1);
-    witness_.push_back(row);
-    if (it != first_of_hash_.end()) {
-      it->second = e;
-    } else {
-      first_of_hash_.emplace(h, e);
-    }
-    *created = true;
-    return e;
-  }
-
- private:
-  std::unordered_map<uint64_t, int> first_of_hash_;
-  std::vector<int> next_same_hash_;
-  /// Entry -> the table row witnessing its projection.
-  std::vector<int> witness_;
-};
-
 /// An epoch-stamped dense map from ValueId to a small dense id assigned in
-/// first-appearance order: the single-attribute counterpart of
-/// ProjectionIndex, shared by GroupScratch's 1-attribute path, marriage
-/// endpoint assignment, Satisfies' single-attribute-lhs fast path and the
-/// vc-approx route. Clear() is O(1) (an epoch bump); slot storage grows to
-/// the largest ValueId seen and is retained across Clear()s, so a reused
-/// index allocates only on new high-water marks. Not thread-safe.
+/// first-appearance order: GroupIndex's one-attribute path, also used
+/// directly wherever a route counts or deduplicates the values of one
+/// column. Clear() is O(1) (an epoch bump); slot storage grows to the
+/// largest ValueId seen and is retained across Clear()s, so a reused index
+/// allocates only on new high-water marks. Not thread-safe.
 class DenseValueIndex {
  public:
   void Clear() {
@@ -235,6 +147,122 @@ class DenseValueIndex {
   int count_ = 0;
 };
 
+/// Dense group ids for the π_attrs projections of one table's rows, in
+/// first-appearance order: the i-th distinct projection met gets id i. The
+/// one grouping index of the tree — GroupScratch, LhsGroups and Satisfies
+/// (storage/consistency.h) and the vc-approx restore pass all resolve
+/// their groups through it, so the choice between the lookups below lives
+/// here only:
+///   - one attribute: a DenseValueIndex over the column's ValueIds;
+///   - two attributes: a flat open-addressing table of exact packed
+///     (v1, v2) keys;
+///   - any other width: the same table keyed by a hash of the projection,
+///     each slot resolved against the row that first produced it (an
+///     empty `attrs` hashes every row alike: one group).
+/// The flat table is laid out like Table's id index: linear probing from a
+/// Fibonacci-hashed home slot over a power-of-two prefix of a retained
+/// slot buffer, each slot epoch-stamped, so Reset costs O(expected_rows)
+/// whatever size an earlier grouping left the buffer at. It doubles when
+/// half full, so rows may also be added one at a time. Not thread-safe.
+class GroupIndex {
+ public:
+  /// Starts a new grouping of `table`'s rows by `attrs`, sized for
+  /// `expected_rows` distinct projections (more grow the table). The table
+  /// must outlive every later call until the next Reset.
+  void Reset(const Table& table, AttrSet attrs, int expected_rows);
+
+  /// The group of row `row`'s projection, assigning the next id when it is
+  /// new; *created says which.
+  int FindOrCreate(int row, bool* created) {
+    if (column_ != nullptr) return values_.FindOrCreate(column_[row], created);
+    const uint64_t key = KeyOf(row);
+    const Slot& slot = slots_[ProbeSlot(row, key)];
+    *created = slot.epoch != epoch_;
+    return *created ? Insert(row, key) : slot.group;
+  }
+
+  /// FindOrCreate for each of rows[0, n), writing row rows[i]'s group to
+  /// groups[i]: the whole-window form, with the choice of key made once.
+  void FindOrCreateAll(const int* rows, int n, int* groups);
+
+  /// The group of row `row`'s projection, or -1 if no row had it yet.
+  int Find(int row) const;
+
+  int size() const {
+    return column_ != nullptr ? values_.size()
+                              : static_cast<int>(witness_.size());
+  }
+
+ private:
+  struct Slot {
+    uint64_t key = 0;
+    int32_t group = -1;
+    uint32_t epoch = 0;
+  };
+
+  /// The exact packed pair for two attributes; otherwise FNV-1a over the
+  /// row's projection, read through the table's columns.
+  uint64_t KeyOf(int row) const {
+    if (second_ != nullptr) {
+      return (static_cast<uint64_t>(static_cast<uint32_t>(first_[row])) << 32) |
+             static_cast<uint32_t>(second_[row]);
+    }
+    uint64_t h = 1469598103934665603ULL;
+    ForEachAttr(attrs_, [&](AttrId attr) {
+      h ^= static_cast<uint64_t>(
+          static_cast<uint32_t>(table_->value(row, attr)));
+      h *= 1099511628211ULL;
+    });
+    return h;
+  }
+
+  /// True iff rows `a` and `b` agree on every attribute of attrs_.
+  bool SameProjection(int a, int b) const {
+    for (uint64_t bits = attrs_.bits(); bits != 0; bits &= bits - 1) {
+      const AttrId attr = __builtin_ctzll(bits);
+      if (table_->value(a, attr) != table_->value(b, attr)) return false;
+    }
+    return true;
+  }
+
+  /// The slot holding row `row`'s projection (key `key`), or the empty
+  /// slot where it belongs.
+  size_t ProbeSlot(int row, uint64_t key) const {
+    for (size_t slot = (key * 0x9e3779b97f4a7c15ULL) >> shift_;;
+         slot = (slot + 1) & mask_) {
+      const Slot& s = slots_[slot];
+      if (s.epoch != epoch_) return slot;
+      if (s.key == key &&
+          (second_ != nullptr || SameProjection(row, witness_[s.group]))) {
+        return slot;
+      }
+    }
+  }
+
+  /// Adds row `row`'s projection (absent, key `key`) as the next group.
+  int Insert(int row, uint64_t key);
+  /// Empties the table at `capacity` slots (a power of two), then
+  /// re-inserts every group from its witness row.
+  void Rehash(size_t capacity);
+
+  const Table* table_ = nullptr;
+  AttrSet attrs_;
+  /// One attribute: its column, and the index over its values.
+  const ValueId* column_ = nullptr;
+  DenseValueIndex values_;
+  /// Two attributes: their columns, lower attribute first.
+  const ValueId* first_ = nullptr;
+  const ValueId* second_ = nullptr;
+  /// The flat table: slots_[0, mask_ + 1) is live; an empty slot is one
+  /// whose epoch is not epoch_.
+  std::vector<Slot> slots_;
+  size_t mask_ = 0;
+  int shift_ = 64;
+  uint32_t epoch_ = 0;
+  /// Group -> the first row that produced its projection.
+  std::vector<int> witness_;
+};
+
 /// Reusable buffers for in-place span grouping plus a small arena of int
 /// vectors for recursion-local data (group boundaries, kept-row buffers).
 ///
@@ -273,26 +301,14 @@ class GroupScratch {
   void ReleaseIntBuffer(std::vector<int> buffer);
 
  private:
-  /// Phase 1 helpers: fill group_of_row_[0..n) with dense group ids in
-  /// first-appearance order and return the group count.
-  int AssignGroupsSingleAttr(RowSpan span, AttrId attr);
-  int AssignGroupsPackedPair(RowSpan span, AttrId a1, AttrId a2);
-  int AssignGroupsGeneric(RowSpan span, AttrSet attrs);
-
-  /// Phase 2: stable counting scatter of span rows by group_of_row_.
+  /// Stable counting scatter of span rows by group_of_row_.
   void ScatterByGroup(RowSpan span, int num_groups,
                       std::vector<int>* group_ends);
 
   std::vector<int> group_of_row_;
   std::vector<int> group_start_;
   std::vector<int> scatter_;
-  /// Single-attribute fast path: ValueId -> dense group id (epoch-stamped,
-  /// O(1) clear); also resolves marriage endpoints for 1-attribute sides.
-  DenseValueIndex value_index_;
-  /// Two-attribute fast path: exact packed (v1, v2) key.
-  std::unordered_map<uint64_t, int> packed_group_;
-  /// Generic path: hash-plus-witness projection index.
-  ProjectionIndex projection_index_;
+  GroupIndex index_;
   std::vector<std::vector<int>> free_buffers_;
 };
 

@@ -142,6 +142,9 @@ class Table {
 
   int num_tuples() const { return static_cast<int>(ids_.size()); }
   bool empty() const { return ids_.empty(); }
+  /// The identifier AddTuple assigns next: the largest id the table has
+  /// held + 1, and INT64_MAX (reserved) once the id space is used up.
+  TupleId next_id() const { return next_id_; }
 
   /// Appends a tuple with an auto-assigned identifier (max id + 1) and
   /// weight 1. Returns its identifier. Aborts if no id is left, i.e. the

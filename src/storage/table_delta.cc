@@ -1,6 +1,7 @@
 #include "storage/table_delta.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "storage/table_hash.h"
@@ -31,9 +32,13 @@ Status ValidateDelta(const TableDelta& delta, const Table& mutated) {
 DeltaBuilder::DeltaBuilder(const Table& base)
     : table_(base), base_hash_(TableContentHash(table_)) {}
 
-TupleId DeltaBuilder::Insert(const std::vector<std::string>& values,
-                             double weight) {
-  const TupleId id = table_.AddTuple(values, weight);
+StatusOr<TupleId> DeltaBuilder::Insert(const std::vector<std::string>& values,
+                                       double weight) {
+  const TupleId id = table_.next_id();
+  if (id == std::numeric_limits<TupleId>::max()) {
+    return Status::ResourceExhausted("no tuple identifier left to assign");
+  }
+  FDR_RETURN_IF_ERROR(table_.AddTupleWithId(id, values, weight));
   first_inserted_ = std::min(first_inserted_, id);
   return id;
 }

@@ -70,8 +70,12 @@ class DeltaBuilder {
   /// The current (mutated) state.
   const Table& table() const { return table_; }
 
-  /// Appends a fresh tuple (auto-assigned id, weight 1 unless given).
-  TupleId Insert(const std::vector<std::string>& values, double weight = 1.0);
+  /// Appends a fresh tuple (auto-assigned id, weight 1 unless given) and
+  /// returns its id. kInvalidArgument on a wrong arity or a weight that is
+  /// not positive, kResourceExhausted once no id is left; the table is
+  /// then unchanged.
+  StatusOr<TupleId> Insert(const std::vector<std::string>& values,
+                           double weight = 1.0);
   /// Rewrites one cell of the tuple with identifier `id`.
   Status Update(TupleId id, AttrId attr, const std::string& text);
   /// Removes the tuple with identifier `id` (later rows shift down).

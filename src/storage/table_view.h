@@ -5,13 +5,14 @@
 // vectors into the root table, so the recursion's total work follows the
 // paper's recurrences (3)–(5) instead of copying tuples at every level.
 //
-// The GroupRows/GroupBy APIs below materialize one index vector per group;
-// the OptSRepair hot path no longer uses them — it permutes a shared
-// row-index buffer in place instead (storage/row_span.h) — but they remain
-// the convenient interface for everything off the hot path, and the oracle
-// the span core is tested against: GroupRows keys a plain hash map by
-// materialized projections, with none of the grouping core's fast paths,
-// and tests/row_span_test.cc pins GroupScratch to it.
+// GroupRows/GroupBy/ProjectTuple below materialize one key and one index
+// vector per group. No production code groups through them: every lhs
+// grouping goes through GroupIndex (storage/row_span.h). They are the
+// oracle the grouping core is tested against — GroupRows keys a plain hash
+// map by materialized projections, and tests/row_span_test.cc and
+// tests/table_test.cc pin GroupScratch and LhsGroups to it — and the
+// served benchmark's layer trace calls them. They belong with the test
+// oracles (tests/oracles/) once that trace no longer does.
 
 #ifndef FDREPAIR_STORAGE_TABLE_VIEW_H_
 #define FDREPAIR_STORAGE_TABLE_VIEW_H_

@@ -199,7 +199,11 @@ StatusOr<Table> OptURepairExact(const FdSet& fds, const Table& table,
       update.SetValue(row, attr, state.best_assignment[row][attr]);
     }
   }
-  FDR_CHECK(Satisfies(update, delta));
+  if (!Satisfies(update, delta)) {
+    return Status::Internal(
+        "exact search produced an inconsistent update for " +
+        delta.ToString());
+  }
   return update;
 }
 

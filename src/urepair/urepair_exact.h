@@ -38,6 +38,8 @@ struct ExactURepairOptions {
 };
 
 /// Computes an optimal U-repair of `table` under ∆ by exhaustive search.
+/// Fails with kInternal, rather than aborting, if the update it settles on
+/// does not satisfy ∆.
 StatusOr<Table> OptURepairExact(const FdSet& fds, const Table& table,
                                 const ExactURepairOptions& options = {});
 

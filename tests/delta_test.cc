@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -149,7 +150,7 @@ TEST(TableDeltaTest, EditsCollapseToNetEffect) {
 
   {  // an update of a row inserted by the same delta is not listed.
     DeltaBuilder builder(base);
-    TupleId id = builder.Insert({"x7", "y7"});
+    const TupleId id = *builder.Insert({"x7", "y7"});
     ASSERT_TRUE(builder.Update(id, 0, "x8").ok());
     TableDelta delta = builder.Finish();
     EXPECT_TRUE(delta.updated.empty());
@@ -158,7 +159,7 @@ TEST(TableDeltaTest, EditsCollapseToNetEffect) {
   }
   {  // insert + erase nets out to nothing.
     DeltaBuilder builder(base);
-    TupleId id = builder.Insert({"x7", "y7"});
+    const TupleId id = *builder.Insert({"x7", "y7"});
     ASSERT_TRUE(builder.Erase(id).ok());
     TableDelta delta = builder.Finish();
     EXPECT_TRUE(delta.updated.empty());
@@ -175,6 +176,48 @@ TEST(TableDeltaTest, EditsCollapseToNetEffect) {
     EXPECT_EQ(delta.updated, std::vector<TupleId>{2});
     EXPECT_TRUE(ValidateDelta(delta, builder.table()).ok());
   }
+}
+
+// A rejected Insert returns a Status and leaves the working table, and so
+// the next delta, as they were.
+void ExpectInsertRejected(DeltaBuilder* builder,
+                          const std::vector<std::string>& values,
+                          double weight, StatusCode code) {
+  const uint64_t before = TableContentHash(builder->table());
+  const int rows = builder->table().num_tuples();
+  StatusOr<TupleId> id = builder->Insert(values, weight);
+  ASSERT_FALSE(id.ok());
+  EXPECT_EQ(id.status().code(), code) << id.status();
+  EXPECT_EQ(builder->table().num_tuples(), rows);
+  TableDelta delta = builder->Finish();
+  EXPECT_EQ(delta.result_hash, before);
+  EXPECT_TRUE(ValidateDelta(delta, builder->table()).ok());
+}
+
+TEST(TableDeltaTest, InsertRejectsWrongArity) {
+  DeltaBuilder builder(SmallTable(3));
+  ExpectInsertRejected(&builder, {"only one"}, 1.0,
+                       StatusCode::kInvalidArgument);
+  ExpectInsertRejected(&builder, {"a", "b", "c"}, 1.0,
+                       StatusCode::kInvalidArgument);
+}
+
+TEST(TableDeltaTest, InsertRejectsNonPositiveOrNanWeight) {
+  DeltaBuilder builder(SmallTable(3));
+  for (double weight : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    ExpectInsertRejected(&builder, {"x", "y"}, weight,
+                         StatusCode::kInvalidArgument);
+  }
+  EXPECT_TRUE(builder.Insert({"x", "y"}, 0.5).ok());  // still usable
+}
+
+TEST(TableDeltaTest, InsertRejectsAnExhaustedIdSpace) {
+  Table base = SmallTable(2);
+  const TupleId largest = std::numeric_limits<TupleId>::max() - 1;
+  ASSERT_TRUE(base.AddTupleWithId(largest, {"x", "y"}, 1.0).ok());
+  DeltaBuilder builder(base);
+  ExpectInsertRejected(&builder, {"x", "z"}, 1.0,
+                       StatusCode::kResourceExhausted);
 }
 
 TEST(TableDeltaTest, ResultHashBindsNewContent) {

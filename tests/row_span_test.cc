@@ -195,12 +195,38 @@ TEST(GroupScratchTest, WindowIsPermutedInPlaceOnly) {
   }
 }
 
+/// Groups every row of `table` (reversed when asked) by `attrs` with
+/// `scratch` and checks the permutation and boundaries against GroupRows.
+void ExpectGroupingMatchesGroupRows(const Table& table, AttrSet attrs,
+                                    bool reversed, GroupScratch* scratch,
+                                    int trial) {
+  std::vector<int> buffer = AllRows(table);
+  if (reversed) std::reverse(buffer.begin(), buffer.end());
+  GroupedRows expected = TableView(table, buffer).GroupRows(attrs);
+  RowSpan span(table, buffer.data(), static_cast<int>(buffer.size()));
+  std::vector<int> group_ends;
+  scratch->GroupInPlace(span, attrs, &group_ends);
+  std::vector<std::vector<int>> groups = GroupsOf(buffer, group_ends);
+  const int n = table.num_tuples();
+  ASSERT_EQ(groups.size(), expected.rows.size())
+      << "trial " << trial << " n " << n << " attrs " << attrs.ToString();
+  for (size_t g = 0; g < groups.size(); ++g) {
+    ASSERT_EQ(groups[g], expected.rows[g])
+        << "trial " << trial << " n " << n << " attrs " << attrs.ToString()
+        << " group " << g;
+  }
+}
+
 // The grouping oracle: on random tables and 1/2/3+ attribute keys, the
 // grouping core must produce exactly the grouping of TableView::GroupRows —
 // same permutation, same group boundaries. Windows run from a single row to
 // about 2,000 rows, and every other trial groups the rows in reverse order,
-// so the window is not the identity. This is what keeps the fast paths from
-// ever drifting from GroupRows.
+// so the window is not the identity. Further trials cover keys of 3 to 5
+// attributes over tables whose cells are mostly values of their own (the
+// many-distinct-keys shape of an update's fresh ⊥ cells), and tables of at
+// most 12 rows, whose keys share home slots of the grouping table's
+// smallest size. This is what keeps GroupIndex from ever drifting from
+// GroupRows.
 TEST(GroupScratchTest, MatchesGroupRowsOnRandomTables) {
   Rng rng(97);
   ParsedFdSet parsed = Example31Ssn();  // 7 attributes
@@ -216,20 +242,35 @@ TEST(GroupScratchTest, MatchesGroupRowsOnRandomTables) {
       attrs = attrs.With(static_cast<AttrId>(
           rng.UniformUint64(table.schema().arity())));
     }
-    std::vector<int> buffer = AllRows(table);
-    if (trial % 2 == 1) std::reverse(buffer.begin(), buffer.end());
-    GroupedRows expected = TableView(table, buffer).GroupRows(attrs);
-    RowSpan span(table, buffer.data(), static_cast<int>(buffer.size()));
-    std::vector<int> group_ends;
-    scratch.GroupInPlace(span, attrs, &group_ends);
-    std::vector<std::vector<int>> groups = GroupsOf(buffer, group_ends);
-    ASSERT_EQ(groups.size(), expected.rows.size())
-        << "trial " << trial << " n " << n << " attrs " << attrs.ToString();
-    for (size_t g = 0; g < groups.size(); ++g) {
-      ASSERT_EQ(groups[g], expected.rows[g])
-          << "trial " << trial << " n " << n << " attrs " << attrs.ToString()
-          << " group " << g;
+    ExpectGroupingMatchesGroupRows(table, attrs, trial % 2 == 1, &scratch,
+                                   trial);
+  }
+  const Schema schema = Schema::MakeOrDie("R", {"A", "B", "C", "D", "E"});
+  for (int trial = 16; trial < 64; ++trial) {
+    const bool small = trial % 2 == 0;
+    const int n = 1 + static_cast<int>(rng.UniformUint64(small ? 12 : 2000));
+    const uint64_t domain = 2 + rng.UniformUint64(small ? 4 : 40);
+    const double fresh = small ? 0.2 : 0.9;
+    Table table(schema);
+    for (int row = 0; row < n; ++row) {
+      std::vector<std::string> values;
+      for (int attr = 0; attr < schema.arity(); ++attr) {
+        const bool own = rng.Bernoulli(fresh);
+        values.push_back(own ? "f" + std::to_string(row) + "." +
+                                   std::to_string(attr)
+                             : "v" + std::to_string(rng.UniformUint64(domain)));
+      }
+      table.AddTuple(values);
     }
+    // Key width 1..5 on small tables, 3..5 on the fresh-⊥ shape.
+    const int width = (small ? 1 : 3) +
+                      static_cast<int>(rng.UniformUint64(small ? 5 : 3));
+    AttrSet attrs;
+    while (attrs.size() < width) {
+      attrs = attrs.With(static_cast<AttrId>(rng.UniformUint64(5)));
+    }
+    ExpectGroupingMatchesGroupRows(table, attrs, trial % 4 < 2, &scratch,
+                                   trial);
   }
 }
 
@@ -277,6 +318,42 @@ TEST(DenseValueIndexTest, AssignsFirstAppearanceIdsAndClearsInO1) {
   EXPECT_EQ(index.Find(42), -1);  // prior epoch's entries are gone
   EXPECT_EQ(index.FindOrCreate(7, &created), 0);
   EXPECT_TRUE(created);
+}
+
+// GroupIndex on its own: rows added one at a time from an index sized for
+// none, so the flat table doubles many times, must get GroupRows' group
+// numbers; Find sees exactly the projections created so far. Each trial
+// reuses the index of the one before, larger or smaller, so slots an
+// earlier grouping left behind must read as empty.
+TEST(GroupIndexTest, GrowsRowByRowAndMatchesGroupRows) {
+  Rng rng(31);
+  ParsedFdSet parsed = Example31Ssn();  // 7 attributes
+  GroupIndex index;
+  for (int trial = 0; trial < 24; ++trial) {
+    const int n = 1 + static_cast<int>(rng.UniformUint64(trial % 2 ? 30 : 900));
+    Table table = ScalingFamilyTable(parsed, n, 100 + trial, 2);
+    AttrSet attrs;
+    const int width = trial % 5;  // 0..4 attributes
+    while (attrs.size() < width) {
+      attrs = attrs.With(static_cast<AttrId>(rng.UniformUint64(7)));
+    }
+    GroupedRows expected = TableView(table).GroupRows(attrs);
+    std::vector<int> group_of_row(n);
+    for (size_t g = 0; g < expected.rows.size(); ++g) {
+      for (int row : expected.rows[g]) group_of_row[row] = static_cast<int>(g);
+    }
+    index.Reset(table, attrs, trial % 3 == 0 ? n : 0);
+    for (int row = 0; row < n; ++row) {
+      const int known = index.size();
+      const int found = index.Find(row);
+      bool created = false;
+      ASSERT_EQ(index.FindOrCreate(row, &created), group_of_row[row])
+          << "trial " << trial << " row " << row;
+      EXPECT_EQ(created, group_of_row[row] == known) << "row " << row;
+      EXPECT_EQ(found, created ? -1 : group_of_row[row]) << "row " << row;
+    }
+    EXPECT_EQ(index.size(), static_cast<int>(expected.rows.size()));
+  }
 }
 
 TEST(GroupScratchTest, IntBufferArenaRecyclesCapacity) {

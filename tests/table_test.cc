@@ -700,53 +700,151 @@ TEST(ConsistencyTest, PairConsistent) {
   EXPECT_TRUE(PairConsistent(table.tuple(0), table.tuple(3), fds));
 }
 
+/// A seeded table over R(A, B, C, D, E) whose E is a function of the
+/// first `width` attributes, except at up to two corrupted rows. Key cells
+/// take one of `domain` values, but with probability `fresh` a cell gets a
+/// value of its own instead: the many-distinct-keys shape of an update's
+/// fresh ⊥ cells.
+Table SeededConsistencyTable(const Schema& schema, int width, int n,
+                             uint64_t domain, double fresh, Rng* rng) {
+  const int corrupted = static_cast<int>(rng->UniformUint64(3));
+  Table table(schema);
+  for (int row = 0; row < n; ++row) {
+    std::vector<std::string> values;
+    uint64_t key = 0;
+    for (int attr = 0; attr < 4; ++attr) {
+      uint64_t v = rng->UniformUint64(domain);
+      if (fresh > 0 && rng->Bernoulli(fresh)) v = domain + 4 * row + attr;
+      if (attr < width) key = key * 31 + v;
+      values.push_back("v" + std::to_string(v));
+    }
+    values.push_back("r" + std::to_string(key % 5));
+    table.AddTuple(values);
+  }
+  for (int c = 0; c < corrupted; ++c) {
+    const int row = static_cast<int>(rng->UniformUint64(n));
+    table.SetValue(row, 4, table.Intern("x" + std::to_string(c)));
+  }
+  return table;
+}
+
+/// The whole table and a random reversed sub-view of it.
+std::vector<TableView> WholeAndReversedViews(const Table& table, Rng* rng) {
+  const int n = table.num_tuples();
+  const int begin = static_cast<int>(rng->UniformUint64(n));
+  const int end = begin + 1 + static_cast<int>(rng->UniformUint64(n - begin));
+  std::vector<int> reversed;
+  for (int row = end - 1; row >= begin; --row) reversed.push_back(row);
+  return {TableView(table), TableView(table, std::move(reversed))};
+}
+
+const char* const kConsistencyFds[] = {"{} -> E", "A -> E", "A B -> E",
+                                       "A B C -> E", "A B C D -> E"};
+
 // Satisfies against the violation-enumeration oracle, on seeded tables
 // whose rhs is a function of the lhs except at a few corrupted rows. Each
 // trial checks the whole table and a reversed sub-view, over 0- to
-// 3-attribute lhs and 1 to 1,500 rows, so single-attribute lhs sweeps run
-// on small and large views alike; both outcomes must come up.
+// 4-attribute lhs. The first 48 trials take 1 to 1,500 rows from small
+// domains, so single-attribute lhs sweeps run on small and large views
+// alike. Then come tables whose key cells are mostly values of their own
+// (the fresh-⊥ shape of an update) and tables of at most 12 rows, whose
+// keys share home slots of the grouping table's smallest size. Both
+// outcomes must come up.
 TEST(ConsistencyTest, SatisfiesMatchesFindViolations) {
   Schema schema = Schema::MakeOrDie("R", {"A", "B", "C", "D", "E"});
-  const char* const kFds[] = {"{} -> E", "A -> E", "A B -> E", "A B C -> E"};
   Rng rng(1931);
   int satisfied = 0, violated = 0;
-  for (int trial = 0; trial < 48; ++trial) {
-    const int width = trial % 4;
-    FdSet fds = ParseFdSetOrDie(schema, kFds[width]);
-    const int n = 1 + static_cast<int>(rng.UniformUint64(1500));
+  for (int trial = 0; trial < 96; ++trial) {
+    const int shape = trial < 48 ? 0 : 1 + trial % 2;
+    const int width = shape == 0 ? trial % 4 : trial % 5;
+    FdSet fds = ParseFdSetOrDie(schema, kConsistencyFds[width]);
+    const int n =
+        1 + static_cast<int>(rng.UniformUint64(shape == 2 ? 12 : 1500));
     const uint64_t domain = 2 + rng.UniformUint64(6);
-    const int corrupted = static_cast<int>(rng.UniformUint64(3));
-    Table table(schema);
-    for (int row = 0; row < n; ++row) {
-      std::vector<std::string> values;
-      uint64_t key = 0;
-      for (int attr = 0; attr < 4; ++attr) {
-        const uint64_t v = rng.UniformUint64(domain);
-        if (attr < width) key = key * 31 + v;
-        values.push_back("v" + std::to_string(v));
-      }
-      values.push_back("r" + std::to_string(key % 5));
-      table.AddTuple(values);
-    }
-    for (int c = 0; c < corrupted; ++c) {
-      const int row = static_cast<int>(rng.UniformUint64(n));
-      table.SetValue(row, 4, table.Intern("x" + std::to_string(c)));
-    }
-    const int begin = static_cast<int>(rng.UniformUint64(n));
-    const int end = begin + 1 + static_cast<int>(rng.UniformUint64(n - begin));
-    std::vector<int> reversed;
-    for (int row = end - 1; row >= begin; --row) reversed.push_back(row);
-    for (const TableView& view :
-         {TableView(table), TableView(table, std::move(reversed))}) {
+    Table table = SeededConsistencyTable(schema, width, n, domain,
+                                         shape == 1 ? 0.9 : 0.0, &rng);
+    for (const TableView& view : WholeAndReversedViews(table, &rng)) {
       const bool expected = FindViolations(view, fds).empty();
       EXPECT_EQ(Satisfies(view, fds), expected)
-          << "trial " << trial << " fds " << kFds[width] << " rows "
-          << view.num_tuples();
+          << "trial " << trial << " fds " << kConsistencyFds[width]
+          << " rows " << view.num_tuples();
       ++(expected ? satisfied : violated);
     }
   }
   EXPECT_GT(satisfied, 0);
   EXPECT_GT(violated, 0);
+}
+
+// LhsGroups against TableView::GroupRows: the same groups in the same
+// first-appearance order, members in view order, with every row kept and
+// with a seeded keep filter (the grouping of the kept rows alone). Each
+// group's ViolatingPairs must equal an all-pairs count of its members
+// that differ on the rhs.
+TEST(LhsGroupsTest, BuildMatchesGroupRowsAndPairsMatchBruteForce) {
+  Schema schema = Schema::MakeOrDie("R", {"A", "B", "C", "D", "E"});
+  Rng rng(2027);
+  LhsGroups groups;
+  int64_t violating = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const int width = trial % 5;
+    const AttrSet lhs = AttrSet::FromBits((uint64_t{1} << width) - 1);
+    const int n =
+        1 + static_cast<int>(rng.UniformUint64(trial % 2 == 0 ? 12 : 800));
+    const uint64_t domain = 2 + rng.UniformUint64(6);
+    Table table = SeededConsistencyTable(schema, width, n, domain,
+                                         trial % 3 == 0 ? 0.9 : 0.0, &rng);
+    for (const TableView& view : WholeAndReversedViews(table, &rng)) {
+      for (bool filtered : {false, true}) {
+        std::vector<char> keep(view.num_tuples(), 1);
+        std::vector<int> kept_rows;
+        for (int i = 0; i < view.num_tuples(); ++i) {
+          if (filtered) keep[i] = rng.Bernoulli(0.6);
+          if (keep[i]) kept_rows.push_back(view.row(i));
+        }
+        groups.Build(view, lhs, [&](int i) { return keep[i] != 0; });
+        GroupedRows expected = TableView(table, kept_rows).GroupRows(lhs);
+        ASSERT_EQ(groups.size(), static_cast<int>(expected.rows.size()))
+            << "trial " << trial;
+        for (int g = 0; g < groups.size(); ++g) {
+          std::vector<int> members;
+          for (const int* m = groups.begin(g); m != groups.end(g); ++m) {
+            members.push_back(view.row(*m));
+          }
+          ASSERT_EQ(members, expected.rows[g])
+              << "trial " << trial << " group " << g;
+          int64_t pairs = 0;
+          for (const int* a = groups.begin(g); a != groups.end(g); ++a) {
+            for (const int* b = a + 1; b != groups.end(g); ++b) {
+              pairs += view.value(*a, 4) != view.value(*b, 4);
+            }
+          }
+          EXPECT_EQ(groups.ViolatingPairs(view, g, 4), pairs)
+              << "trial " << trial << " group " << g;
+          violating += pairs;
+        }
+      }
+    }
+  }
+  EXPECT_GT(violating, 0);
+}
+
+TEST(LhsGroupsTest, EmptyLhsMakesOneGroup) {
+  Table table = MakeOfficeT();
+  TableView view(table);
+  const AttrId city = *table.schema().AttributeId("city");
+  LhsGroups groups;
+  groups.Build(view, AttrSet());
+  ASSERT_EQ(groups.size(), 1);
+  EXPECT_EQ(std::vector<int>(groups.begin(0), groups.end(0)),
+            (std::vector<int>{0, 1, 2, 3}));
+  // Paris, Madrid, Madrid, London: C(4, 2) pairs less the Madrid pair.
+  EXPECT_EQ(groups.ViolatingPairs(view, 0, city), 5);
+  groups.Build(view, AttrSet(), [](int i) { return i >= 2; });
+  ASSERT_EQ(groups.size(), 1);
+  EXPECT_EQ(std::vector<int>(groups.begin(0), groups.end(0)),
+            (std::vector<int>{2, 3}));
+  groups.Build(view, AttrSet(), [](int) { return false; });
+  EXPECT_EQ(groups.size(), 0);
 }
 
 TEST(DistanceTest, DistSubMatchesExample23) {

@@ -18,14 +18,22 @@ one ``fdrepair_<layer>`` target) and the total, e.g.::
 
 The count is the yardstick for changes whose goal is less production
 code; tests, benches and examples are outside ``src/`` and not counted.
+It is also a ratchet: the script exits 1 when the total exceeds
+``CEILING`` below. A change that lowers the total lowers the ceiling to
+match; a change that must raise it says why in CHANGES.md.
 """
 
 import argparse
+import contextlib
+import io
 import os
 import sys
 import tempfile
 
 EXTENSIONS = (".h", ".cc")
+
+# The most production lines src/ may hold (see the module docstring).
+CEILING = 9213
 
 
 def code_lines(text):
@@ -98,6 +106,20 @@ def report(per_library):
     return "\n".join(out)
 
 
+def check(root, ceiling):
+    """Prints the report for `root`; returns 1 if its total exceeds
+    `ceiling`, else 0."""
+    per_library = count_tree(root)
+    print(report(per_library))
+    total = sum(per_library.values())
+    if total > ceiling:
+        print("src_loc: total %d exceeds the ceiling of %d production lines; "
+              "delete code, or raise CEILING and say why in CHANGES.md"
+              % (total, ceiling), file=sys.stderr)
+        return 1
+    return 0
+
+
 def self_test():
     checks = 0
     assert code_lines("") == 0
@@ -135,6 +157,14 @@ def self_test():
         assert lines[-1].split() == ["total", "5"], lines
         assert [line.split()[0] for line in lines] == \
             ["alpha", "beta", "total"], lines
+        checks += 1
+        # The ratchet: a total at the ceiling passes, one line over fails.
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            assert check(root, 5) == 0
+            assert err.getvalue() == "", err.getvalue()
+            assert check(root, 4) == 1
+        assert "exceeds the ceiling of 4" in err.getvalue(), err.getvalue()
     checks += 1
     print("self-test OK (%d check groups)" % checks)
 
@@ -150,8 +180,7 @@ def main():
     if args.self_test:
         self_test()
         return 0
-    print(report(count_tree(args.root)))
-    return 0
+    return check(args.root, CEILING)
 
 
 if __name__ == "__main__":
