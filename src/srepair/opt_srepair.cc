@@ -1,6 +1,7 @@
 #include "srepair/opt_srepair.h"
 
 #include <algorithm>
+#include <memory>
 #include <optional>
 #include <span>
 #include <utility>
@@ -107,74 +108,6 @@ class ScopedResults {
   std::vector<BlockResult> results_;
 };
 
-/// Membership test for the delta's updated ids, fused into block
-/// extraction. TupleIds are normally minted densely from 1 and never
-/// recycled, so a flag vector indexed by id answers in one load per block
-/// member — the per-member unordered_set probe this replaces was (with
-/// id-keyed kept-row resolution) the splice's hottest path. Ids outside
-/// [0, flag_cap) — too sparse to flag cheaply, or negative (a CSV may carry
-/// any id) — fall back to binary search over a sorted copy.
-class UpdatedIdSet {
- public:
-  UpdatedIdSet(const std::vector<TupleId>& ids, size_t flag_cap) {
-    if (ids.empty()) return;
-    const auto [min_id, max_id] = std::minmax_element(ids.begin(), ids.end());
-    if (*min_id >= 0 && static_cast<size_t>(*max_id) < flag_cap) {
-      flags_.assign(static_cast<size_t>(*max_id) + 1, 0);
-      for (TupleId id : ids) flags_[static_cast<size_t>(id)] = 1;
-    } else {
-      sorted_ = ids;
-      std::sort(sorted_.begin(), sorted_.end());
-    }
-  }
-
-  bool contains(TupleId id) const {
-    if (sorted_.empty()) {
-      return id >= 0 && static_cast<size_t>(id) < flags_.size() &&
-             flags_[static_cast<size_t>(id)] != 0;
-    }
-    return std::binary_search(sorted_.begin(), sorted_.end(), id);
-  }
-
- private:
-  std::vector<unsigned char> flags_;
-  std::vector<TupleId> sorted_;
-};
-
-/// A delta run's view of its base plan, consulted by the depth-0 step: a
-/// block of the mutated table is clean — replayed, not solved — when its
-/// membership sequence matches a base block and none of its ids was
-/// updated in place.
-struct SpliceBase {
-  SpliceBase(const SRepairPlanCache& plan, const std::vector<TupleId>& ids,
-             int num_tuples, SRepairSpliceStats* stats_sink)
-      : base(plan),
-        // Flaggable up to a generous multiple of the table size: ids grow
-        // by one per insert ever made, so only a table that shrank by
-        // orders of magnitude since its ids were minted falls back to
-        // binary search.
-        updated(ids, static_cast<size_t>(num_tuples) * 16 + 65536),
-        stats(stats_sink) {
-    for (int m = 0; m < base.num_blocks(); ++m) {
-      const std::span<const TupleId> block = base.block_ids(m);
-      index.Add(block.data(), static_cast<int>(block.size()));
-    }
-  }
-
-  /// The base block a clean block replays, or -1 when it must be solved.
-  int CleanMatch(std::span<const TupleId> ids) const {
-    for (TupleId id : ids) {
-      if (updated.contains(id)) return -1;
-    }
-    return index.Match(ids.data(), static_cast<int>(ids.size()));
-  }
-
-  const SRepairPlanCache& base;
-  BaseBlockIndex index;
-  UpdatedIdSet updated;
-  SRepairSpliceStats* stats;
-};
-
 /// Everything constant across one OptSRepairRows recursion.
 struct RecursionContext {
   const SimplificationChain* chain;
@@ -186,39 +119,19 @@ struct RecursionContext {
   /// levels ignore it.
   SRepairPlanCache* capture = nullptr;
   /// Non-null on a delta run: the depth-0 step replays its clean blocks
-  /// from this base instead of solving them.
-  const SpliceBase* splice = nullptr;
+  /// from this table's base plan instead of solving them, and reports the
+  /// split to `splice_stats` when that is set.
+  const SpliceIdTable* splice = nullptr;
+  SRepairSpliceStats* splice_stats = nullptr;
 };
 
-/// Records the top-level membership sequences — called BEFORE the blocks
-/// are solved, while each window still holds its rows in partition
-/// (original-span) order; child recursions permute their windows in place,
-/// and the delta path names blocks by this pre-recursion order. Also fills
-/// *pos_of_row (indexed by dense table row) with each row's block-local
-/// position, so CaptureBlockResults can translate kept rows to positions
-/// without any per-row hashing.
-void CaptureBlockIds(SRepairPlanCache* capture, SimplificationKind kind,
-                     RowSpan span, const std::vector<int>& group_ends,
-                     std::vector<int>* pos_of_row) {
-  capture->spliceable = true;
-  capture->top_kind = kind;
-  capture->ids.resize(span.num_tuples());
-  capture->block_ends = group_ends;
-  pos_of_row->resize(span.table().num_tuples());
-  int begin = 0;
-  for (int end : group_ends) {
-    for (int i = begin; i < end; ++i) {
-      capture->ids[i] = span.id(i);
-      (*pos_of_row)[span.row(i)] = i - begin;
-    }
-    begin = end;
-  }
-}
-
 /// Records each top-level block's kept positions and weight after the
-/// blocks are solved.
+/// blocks are solved: a block a splice replayed copies its base block's
+/// positions, a solved one maps its kept rows through `pos_of_row`.
 void CaptureBlockResults(SRepairPlanCache* capture,
-                         const std::vector<int>& pos_of_row,
+                         const SpliceIdTable* splice,
+                         const std::vector<int>& base_block,
+                         const int* pos_of_row,
                          const std::vector<BlockResult>& results) {
   const int num_blocks = capture->num_blocks();
   size_t kept = 0;
@@ -227,8 +140,15 @@ void CaptureBlockResults(SRepairPlanCache* capture,
   capture->kept_ends.reserve(num_blocks);
   capture->weights.reserve(num_blocks);
   for (int b = 0; b < num_blocks; ++b) {
-    for (int row : results[b].rows) {
-      capture->kept_pos.push_back(pos_of_row[row]);
+    if (splice != nullptr && base_block[b] >= 0) {
+      const std::span<const int> replayed =
+          splice->base().block_kept(base_block[b]);
+      capture->kept_pos.insert(capture->kept_pos.end(), replayed.begin(),
+                               replayed.end());
+    } else {
+      for (int row : results[b].rows) {
+        capture->kept_pos.push_back(pos_of_row[row]);
+      }
     }
     capture->kept_ends.push_back(static_cast<int>(capture->kept_pos.size()));
     capture->weights.push_back(results[b].weight);
@@ -252,7 +172,8 @@ RowSpan BlockSpan(RowSpan span, const std::vector<int>& group_ends, int b) {
 // capturing or splicing run's depth-0 step also records the top-level plan
 // around the solve, and a splice replays each clean block's kept positions
 // and weight from its base plan — the values a cold recursion on the
-// identical block would recompute — so only dirty blocks are solved.
+// identical block would recompute — so only dirty blocks are solved, and
+// only their rows are mapped back to block-local positions.
 // Returns the first failing block's status in block order; on success
 // `results` holds one entry per block. Callers merge in block order, so
 // the reduction (including floating-point weight sums) is the same
@@ -276,38 +197,57 @@ Status SolveBlocks(const RecursionContext& ctx, int depth,
                    std::vector<BlockResult>* results) {
   const int num_blocks = static_cast<int>(group_ends.size());
   SRepairPlanCache* capture = depth == 0 ? ctx.capture : nullptr;
-  const SpliceBase* splice = depth == 0 ? ctx.splice : nullptr;
-  std::vector<int> pos_of_row;
-  if (capture != nullptr) {
-    CaptureBlockIds(capture, kind, span, group_ends, &pos_of_row);
-  }
-  // The blocks this step solves: all of them, or a splice's dirty ones
-  // (listed only on a splice, so the cold path allocates nothing here).
+  const SpliceIdTable* splice = depth == 0 ? ctx.splice : nullptr;
+  // On a capturing run: the block-local position of every solved block's
+  // rows. On a splice also: the base block each block replays (or -1) and
+  // the dirty blocks, the only ones it solves. The plain path allocates
+  // none of them.
+  std::unique_ptr<int[]> pos_of_row;
+  std::vector<int> base_block;
   std::vector<int> dirty;
   int solved_rows = span.num_tuples();
-  if (splice != nullptr) {
-    std::vector<int> base_block(num_blocks, -1);
-    solved_rows = 0;
-    for (int b = 0; b < num_blocks; ++b) {
-      const RowSpan block = BlockSpan(span, group_ends, b);
-      const int m = splice->CleanMatch(capture->block_ids(b));
-      base_block[b] = m;
-      if (m < 0) {
+  if (capture != nullptr) {
+    // The membership sequences are recorded BEFORE the blocks are solved,
+    // while each window still holds its rows in partition (original-span)
+    // order: child recursions permute their windows in place, and the
+    // delta path names blocks by this pre-recursion order.
+    capture->spliceable = true;
+    capture->top_kind = kind;
+    capture->ids.resize(span.num_tuples());
+    capture->block_ends = group_ends;
+    pos_of_row =
+        std::make_unique_for_overwrite<int[]>(span.table().num_tuples());
+    if (splice == nullptr) {
+      // A cold capture solves every block: one sweep over the rows.
+      int begin = 0;
+      for (int end : group_ends) {
+        for (int i = begin; i < end; ++i) {
+          capture->ids[i] = span.id(i);
+          pos_of_row[span.row(i)] = i - begin;
+        }
+        begin = end;
+      }
+    } else {
+      base_block.assign(num_blocks, -1);
+      solved_rows = 0;
+      for (int b = 0; b < num_blocks; ++b) {
+        const RowSpan block = BlockSpan(span, group_ends, b);
+        TupleId* ids = capture->ids.data() + capture->block_begin(b);
+        const int m = base_block[b] = splice->MatchBlock(block, ids);
+        if (m >= 0) {
+          BlockResult& result = (*results)[b];
+          const std::span<const int> kept = splice->base().block_kept(m);
+          result.rows.reserve(kept.size());
+          for (int p : kept) result.rows.push_back(block.row(p));
+          result.weight = splice->base().weights[m];
+          continue;
+        }
+        for (int i = 0; i < block.num_tuples(); ++i) {
+          pos_of_row[block.row(i)] = i;
+        }
         dirty.push_back(b);
         solved_rows += block.num_tuples();
-        continue;
       }
-      BlockResult& result = (*results)[b];
-      const std::span<const int> kept = splice->base.block_kept(m);
-      result.rows.reserve(kept.size());
-      for (int p : kept) result.rows.push_back(block.row(p));
-      result.weight = splice->base.weights[m];
-    }
-    if (splice->stats != nullptr) {
-      splice->stats->blocks_total = num_blocks;
-      splice->stats->blocks_dirty = static_cast<int>(dirty.size());
-      splice->stats->blocks_clean = num_blocks - splice->stats->blocks_dirty;
-      splice->stats->base_block = std::move(base_block);
     }
   }
   const int num_solved =
@@ -327,7 +267,13 @@ Status SolveBlocks(const RecursionContext& ctx, int depth,
     if (!parallel) solve_one(i);
     FDR_RETURN_IF_ERROR((*results)[block_of(i)].status);
   }
-  if (capture != nullptr) CaptureBlockResults(capture, pos_of_row, *results);
+  if (capture == nullptr) return Status::OK();
+  CaptureBlockResults(capture, splice, base_block, pos_of_row.get(),
+                      *results);
+  if (ctx.splice_stats != nullptr) {
+    *ctx.splice_stats = {num_blocks, num_blocks - num_solved, num_solved,
+                         std::move(base_block)};
+  }
   return Status::OK();
 }
 
@@ -478,6 +424,51 @@ Status Recurse(const RecursionContext& ctx, int depth, RowSpan span,
 
 }  // namespace
 
+SpliceIdTable::SpliceIdTable(const SRepairPlanCache& base,
+                             std::span<const TupleId> updated,
+                             TupleId flat_size)
+    : base_(base), flat_(static_cast<size_t>(std::max<TupleId>(flat_size, 0))) {
+  auto mark = [&](TupleId id, uint32_t bits) {
+    if (id >= 0 && id < flat_size) {
+      flat_[static_cast<size_t>(id)] |= bits;
+    } else {
+      sparse_.emplace_back(id, bits);
+    }
+  };
+  for (int m = 0; m < base.num_blocks(); ++m) {
+    mark(base.ids[base.block_begin(m)], static_cast<uint32_t>(m + 1) << 1);
+  }
+  for (TupleId id : updated) mark(id, 1);
+  std::sort(sparse_.begin(), sparse_.end());
+}
+
+uint32_t SpliceIdTable::Entry(TupleId id) const {
+  if (id >= 0 && static_cast<uint64_t>(id) < flat_.size()) {
+    return flat_[static_cast<size_t>(id)];
+  }
+  uint32_t bits = 0;
+  for (auto it = std::lower_bound(sparse_.begin(), sparse_.end(),
+                                  std::pair<TupleId, uint32_t>(id, 0));
+       it != sparse_.end() && it->first == id; ++it) {
+    bits |= it->second;
+  }
+  return bits;
+}
+
+int SpliceIdTable::MatchBlock(const RowSpan& block, TupleId* out) const {
+  const int n = block.num_tuples();
+  int m = n > 0 ? static_cast<int>(Entry(block.id(0)) >> 1) - 1 : -1;
+  if (m >= 0 && base_.block_ends[m] - base_.block_begin(m) != n) m = -1;
+  const TupleId* want =
+      m >= 0 ? base_.ids.data() + base_.block_begin(m) : nullptr;
+  for (int i = 0; i < n; ++i) {
+    const TupleId id = block.id(i);
+    out[i] = id;
+    if (m >= 0 && (id != want[i] || (Entry(id) & 1) != 0)) m = -1;
+  }
+  return m;
+}
+
 StatusOr<std::vector<int>> OptSRepairRows(const FdSet& fds,
                                           const TableView& view,
                                           const OptSRepairRowsOptions& options,
@@ -499,7 +490,7 @@ StatusOr<std::vector<int>> OptSRepairRows(const FdSet& fds,
   // The chain depends only on ∆ (§3.2): compute it once and let every
   // block at depth d share the step, instead of re-simplifying per block.
   SimplificationChain chain = SimplificationChain::Compute(fds);
-  std::optional<SpliceBase> splice;
+  std::optional<SpliceIdTable> splice;
   if (base != nullptr) {
     if (chain.at(0).kind != base->top_kind) {
       return Status::Internal(
@@ -512,12 +503,18 @@ StatusOr<std::vector<int>> OptSRepairRows(const FdSet& fds,
       return Status::FailedPrecondition(
           "delta splice: mutated table too small to splice");
     }
-    static const std::vector<TupleId> kNoUpdatedIds;
+    // Every id of the mutated table lies below its next_id. The table is
+    // flat when that bound is within a generous multiple of the table size:
+    // ids grow by one per insert ever made, so only a table that shrank by
+    // orders of magnitude since its ids were minted, or carries sparse ids
+    // of its own, falls back to binary search.
+    const TupleId next_id = view.table().next_id();
     splice.emplace(*base,
                    options.delta_updated_ids != nullptr
-                       ? *options.delta_updated_ids
-                       : kNoUpdatedIds,
-                   view.num_tuples(), options.splice_stats);
+                       ? std::span<const TupleId>(*options.delta_updated_ids)
+                       : std::span<const TupleId>(),
+                   next_id <= TupleId{view.num_tuples()} * 16 + 65536 ? next_id
+                                                                      : 0);
   }
   // The single shared row-index buffer: the recursion permutes it in place
   // and hands disjoint sub-windows to child blocks (concurrent blocks touch
@@ -532,7 +529,8 @@ StatusOr<std::vector<int>> OptSRepairRows(const FdSet& fds,
   SRepairPlanCache plan;
   RecursionContext ctx{&chain, &options.exec,
                        capture != nullptr || base != nullptr ? &plan : nullptr,
-                       splice ? &*splice : nullptr};
+                       splice ? &*splice : nullptr,
+                       splice ? options.splice_stats : nullptr};
   FDR_RETURN_IF_ERROR(
       Recurse(ctx, 0,
               RowSpan(view.table(), buffer.data(),

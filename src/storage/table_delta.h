@@ -13,9 +13,10 @@
 // cold share one cache entry. base_hash finds the pre-mutation state's
 // entry, whose captured plan the splice re-uses for every block the
 // mutation left clean. Inserted and erased rows need no list: the splice
-// detects them from each block's id sequence (engine/block_partitioner.h's
-// BaseBlockIndex), and `updated` marks the blocks whose ids stayed but
-// whose content changed. Deltas compose: delta2.base_hash ==
+// detects them from each block's id sequence, and `updated` marks the
+// blocks whose ids stayed but whose content changed. Both answers come
+// from one flat id-indexed table (srepair/opt_srepair.h's SpliceIdTable),
+// read once per row of the mutated table. Deltas compose: delta2.base_hash ==
 // delta1.result_hash. A table that keeps its content-hash memo filled
 // (DeltaBuilder's does) names each state in O(|delta| × arity).
 // See docs/ARCHITECTURE.md, "Caching & invalidation semantics".

@@ -1,6 +1,6 @@
 // Incremental repair under mutation: TableDelta content-hash identities,
 // ValidateDelta and DeltaBuilder collapse semantics, Table::EraseRow
-// invariants, BaseBlockIndex clean/dirty classification, plan capture +
+// invariants, SpliceIdTable clean/dirty classification, plan capture +
 // dirty-block splicing in OptSRepair, and the end-to-end property that
 // RepairService::ApplyDelta is bit-identical to a cold full re-plan over
 // random mutation sequences, across thread counts and solver backends.
@@ -12,18 +12,19 @@
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "catalog/fd_parser.h"
 #include "common/random.h"
-#include "engine/block_partitioner.h"
 #include "engine/thread_pool.h"
 #include "service/repair_service.h"
 #include "srepair/opt_srepair.h"
 #include "srepair/planner.h"
 #include "srepair/solver_backend.h"
 #include "storage/consistency.h"
+#include "storage/row_span.h"
 #include "storage/table.h"
 #include "storage/table_delta.h"
 #include "storage/table_hash.h"
@@ -322,34 +323,135 @@ TEST(TableEraseTest, EraseRowPreservesSurvivorOrderAndIndex) {
 }
 
 // --------------------------------------------------------------------------
-// BaseBlockIndex
+// SpliceIdTable
 // --------------------------------------------------------------------------
 
-TEST(BaseBlockIndexTest, MatchesOnlyIdenticalSequences) {
-  BaseBlockIndex index;
-  const std::vector<TupleId> b0 = {1, 2, 3};
-  const std::vector<TupleId> b1 = {4};
-  const std::vector<TupleId> b2 = {5, 6};
-  index.Add(b0.data(), 3);
-  index.Add(b1.data(), 1);
-  index.Add(b2.data(), 2);
-  ASSERT_EQ(index.num_blocks(), 3);
+/// A base plan whose blocks hold exactly `blocks`' id sequences (the
+/// fields a match reads; nothing is kept).
+SRepairPlanCache PlanOfBlocks(const std::vector<std::vector<TupleId>>& blocks) {
+  SRepairPlanCache plan;
+  plan.spliceable = true;
+  plan.top_kind = SimplificationKind::kCommonLhs;
+  for (const std::vector<TupleId>& block : blocks) {
+    plan.ids.insert(plan.ids.end(), block.begin(), block.end());
+    plan.block_ends.push_back(static_cast<int>(plan.ids.size()));
+    plan.kept_ends.push_back(0);
+    plan.weights.push_back(0);
+  }
+  return plan;
+}
 
-  const TupleId seq0[] = {1, 2, 3};
-  const TupleId seq1[] = {4};
-  const TupleId seq2[] = {5, 6};
-  const TupleId grown[] = {5, 6, 7};
-  const TupleId shrunk[] = {1, 3};
-  const TupleId reordered[] = {1, 3, 2};
-  const TupleId fresh[] = {7, 8};
+/// A table holding one row per id of `ids`, in that order.
+Table TableOfIds(const std::vector<TupleId>& ids) {
+  Table table(Schema::MakeOrDie("T", {"a"}));
+  for (TupleId id : ids) {
+    EXPECT_TRUE(table.AddTupleWithId(id, {"x"}, 1.0).ok()) << id;
+  }
+  return table;
+}
 
-  EXPECT_EQ(index.Match(seq0, 3), 0);
-  EXPECT_EQ(index.Match(seq1, 1), 1);
-  EXPECT_EQ(index.Match(seq2, 2), 2);
-  EXPECT_EQ(index.Match(grown, 3), -1);      // size mismatch
-  EXPECT_EQ(index.Match(shrunk, 2), -1);     // sequence mismatch
-  EXPECT_EQ(index.Match(reordered, 3), -1);  // order matters
-  EXPECT_EQ(index.Match(fresh, 2), -1);      // unknown first id
+/// Matches the block of `table`'s rows holding `seq`, in that order, and
+/// checks that the match wrote exactly `seq` whatever it returned.
+int MatchIds(const SpliceIdTable& index, const Table& table,
+             const std::vector<TupleId>& seq) {
+  std::vector<int> rows;
+  for (TupleId id : seq) {
+    auto row = table.RowOf(id);
+    EXPECT_TRUE(row.ok()) << id;
+    rows.push_back(row.ok() ? *row : 0);
+  }
+  std::vector<TupleId> written(seq.size(), 0);
+  const int m = index.MatchBlock(
+      RowSpan(table, rows.data(), static_cast<int>(rows.size())),
+      written.data());
+  EXPECT_EQ(written, seq);
+  return m;
+}
+
+// Every case runs with every id in the flat array and with every id in
+// the sorted fallback (flat size 0).
+constexpr TupleId kFlatSizes[] = {1 << 20, 0};
+
+TEST(SpliceIdTableTest, MatchesOnlyIdenticalSequences) {
+  const SRepairPlanCache plan = PlanOfBlocks({{1, 2, 3}, {4}, {5, 6}});
+  const Table table = TableOfIds({1, 2, 3, 4, 5, 6, 7, 8});
+  for (TupleId flat_size : kFlatSizes) {
+    const SpliceIdTable index(plan, {}, flat_size);
+    EXPECT_EQ(MatchIds(index, table, {1, 2, 3}), 0) << flat_size;
+    EXPECT_EQ(MatchIds(index, table, {4}), 1) << flat_size;
+    EXPECT_EQ(MatchIds(index, table, {5, 6}), 2) << flat_size;
+    EXPECT_EQ(MatchIds(index, table, {5, 6, 7}), -1) << flat_size;  // size
+    EXPECT_EQ(MatchIds(index, table, {1, 3}), -1) << flat_size;     // sequence
+    EXPECT_EQ(MatchIds(index, table, {1, 3, 2}), -1) << flat_size;  // order
+    EXPECT_EQ(MatchIds(index, table, {7, 8}), -1) << flat_size;     // unknown
+    EXPECT_EQ(MatchIds(index, table, {2, 3}), -1) << flat_size;     // no head
+  }
+}
+
+// The first id pins the candidate; the rest of the block must repeat it.
+TEST(SpliceIdTableTest, MatchingFirstIdThenLongerShorterOrPermuted) {
+  const SRepairPlanCache plan = PlanOfBlocks({{10, 11, 12, 13}, {20, 21}});
+  const Table table = TableOfIds({10, 11, 12, 13, 14, 20, 21, 22});
+  for (TupleId flat_size : kFlatSizes) {
+    const SpliceIdTable index(plan, {}, flat_size);
+    EXPECT_EQ(MatchIds(index, table, {10, 11, 12, 13}), 0) << flat_size;
+    EXPECT_EQ(MatchIds(index, table, {10, 11, 12, 13, 14}), -1) << flat_size;
+    EXPECT_EQ(MatchIds(index, table, {10, 11, 12}), -1) << flat_size;
+    EXPECT_EQ(MatchIds(index, table, {10, 12, 11, 13}), -1) << flat_size;
+    EXPECT_EQ(MatchIds(index, table, {10, 11, 12, 14}), -1) << flat_size;
+    EXPECT_EQ(MatchIds(index, table, {10, 21}), -1) << flat_size;  // other tail
+    EXPECT_EQ(MatchIds(index, table, {20, 21}), 1) << flat_size;
+    EXPECT_EQ(MatchIds(index, table, {20, 21, 22}), -1) << flat_size;
+    EXPECT_EQ(MatchIds(index, table, {20}), -1) << flat_size;
+  }
+}
+
+// An updated id keeps its place in the sequence, so only the table's flag
+// tells its block apart; the flag holds for heads and for later members.
+TEST(SpliceIdTableTest, UpdatedIdInsideAMatchingBlockIsDirty) {
+  const SRepairPlanCache plan = PlanOfBlocks({{1, 2, 3}, {4}, {5, 6}});
+  const Table table = TableOfIds({1, 2, 3, 4, 5, 6});
+  for (TupleId flat_size : kFlatSizes) {
+    const std::vector<TupleId> updated = {2, 5, 99};
+    const SpliceIdTable index(plan, updated, flat_size);
+    EXPECT_EQ(MatchIds(index, table, {1, 2, 3}), -1) << flat_size;  // member
+    EXPECT_EQ(MatchIds(index, table, {4}), 1) << flat_size;
+    EXPECT_EQ(MatchIds(index, table, {5, 6}), -1) << flat_size;  // head
+  }
+}
+
+// Negative ids and ids at or past the flat size go to the sorted
+// fallback, mixed with flat ones in the same block and the same table,
+// with the head and updated flags of one id merged across entries.
+TEST(SpliceIdTableTest, NegativeAndOutOfRangeIdsUseTheSortedFallback) {
+  const TupleId big = 1'000'000'000'000;
+  const SRepairPlanCache plan =
+      PlanOfBlocks({{-5, 3, big}, {70'000, -1}, {2}, {big + 1}});
+  const Table table = TableOfIds({-5, 3, big, 70'000, -1, 2, big + 1, -7});
+  struct Case {
+    std::vector<TupleId> updated;
+    std::vector<int> want;  // per base block: matched or -1
+  };
+  const Case cases[] = {
+      {{}, {0, 1, 2, 3}},
+      {{-1}, {0, -1, 2, 3}},
+      {{big}, {-1, 1, 2, 3}},
+      {{70'000, 2}, {0, -1, -1, 3}},
+      {{big + 1, -7, big + 2}, {0, 1, 2, -1}},
+  };
+  for (TupleId flat_size : {TupleId{10}, TupleId{0}, TupleId{70'000}}) {
+    for (const Case& c : cases) {
+      const SpliceIdTable index(plan, c.updated, flat_size);
+      for (int m = 0; m < plan.num_blocks(); ++m) {
+        const std::span<const TupleId> ids = plan.block_ids(m);
+        EXPECT_EQ(MatchIds(index, table, {ids.begin(), ids.end()}), c.want[m])
+            << "flat size " << flat_size << " block " << m;
+      }
+      EXPECT_EQ(MatchIds(index, table, {-7}), -1) << flat_size;
+      EXPECT_EQ(MatchIds(index, table, {-5, 3}), -1) << flat_size;
+      EXPECT_EQ(MatchIds(index, table, {-1, 70'000}), -1) << flat_size;
+    }
+  }
 }
 
 // --------------------------------------------------------------------------
@@ -450,7 +552,10 @@ void ExpectSamePlan(const SRepairPlanCache& got, const SRepairPlanCache& want,
 // The plan a splice refreshes is exactly the plan a cold capture of the
 // mutated table records — so chained deltas never drift from cold state —
 // on all three top-level routes, sequentially and with every step fanned
-// out on a pool.
+// out on a pool. Four random batches, then three deltas that each erase
+// one block's head and insert a copy of another block's first row (it
+// joins that block): neither block may be replayed, and the kept spans
+// the other blocks copy from the base must equal a cold capture's.
 TEST(PlanCaptureTest, RefreshedPlanEqualsColdCaptureAcrossChainedDeltas) {
   struct Case {
     std::string label;
@@ -499,12 +604,29 @@ TEST(PlanCaptureTest, RefreshedPlanEqualsColdCaptureAcrossChainedDeltas) {
       Rng rng(29);
       DeltaBuilder builder(c.base);
       int clean_total = 0;
-      for (int step = 0; step < 4; ++step) {
+      for (int step = 0; step < 7; ++step) {
         const std::string context = c.label + " step " +
                                     std::to_string(step) +
                                     (exec_pool ? " pool" : " sequential");
-        RandomBatch(&builder, /*updates=*/3, /*inserts=*/1, /*erases=*/1,
-                    /*domain=*/25, &rng);
+        int erased_block = -1;
+        int grown_block = -1;
+        if (step < 4) {
+          RandomBatch(&builder, /*updates=*/3, /*inserts=*/1, /*erases=*/1,
+                      /*domain=*/25, &rng);
+        } else {
+          ASSERT_GT(plan.num_blocks(), 1) << context;
+          erased_block = (step * 7) % plan.num_blocks();
+          grown_block = (erased_block + 1) % plan.num_blocks();
+          const Table& now = builder.table();
+          auto donor = now.RowOf(plan.block_ids(grown_block)[0]);
+          ASSERT_TRUE(donor.ok()) << context;
+          std::vector<std::string> values;
+          for (int col = 0; col < now.schema().arity(); ++col) {
+            values.push_back(now.ValueText(*donor, col));
+          }
+          ASSERT_TRUE(builder.Erase(plan.block_ids(erased_block)[0]).ok());
+          ASSERT_TRUE(builder.Insert(values, 2.0).ok()) << context;
+        }
         TableDelta delta = builder.Finish();
         const TableView view(builder.table());
 
@@ -529,7 +651,13 @@ TEST(PlanCaptureTest, RefreshedPlanEqualsColdCaptureAcrossChainedDeltas) {
                   static_cast<size_t>(plan.num_blocks()))
             << context;
         int replayed = 0;
-        for (int m : stats.base_block) replayed += m >= 0 ? 1 : 0;
+        for (int m : stats.base_block) {
+          replayed += m >= 0 ? 1 : 0;
+          if (erased_block >= 0) {
+            EXPECT_NE(m, erased_block) << context;
+            EXPECT_NE(m, grown_block) << context;
+          }
+        }
         EXPECT_EQ(replayed, stats.blocks_clean) << context;
         clean_total += stats.blocks_clean;
       }

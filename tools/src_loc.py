@@ -33,7 +33,7 @@ import tempfile
 EXTENSIONS = (".h", ".cc")
 
 # The most production lines src/ may hold (see the module docstring).
-CEILING = 9213
+CEILING = 9212
 
 
 def code_lines(text):
