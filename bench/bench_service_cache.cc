@@ -16,10 +16,13 @@
 // repairs (`service.delta_us_per_request`, and `service.delta_speedup`,
 // never below 1x) and cell-edit recipe splicing for update repairs
 // (`service.udelta_speedup`), and what an update splice costs beyond the
-// subset splice inside it (`service.udelta_extra_us`).
+// subset splice inside it (`service.udelta_extra_us`); and a cold update
+// on a never-seen table, whose pool interns every fresh name
+// (`urepair.fresh_pool_us`).
 
 #include <algorithm>
 #include <chrono>
+#include <ctime>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -30,6 +33,7 @@
 #include "srepair/planner.h"
 #include "storage/table_delta.h"
 #include "storage/table_hash.h"
+#include "urepair/opt_urepair.h"
 #include "urepair/planner.h"
 #include "workloads/example_fdsets.h"
 #include "workloads/generators.h"
@@ -259,6 +263,56 @@ void ReportHitVsDirect() {
                         "us");
 }
 
+/// What a cold update costs on a never-seen table
+/// (`urepair.fresh_pool_us`): a sequential OptURepairCells of the 8192-row
+/// Office table whose pool holds none of its ⊥ names, so every fresh cell's
+/// name is built, digested and interned. Each repetition runs on its own
+/// table and pool, all built before the timed loop and freed after it: a
+/// pool freed inside the loop lets glibc trim the heap, and the next
+/// repetition would time page faults. Median of `reps`, wall and thread CPU
+/// time. Fixed size (no smoke cap).
+void ReportFreshPool() {
+  const int tuples = 8192;
+  const int reps = 21;
+  const ParsedFdSet parsed = OfficeFds();
+  const FdSet cover = parsed.fds.CanonicalCover();
+  std::vector<Table> tables;
+  tables.reserve(reps);
+  for (int rep = 0; rep < reps; ++rep) {
+    tables.push_back(ScalingFamilyTable(parsed, tuples, 1000));
+  }
+  std::vector<OptURepairResult> results;
+  results.reserve(reps);
+  std::vector<double> wall_us, cpu_us;
+  auto cpu_now = [] {
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return ts.tv_sec * 1e6 + ts.tv_nsec / 1e3;
+  };
+  for (const Table& table : tables) {
+    const double cpu_start = cpu_now();
+    const Clock::time_point start = Clock::now();
+    StatusOr<OptURepairResult> result = OptURepairCells(cover, table);
+    wall_us.push_back(
+        std::chrono::duration<double, std::micro>(Clock::now() - start)
+            .count());
+    cpu_us.push_back(cpu_now() - cpu_start);
+    if (!result.ok()) {
+      std::cerr << "OptURepairCells failed: " << result.status() << "\n";
+      std::exit(1);
+    }
+    results.push_back(std::move(*result));
+  }
+  const double wall = MedianOf(wall_us);
+  ReportTable report({"path", "rows", "edits", "median us", "median cpu us"});
+  report.AddRow({"cold OptURepairCells, fresh pool", std::to_string(tuples),
+                 std::to_string(results.front().edits.size()), Num(wall),
+                 Num(MedianOf(cpu_us))});
+  report.Print();
+  std::cout << "  (median of " << reps << ", one table and pool each)\n";
+  JsonReport::Get().Add("urepair.fresh_pool_us", wall, "us");
+}
+
 /// What a plan capture costs a cold miss: a sequential ComputeSRepair that
 /// captures its plan (the service captures on every subset miss, so any
 /// later delta of that state can splice) against one that does not, on
@@ -464,6 +518,8 @@ void Report() {
   ReportHitRatioSweep();
   std::cout << "\n";
   ReportHitVsDirect();
+  std::cout << "\n";
+  ReportFreshPool();
   std::cout << "\n";
   ReportCaptureCost();
   std::cout << "\n";

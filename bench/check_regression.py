@@ -410,6 +410,13 @@ def self_test():
     assert content_hash is not None, "baselines.json must track the cold " \
         "content-hash cost"
     assert content_hash.get("direction") == "lower", content_hash
+    # A cold update on a never-seen table interns one fresh name per
+    # freshened cell, which the pool's text index must keep cheap.
+    fresh_pool = tracked.get("urepair.fresh_pool_us")
+    assert fresh_pool is not None, "baselines.json must track the cold " \
+        "update on a fresh pool"
+    assert fresh_pool.get("direction") == "lower", fresh_pool
+    assert fresh_pool.get("file") == "BENCH_service.json", fresh_pool
     checks += 1
 
     # The audit every cold update run ends with: Satisfies on the 8192-row

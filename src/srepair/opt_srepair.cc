@@ -1,6 +1,8 @@
 #include "srepair/opt_srepair.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
@@ -537,7 +539,18 @@ StatusOr<std::vector<int>> OptSRepairRows(const FdSet& fds,
                       static_cast<int>(buffer.size())),
               &kept, &kept_weight));
   if (capture != nullptr) *capture = std::move(plan);
-  std::sort(kept.begin(), kept.end());
+  // Kept rows are distinct positions of view.table(): setting one bit per
+  // row and reading the bits back in order sorts them in two linear passes,
+  // without the mispredicted comparisons of a sort.
+  std::vector<uint64_t> bits((view.table().num_tuples() + 63) / 64);
+  for (int row : kept) bits[row >> 6] |= uint64_t{1} << (row & 63);
+  size_t n = 0;
+  for (size_t w = 0; w < bits.size(); ++w) {
+    for (uint64_t word = bits[w]; word != 0; word &= word - 1) {
+      kept[n++] = static_cast<int>(64 * w) + std::countr_zero(word);
+    }
+  }
+  FDR_DCHECK(n == kept.size());
   return kept;
 }
 

@@ -5,7 +5,6 @@
 #include <iomanip>
 #include <limits>
 #include <sstream>
-#include <unordered_map>
 
 #include "common/strings.h"
 #include "storage/table_hash.h"
@@ -144,30 +143,6 @@ double Table::TotalWeight() const {
   double total = 0;
   for (double w : weights_) total += w;
   return total;
-}
-
-bool Table::IsUnweighted() const {
-  for (double w : weights_) {
-    if (w != weights_.front()) return false;
-  }
-  return true;
-}
-
-bool Table::IsDuplicateFree() const {
-  // Hash rows; compare only within buckets.
-  std::unordered_map<uint64_t, std::vector<int>> buckets;
-  for (int i = 0; i < num_tuples(); ++i) {
-    uint64_t h = 1469598103934665603ULL;  // FNV-1a over the value ids
-    for (const std::vector<ValueId>& column : columns_) {
-      h ^= static_cast<uint64_t>(static_cast<uint32_t>(column[i]));
-      h *= 1099511628211ULL;
-    }
-    for (int j : buckets[h]) {
-      if (RowHammingDistance(*this, i, *this, j) == 0) return false;
-    }
-    buckets[h].push_back(i);
-  }
-  return true;
 }
 
 Table Table::SubsetByRows(const std::vector<int>& rows) const {

@@ -125,7 +125,7 @@ class HashMemo {
 /// number of threads may read one Table concurrently — this is what lets
 /// OptSRepair's blocks share the parent table without copies. The one
 /// exception is the content-hash memo, which is atomic (see HashMemo).
-/// Mutators (AddTuple*, SetValue, EraseRow, Intern, FreshValue) are NOT
+/// Mutators (AddTuple*, SetValue, EraseRow, Intern, FreshValueNamed) are NOT
 /// synchronized and must not run concurrently with reads of the same
 /// Table. The shared ValuePool
 /// *is* internally synchronized (see value_pool.h), so derived tables may
@@ -197,10 +197,6 @@ class Table {
   /// Sum of all tuple weights (w_T(T)).
   double TotalWeight() const;
 
-  /// §2.1 predicates: all weights equal / all value-rows distinct.
-  bool IsUnweighted() const;
-  bool IsDuplicateFree() const;
-
   /// The subset of this table keeping exactly the rows in `rows`
   /// (dense positions); identifiers and weights are preserved (§2.3).
   Table SubsetByRows(const std::vector<int>& rows) const;
@@ -227,7 +223,6 @@ class Table {
 
   /// Interns through the shared pool.
   ValueId Intern(const std::string& text) { return pool_->Intern(text); }
-  ValueId FreshValue() { return pool_->FreshValue(); }
   ValueId FreshValueNamed(const std::string& name) {
     return pool_->FreshValueNamed(name);
   }

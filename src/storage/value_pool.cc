@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
+#include <iterator>
 #include <mutex>
 #include <utility>
 
@@ -34,39 +36,56 @@ uint64_t ValueDigest(std::string_view text) {
   return state;
 }
 
-ValueId ValuePool::InternLocked(const std::string& text) {
-  auto it = index_.find(text);
-  if (it != index_.end()) return it->second;
-  ValueId id = static_cast<ValueId>(texts_.size());
-  index_.emplace(text, id);
-  texts_.push_back(text);
-  digests_.push_back(ValueDigest(text));
-  fresh_.push_back(false);
+size_t ValuePool::HomeTextSlot(uint64_t digest) const {
+  // Fibonacci hashing of the digest, as in Table's id index.
+  const int shift = 64 - std::countr_zero(text_slots_.size());
+  return (digest * 0x9e3779b97f4a7c15ULL) >> shift;
+}
+
+size_t ValuePool::ProbeText(std::string_view text, uint64_t digest) const {
+  // A text is read only where the digests already match.
+  const size_t mask = text_slots_.size() - 1;
+  for (size_t slot = HomeTextSlot(digest);; slot = (slot + 1) & mask) {
+    const ValueId id = text_slots_[slot];
+    if (id < 0 || (digests_[id] == digest && texts_[id] == text)) return slot;
+  }
+}
+
+ValueId ValuePool::Append(size_t slot, std::string text, uint64_t digest,
+                          bool fresh) {
+  const ValueId id = static_cast<ValueId>(texts_.size());
+  texts_.push_back(std::move(text));
+  digests_.push_back(digest);
+  fresh_.push_back(fresh);
+  if (2 * texts_.size() <= text_slots_.size()) {
+    text_slots_[slot] = id;
+    return id;
+  }
+  // Double, and re-place every id by its stored digest: the texts are
+  // distinct, so each lands in the first empty slot of its probe sequence.
+  text_slots_.assign(2 * text_slots_.size(), -1);
+  const size_t mask = text_slots_.size() - 1;
+  for (ValueId v = 0; v <= id; ++v) {
+    size_t s = HomeTextSlot(digests_[v]);
+    while (text_slots_[s] >= 0) s = (s + 1) & mask;
+    text_slots_[s] = v;
+  }
   return id;
 }
 
 ValueId ValuePool::Intern(const std::string& text) {
+  const uint64_t digest = ValueDigest(text);
   std::unique_lock<std::shared_mutex> lock(mu_);
-  return InternLocked(text);
+  const size_t slot = ProbeText(text, digest);
+  if (text_slots_[slot] >= 0) return text_slots_[slot];
+  return Append(slot, text, digest, /*fresh=*/false);
 }
 
 StatusOr<ValueId> ValuePool::Lookup(const std::string& text) const {
+  const uint64_t digest = ValueDigest(text);
   std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = index_.find(text);
-  if (it == index_.end()) {
-    return Status::NotFound("value '" + text + "' not in pool");
-  }
-  return it->second;
-}
-
-ValueId ValuePool::FreshValue() {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  std::string name;
-  do {
-    name = "⊥" + std::to_string(fresh_counter_++);
-  } while (index_.find(name) != index_.end());
-  ValueId id = InternLocked(name);
-  fresh_[id] = true;
+  const ValueId id = text_slots_[ProbeText(text, digest)];
+  if (id < 0) return Status::NotFound("value '" + text + "' not in pool");
   return id;
 }
 
@@ -75,25 +94,29 @@ ValueId ValuePool::FreshValueNamed(const std::string& name) {
   return FreshValueNamedLocked(name);
 }
 
-ValueId ValuePool::FreshValueNamedLocked(const std::string& name) {
-  std::string candidate = name;
+ValueId ValuePool::FreshValueNamedLocked(std::string name) {
   while (true) {
-    auto it = index_.find(candidate);
-    if (it == index_.end()) {
-      ValueId id = InternLocked(candidate);
-      fresh_[id] = true;
-      return id;
-    }
-    if (fresh_[it->second]) return it->second;
+    const uint64_t digest = ValueDigest(name);
+    const size_t slot = ProbeText(name, digest);
+    const ValueId id = text_slots_[slot];
+    if (id < 0) return Append(slot, std::move(name), digest, /*fresh=*/true);
+    if (fresh_[id]) return id;
     // User data occupies the name: disambiguate deterministically. The
     // bumped name depends only on the colliding user content, so identical
     // tables (even on different pools) still agree on it.
-    candidate += "'";
+    name += "'";
   }
 }
 
 std::string FreshCellName(int64_t id, int32_t attr) {
-  return "⊥t" + std::to_string(id) + "." + std::to_string(attr);
+  // Digits formatted on the stack and appended: a short name never leaves
+  // the string's inline buffer.
+  char digits[24];
+  std::string name = "⊥t";
+  name.append(digits, std::to_chars(digits, std::end(digits), id).ptr);
+  name += '.';
+  name.append(digits, std::to_chars(digits, std::end(digits), attr).ptr);
+  return name;
 }
 
 size_t ValuePool::HomeCellSlot(const FreshCell& cell) const {

@@ -13,15 +13,24 @@
 // table identity (storage/table_hash.h) hashes cells through these digests
 // instead of re-reading every text.
 //
+// The digest also keys the text -> id index: one flat open-addressing array
+// of ids (the layout of Table's id index), probed linearly from the
+// digest's Fibonacci hash, a text compared only where the digests match.
+// Growth doubles the array and re-places the ids from the stored digests,
+// so no text is ever hashed twice. One Intern, Lookup or FreshValueNamed
+// candidate costs one digest of its text and one probe sequence; a new
+// value adds one id to the array, one text, one digest and one flag.
+//
 // Thread safety: the pool is internally synchronized with a shared_mutex —
 // any number of concurrent readers (Lookup/Text/IsFresh/size/read), and
-// writers (Intern/FreshValue*) exclusive against both. This is what lets the
-// repair engine's blocks share one parent table, and derived repairs share
-// one dictionary, across worker threads without copies. References returned
-// by Text() stay valid for the pool's lifetime even across concurrent
-// interning (values live in a deque, which never relocates elements). A
-// ReadView holds the shared lock for its whole lifetime, so a caller maps
-// a whole table's cells to digests or texts under one lock acquisition.
+// writers (Intern/FreshValueNamed/FreshCellValues) exclusive against both.
+// This is what lets the repair engine's blocks share one parent table, and
+// derived repairs share one dictionary, across worker threads without
+// copies. References returned by Text() stay valid for the pool's lifetime
+// even across concurrent interning (values live in a deque, which never
+// relocates elements). A ReadView holds the shared lock for its whole
+// lifetime, so a caller maps a whole table's cells to digests or texts
+// under one lock acquisition.
 
 #ifndef FDREPAIR_STORAGE_VALUE_POOL_H_
 #define FDREPAIR_STORAGE_VALUE_POOL_H_
@@ -32,7 +41,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -88,14 +96,10 @@ class ValuePool {
   /// Returns the id of `text` or kNotFound if it was never interned.
   StatusOr<ValueId> Lookup(const std::string& text) const;
 
-  /// A value distinct from every value interned or manufactured so far.
-  /// Rendered as "⊥<n>"; collisions with user data are prevented by
-  /// suffixing until unique.
-  ValueId FreshValue();
-
-  /// A fresh value with a caller-chosen *deterministic* name. Unlike
-  /// FreshValue, the result depends only on `name` and the pool's user
-  /// content, never on how many fresh values were manufactured before:
+  /// A fresh value — distinct from every user value — with a
+  /// caller-chosen *deterministic* name. The result depends only on `name`
+  /// and the pool's user content, never on how many fresh values were
+  /// manufactured before:
   ///   - `name` never interned      -> intern it, mark fresh;
   ///   - `name` already fresh       -> return the existing id (replay- and
   ///     re-plan-stable: asking twice is idempotent);
@@ -107,7 +111,7 @@ class ValuePool {
   /// re-plans and thread counts (see urepair/fresh.h).
   ValueId FreshValueNamed(const std::string& name);
 
-  /// True iff `value` was manufactured by FreshValue. Lets tests assert that
+  /// True iff `value` was manufactured as fresh. Lets tests assert that
   /// repairs only introduce fresh constants where the constructions say so.
   bool IsFresh(ValueId value) const;
 
@@ -158,19 +162,26 @@ class ValuePool {
   void FreshCellValues(std::span<const FreshCell> cells, ValueId* out);
 
  private:
-  /// Intern / FreshValueNamed with mu_ already held exclusively.
-  ValueId InternLocked(const std::string& text);
-  ValueId FreshValueNamedLocked(const std::string& name);
+  /// FreshValueNamed with mu_ already held exclusively.
+  ValueId FreshValueNamedLocked(std::string name);
+  /// Where the probe for a text of ValueDigest `digest` starts, and the
+  /// slot of text_slots_ holding `text`, or the empty slot where it belongs.
+  size_t HomeTextSlot(uint64_t digest) const;
+  size_t ProbeText(std::string_view text, uint64_t digest) const;
+  /// Appends `text` as the next id, into the empty slot ProbeText found for
+  /// it. Requires mu_ held exclusively.
+  ValueId Append(size_t slot, std::string text, uint64_t digest, bool fresh);
 
   mutable std::shared_mutex mu_;
-  std::unordered_map<std::string, ValueId> index_;
+  /// The text index: ids in open-addressing slots, -1 for an empty slot; a
+  /// power-of-two capacity at least twice the values held.
+  std::vector<ValueId> text_slots_ = std::vector<ValueId>(16, -1);
   /// deque, not vector: growth must not relocate strings that concurrent
   /// readers hold references into.
   std::deque<std::string> texts_;
-  /// digests_[id] == ValueDigest(texts_[id]), computed in InternLocked.
+  /// digests_[id] == ValueDigest(texts_[id]), computed once per text.
   std::vector<uint64_t> digests_;
   std::vector<bool> fresh_;
-  int64_t fresh_counter_ = 0;
 
   /// FreshCellValues' memo: each cell it resolved, with the value, in
   /// open-addressing slots — the layout of Table's id index: a power-of-two

@@ -1,12 +1,12 @@
 // Deterministic fresh-constant (⊥) naming for update repairs.
 //
 // The §4 constructions only require fresh values to differ from everything
-// else in the table; *which* fresh value a cell receives is arbitrary. The
-// historical choice — ValuePool::FreshValue()'s pool-global counter — made
-// ⊥ names depend on allocation order, so a re-plan against a pool whose
-// counter had advanced (or a differently-threaded run that interleaved
-// allocations) produced different names for the same repair. That blocked
-// cell-edit recipes from replaying bit-identically across re-plans.
+// else in the table; *which* fresh value a cell receives is arbitrary. A
+// pool-global counter would make ⊥ names depend on allocation order, so a
+// re-plan against a pool whose counter had advanced (or a differently
+// threaded run that interleaved allocations) would produce different names
+// for the same repair, and cell-edit recipes could not replay
+// bit-identically across re-plans.
 //
 // These helpers derive the name from stable coordinates instead:
 //   - FreshCellName(id, attr) (storage/value_pool.h, next to the per-pool

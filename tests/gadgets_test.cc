@@ -7,6 +7,7 @@
 
 #include "common/random.h"
 #include "graph/vertex_cover.h"
+#include "oracles/table_predicates.h"
 #include "reductions/gadgets.h"
 #include "srepair/srepair_exact.h"
 #include "storage/consistency.h"
@@ -33,8 +34,8 @@ TEST_P(SatGadgetTest, OptimalRepairEqualsMaxSat) {
         3 + static_cast<int>(rng.UniformUint64(3)),
         3 + static_cast<int>(rng.UniformUint64(4)), 2, &rng);
     Table table = NonMixedSatGadgetTable(formula);
-    ASSERT_TRUE(table.IsDuplicateFree());
-    ASSERT_TRUE(table.IsUnweighted());
+    ASSERT_TRUE(IsDuplicateFree(table));
+    ASSERT_TRUE(IsUnweighted(table));
     auto repair = OptSRepairExact(gadget.fds, table, 64);
     ASSERT_TRUE(repair.ok()) << repair.status();
     auto max_sat = MaxSatisfiableClausesExact(formula);
@@ -140,8 +141,8 @@ TEST(VertexCoverGadgetTest, TableShape) {
   Table table = VertexCoverGadgetTable(graph);
   // 2 tuples per edge + 1 per vertex.
   EXPECT_EQ(table.num_tuples(), 2 * 2 + 3);
-  EXPECT_TRUE(table.IsUnweighted());
-  EXPECT_TRUE(table.IsDuplicateFree());
+  EXPECT_TRUE(IsUnweighted(table));
+  EXPECT_TRUE(IsDuplicateFree(table));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles/table_predicates.h"
 #include "srepair/planner.h"
 #include "storage/consistency.h"
 #include "storage/distance.h"
@@ -25,9 +26,9 @@ TEST_F(OfficeTest, TableShapeMatchesFigure1a) {
   EXPECT_DOUBLE_EQ(office_.table.weight(0), 2);
   EXPECT_DOUBLE_EQ(office_.table.weight(1), 1);
   // Example 2.1: S2 duplicate free and unweighted; S1 not unweighted.
-  EXPECT_TRUE(office_.subset_s2.IsDuplicateFree());
-  EXPECT_TRUE(office_.subset_s2.IsUnweighted());
-  EXPECT_FALSE(office_.subset_s1.IsUnweighted());
+  EXPECT_TRUE(IsDuplicateFree(office_.subset_s2));
+  EXPECT_TRUE(IsUnweighted(office_.subset_s2));
+  EXPECT_FALSE(IsUnweighted(office_.subset_s1));
 }
 
 TEST_F(OfficeTest, TViolatesButRepairsSatisfy) {

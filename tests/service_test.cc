@@ -385,7 +385,7 @@ TEST(RepairServiceTest, UpdateHitCopiesAHeldFreshValueAsTableData) {
   leader.AddTuple({"a1", "b1", "c1"});
   leader.AddTuple({"a1", "b1", "c1"});
   leader.AddTuple({"a1", "b2", "c1"});
-  const ValueId held = leader.FreshValue();
+  const ValueId held = leader.FreshValueNamed("⊥0");
   leader.SetValue(0, 1, held);
   leader.SetValue(1, 1, held);
   const std::string text = leader.pool()->Text(held);

@@ -15,6 +15,7 @@
 
 #include "catalog/fd_parser.h"
 #include "common/random.h"
+#include "oracles/table_predicates.h"
 #include "oracles/violations.h"
 #include "storage/consistency.h"
 #include "storage/distance.h"
@@ -77,10 +78,11 @@ TEST(ValuePoolTest, InternIsIdempotent) {
 TEST(ValuePoolTest, FreshValuesAreDistinct) {
   ValuePool pool;
   pool.Intern("⊥0");  // adversarial: user data colliding with fresh names
-  ValueId f1 = pool.FreshValue();
-  ValueId f2 = pool.FreshValue();
+  ValueId f1 = pool.FreshValueNamed("⊥0");
+  ValueId f2 = pool.FreshValueNamed("⊥1");
   EXPECT_NE(f1, f2);
   EXPECT_TRUE(pool.IsFresh(f1));
+  EXPECT_TRUE(pool.IsFresh(f2));
   EXPECT_FALSE(pool.IsFresh(pool.Intern("Paris")));
   EXPECT_NE(pool.Text(f1), "⊥0");  // skipped the collision
 }
@@ -158,6 +160,119 @@ TEST(ValuePoolTest, FreshCellValuesMatchFreshValueNamed) {
       ASSERT_EQ(memo.Text(values[i]), oracle.Text(expected));
     }
     EXPECT_EQ(memo.size(), oracle.size()) << pass;
+  }
+}
+
+// The pool against a reference model (an ordered map from text to id plus
+// the set of fresh ids) over seeded random sequences of Intern, Lookup,
+// FreshValueNamed and FreshCellValues: the empty text, texts of 1-40 bytes
+// (digests over one to five words), repeats, and user texts equal to
+// FreshCellName names (with and without "'" suffixes), so the "'" path
+// runs. More than 2,048 values take the 16-slot text index through at
+// least nine doublings; after every phase each id's text, freshness,
+// digest and Lookup are checked, and ids must follow first-intern order.
+TEST(ValuePoolTest, MatchesAReferenceModelAcrossIndexGrowth) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    ValuePool pool;
+    std::map<std::string, ValueId> ref_ids;
+    std::vector<std::string> ref_texts;
+    std::vector<bool> ref_fresh;
+    auto ref_add = [&](const std::string& text, bool fresh) {
+      const ValueId id = static_cast<ValueId>(ref_texts.size());
+      ref_ids.emplace(text, id);
+      ref_texts.push_back(text);
+      ref_fresh.push_back(fresh);
+      return id;
+    };
+    auto ref_intern = [&](const std::string& text) {
+      auto it = ref_ids.find(text);
+      return it != ref_ids.end() ? it->second : ref_add(text, false);
+    };
+    auto ref_fresh_named = [&](std::string name) {
+      for (;; name += "'") {
+        auto it = ref_ids.find(name);
+        if (it == ref_ids.end()) return ref_add(name, true);
+        if (ref_fresh[it->second]) return it->second;
+      }
+    };
+    auto random_cell = [&] {
+      return FreshCell{rng.UniformInt(-30, 300),
+                       static_cast<int32_t>(rng.UniformInt(0, 2))};
+    };
+    auto random_text = [&]() -> std::string {
+      switch (rng.UniformInt(0, 5)) {
+        case 0:
+          return "";
+        case 1: {  // a cell's fresh name, held as user data
+          const FreshCell cell = random_cell();
+          return FreshCellName(cell.id, cell.attr) +
+                 std::string(static_cast<size_t>(rng.UniformInt(0, 2)), '\'');
+        }
+        case 2:  // a repeat
+          if (!ref_texts.empty()) {
+            return ref_texts[rng.UniformIndex(ref_texts.size())];
+          }
+          [[fallthrough]];
+        default: {
+          std::string text(static_cast<size_t>(rng.UniformInt(1, 40)), ' ');
+          for (char& c : text) c = "ab't.\xe2"[rng.UniformIndex(6)];
+          return text;
+        }
+      }
+    };
+    auto check_every_id = [&](int phase) {
+      ASSERT_EQ(pool.size(), static_cast<int64_t>(ref_texts.size()));
+      for (ValueId v = 0; v < static_cast<ValueId>(ref_texts.size()); ++v) {
+        ASSERT_EQ(pool.Text(v), ref_texts[v]) << seed << ":" << phase;
+        ASSERT_EQ(pool.IsFresh(v), ref_fresh[v]) << seed << ":" << v;
+        ASSERT_EQ(pool.read().digest(v), ValueDigest(pool.Text(v))) << v;
+        StatusOr<ValueId> found = pool.Lookup(ref_texts[v]);
+        ASSERT_TRUE(found.ok()) << seed << ":" << v;
+        ASSERT_EQ(*found, v);
+      }
+    };
+    for (int phase = 0; phase < 8; ++phase) {
+      for (int step = 0; step < 1000; ++step) {
+        switch (rng.UniformInt(0, 3)) {
+          case 0: {
+            const std::string text = random_text();
+            ASSERT_EQ(pool.Intern(text), ref_intern(text)) << seed;
+            break;
+          }
+          case 1: {
+            const std::string text = random_text();
+            StatusOr<ValueId> found = pool.Lookup(text);
+            auto it = ref_ids.find(text);
+            ASSERT_EQ(found.ok(), it != ref_ids.end()) << seed << ":" << text;
+            if (found.ok()) {
+              ASSERT_EQ(*found, it->second);
+            }
+            break;
+          }
+          case 2: {
+            const std::string name = random_text();
+            ASSERT_EQ(pool.FreshValueNamed(name), ref_fresh_named(name))
+                << seed << ":" << name;
+            break;
+          }
+          default: {
+            std::vector<FreshCell> cells(
+                static_cast<size_t>(rng.UniformInt(0, 8)));
+            for (FreshCell& cell : cells) cell = random_cell();
+            std::vector<ValueId> values(cells.size(), -1);
+            pool.FreshCellValues(cells, values.data());
+            for (size_t i = 0; i < cells.size(); ++i) {
+              ASSERT_EQ(values[i], ref_fresh_named(FreshCellName(
+                                       cells[i].id, cells[i].attr)))
+                  << seed << ":" << i;
+            }
+          }
+        }
+      }
+      ASSERT_NO_FATAL_FAILURE(check_every_id(phase));
+    }
+    EXPECT_GT(ref_texts.size(), 2048u) << seed;
   }
 }
 
@@ -361,16 +476,16 @@ TEST(TableTest, BasicAccessors) {
   EXPECT_EQ(*table.RowOf(4), 3);
   EXPECT_FALSE(table.RowOf(99).ok());
   EXPECT_DOUBLE_EQ(table.TotalWeight(), 6);
-  EXPECT_FALSE(table.IsUnweighted());
-  EXPECT_TRUE(table.IsDuplicateFree());
+  EXPECT_FALSE(IsUnweighted(table));
+  EXPECT_TRUE(IsDuplicateFree(table));
 }
 
 TEST(TableTest, DuplicatesAndWeights) {
   Table table(Schema::Anonymous(2));
   table.AddTuple({"x", "y"});
   table.AddTuple({"x", "y"});
-  EXPECT_FALSE(table.IsDuplicateFree());
-  EXPECT_TRUE(table.IsUnweighted());
+  EXPECT_FALSE(IsDuplicateFree(table));
+  EXPECT_TRUE(IsUnweighted(table));
   EXPECT_FALSE(table.AddTupleWithId(1, {"a", "b"}, 1).ok());  // id taken
   EXPECT_FALSE(table.AddTupleWithId(9, {"a", "b"}, 0).ok());  // zero weight
   EXPECT_FALSE(table.AddTupleWithId(9, {"a"}, 1).ok());       // arity
